@@ -28,6 +28,8 @@ from .extvalue import ExtValue, MINUS_INF, PLUS_INF, is_finite
 from .mcr import McrResult, SolveStats, sweep_bound
 from .tp import TpResult, k_bound
 
+UnsoundOracleError = eng.UnsoundOracleError
+
 DEFAULT_PATH_CAP = 4096
 PATH_WORK_CAP = 200_000
 
@@ -51,10 +53,6 @@ class _FinalizedView:
 
     def __len__(self) -> int:
         return len(self._raw)
-
-
-class UnsoundOracleError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -260,36 +258,13 @@ def _cycle_sign_certificate(arena: Arena, members: Sequence[int]) -> Optional[st
     return None
 
 
-def _clamp_down(x: np.ndarray, members: np.ndarray, tables: List[Optional[np.ndarray]]) -> None:
-    for i, v in enumerate(members):
-        table = tables[i]
-        if table is None:
-            continue
-        raw = x[v]
-        pos = np.searchsorted(table, raw, side="right") - 1
-        x[v] = table[pos]  # table always holds NEG, so pos >= 0
-
-
-def _clamp_up(x: np.ndarray, members: np.ndarray, tables: List[Optional[np.ndarray]]) -> None:
-    for i, v in enumerate(members):
-        table = tables[i]
-        if table is None:
-            continue
-        raw = x[v]
-        pos = np.searchsorted(table, raw, side="left")
-        x[v] = table[pos]  # table always holds POS, so pos < len
-
-
 def _candidate_tables(
     sets: List[Optional[FrozenSet[ExtValue]]],
 ) -> List[Optional[np.ndarray]]:
-    out: List[Optional[np.ndarray]] = []
-    for s in sets:
-        if s is None:
-            out.append(None)
-        else:
-            out.append(np.array(sorted(eng.raw_of_ext(v) for v in s), dtype=np.int64))
-    return out
+    return [
+        None if s is None else np.array(sorted(map(eng.raw_of_ext, s)), dtype=np.int64)
+        for s in sets
+    ]
 
 
 def solve_mcr_accelerated(
@@ -311,28 +286,11 @@ def solve_mcr_accelerated(
     stats = SolveStats()
     bound = sweep_bound(arena.n, ca.W) + 1
     for q in range(1, len(dec)):
-        members = dec.components[q]
         tables = _candidate_tables(oracle(arena, dec, q, _FinalizedView(x)))
-        view = eng.ComponentView(ca, members)
-        marr = view.members
-        init = np.empty(len(members), dtype=np.int64)
-        for i, tab in enumerate(tables):
-            init[i] = tab[-1] if tab is not None else eng.POS
-        x[marr] = init
+        view = eng.ComponentView(ca, dec.components[q])
+        x[view.members] = [eng.POS if tab is None else tab[-1] for tab in tables]
         stats.outer_iterations += 1
-        local_sweeps = 0
-        while True:
-            xpre_local = x[marr].copy()
-            upd = view.sweep(ca, x)
-            x[marr] = upd
-            np.copyto(x, eng.NEG, where=(x < ca.cutoff))
-            _clamp_down(x, marr, tables)
-            stats.inner_iterations += 1
-            local_sweeps += 1
-            if np.array_equal(x[marr], xpre_local):
-                break
-            if local_sweeps > bound:
-                raise UnsoundOracleError("component failed to stabilize")
+        stats.inner_iterations += eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
     return McrResult(eng.from_array(arena, x), stats)
@@ -368,104 +326,39 @@ def solve_tp_accelerated(
         members = dec.components[q]
         tables = _candidate_tables(oracle(arena, dec, q, _FinalizedView(x)))
         view = eng.ComponentView(ca, members)
-        marr = view.members
         certificate = _cycle_sign_certificate(arena, members)
-        if certificate is not None:
-            _solve_component_signed(ca, view, x, y, tables, certificate, lift_at, stats, inner_bound)
-        else:
-            _solve_component_generic(ca, view, x, y, lift_at, stats, inner_bound, outer_bound)
+        outer, sweeps = eng.nested_fixpoint(
+            view, x, y, cutoff=ca.cutoff, lift=lift_at,
+            inner_bound=inner_bound, outer_bound=outer_bound,
+            inner=None if certificate is None else _signed_pass(ca, view, x, tables, certificate),
+        )
+        stats.outer_iterations += outer
+        stats.inner_iterations += sweeps
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
     return TpResult(eng.from_array(arena, y), stats)
 
 
-def _solve_component_signed(
+def _signed_pass(
     ca: eng.CompiledArena,
     view: eng.ComponentView,
     x: np.ndarray,
-    y: np.ndarray,
     tables: List[Optional[np.ndarray]],
     certificate: str,
-    lift_at: int,
-    stats: SolveStats,
-    inner_bound: int,
-) -> None:
+) -> Callable[[], int]:
+    """Inner pass for a certified component: the clamped reachability-style
+    iteration from above, without stop requests."""
     marr = view.members
-    while True:
-        ypre_local = y[marr].copy()
+    bound = sweep_bound(ca.n, ca.W) + 1
+
+    def solve() -> int:
         x[marr] = eng.POS
-        local = 0
-        while True:
-            xpre_local = x[marr].copy()
-            x[marr] = view.sweep(ca, x)
-            np.copyto(x, eng.NEG, where=(x < ca.cutoff))
-            _clamp_down(x, marr, tables)
-            stats.inner_iterations += 1
-            local += 1
-            if np.array_equal(x[marr], xpre_local):
-                break
-            if local > inner_bound:
-                raise UnsoundOracleError("component failed to stabilize")
+        sweeps = eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
         if certificate == "negative" and np.any(x[marr] >= eng.POS):
             # Starting from above can strand vertices at +inf; approach the
             # same fixed point from below instead.
             x[marr] = eng.NEG
-            local = 0
-            while True:
-                xpre_local = x[marr].copy()
-                x[marr] = view.sweep(ca, x)
-                np.copyto(x, eng.POS, where=(x > lift_at) & (x < eng.POS))
-                _clamp_up(x, marr, tables)
-                stats.inner_iterations += 1
-                local += 1
-                if np.array_equal(x[marr], xpre_local):
-                    break
-                if local > inner_bound:
-                    raise UnsoundOracleError("component failed to stabilize")
-        y[marr] = x[marr]
-        np.copyto(y, eng.POS, where=(y > lift_at))
-        x[marr] = y[marr]
-        stats.outer_iterations += 1
-        if np.array_equal(y[marr], ypre_local):
-            break
+            sweeps += eng.fixpoint(view, x, bound, lift=(ca.n - 1) * ca.W, tables=tables)
+        return sweeps
 
-
-def _solve_component_generic(
-    ca: eng.CompiledArena,
-    view: eng.ComponentView,
-    x: np.ndarray,
-    y: np.ndarray,
-    lift_at: int,
-    stats: SolveStats,
-    inner_bound: int,
-    outer_bound: int,
-) -> None:
-    marr = view.members
-    ytrans = np.empty_like(y)
-    outer_local = 0
-    while True:
-        ypre_local = y[marr].copy()
-        np.copyto(ytrans, y)
-        ytrans[marr] = np.maximum(y[marr], 0)
-        np.copyto(ytrans, eng.POS, where=(y >= eng.POS))
-        x[marr] = eng.POS
-        local = 0
-        while True:
-            xpre_local = x[marr].copy()
-            x[marr] = view.sweep(ca, x, ytrans)
-            np.copyto(x, eng.NEG, where=(x < ca.cutoff))
-            stats.inner_iterations += 1
-            local += 1
-            if np.array_equal(x[marr], xpre_local):
-                break
-            if local > inner_bound:
-                raise AssertionError("inner iteration exceeded its sweep bound")
-        y[marr] = x[marr]
-        np.copyto(y, eng.POS, where=(y > lift_at))
-        x[marr] = y[marr]
-        stats.outer_iterations += 1
-        outer_local += 1
-        if np.array_equal(y[marr], ypre_local):
-            break
-        if outer_local > outer_bound:
-            raise AssertionError("outer iteration exceeded its pass bound")
+    return solve

@@ -258,9 +258,6 @@ class ValueVector:
     def pointwise_le(self, other: "ValueVector") -> bool:
         return all(a <= b for a, b in zip(self.values, other.values))
 
-    def restrict_names(self, names: Sequence[str]) -> list:
-        return [self[name] for name in names]
-
 
 def scale_weights(arena: Arena, c: int) -> Arena:
     """Multiply all edge weights by a positive integer c."""

@@ -93,14 +93,6 @@ def ext_add(a: ExtValue, b: ExtValue) -> ExtValue:
     return a if isinstance(a, _Infinity) else b
 
 
-def ext_neg(x: ExtValue) -> ExtValue:
-    return -x
-
-
-def ext_sub(a: ExtValue, b: ExtValue) -> ExtValue:
-    return ext_add(a, -b)
-
-
 def ext_scale(x: ExtValue, c: int) -> ExtValue:
     """Multiply by a positive integer; infinities are fixed points."""
     if c <= 0:

@@ -84,22 +84,9 @@ def solve_mcr(arena: Arena, *, with_trace: bool = False) -> McrResult:
     ca = eng.CompiledArena(arena)
     x = np.full(arena.n, eng.POS, dtype=np.int64)
     x[t] = 0
-    raw_trace: List[np.ndarray] = [x.copy()] if with_trace else []
-    stats = SolveStats(outer_iterations=1)
-    bound = sweep_bound(arena.n, ca.W) + 1
-    while True:
-        xpre = x
-        x = eng.sweep(ca, xpre)
-        x[t] = 0
-        eng.apply_cutoff(ca, x)
-        stats.sweeps += 1
-        if with_trace:
-            raw_trace.append(x.copy())
-        if np.array_equal(x, xpre):
-            break
-        if stats.sweeps > bound:
-            raise AssertionError("value iteration exceeded its sweep bound")
-    stats.inner_iterations = stats.sweeps
+    raw_trace: Optional[List[np.ndarray]] = [x.copy()] if with_trace else None
+    sweeps = eng.fixpoint(ca, x, sweep_bound(arena.n, ca.W) + 1, cutoff=ca.cutoff, trace=raw_trace)
+    stats = SolveStats(sweeps=sweeps, inner_iterations=sweeps, outer_iterations=1)
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
     trace = (
         IterationTrace([eng.from_array(arena, v) for v in raw_trace]) if with_trace else None

@@ -28,7 +28,7 @@ from .arena import (
     vertex_cap,
 )
 from .extvalue import MINUS_INF, PLUS_INF
-from .mcr import Sign, SolveStats, mp_sign
+from .mcr import Sign, SolveStats, mp_sign, sweep_bound
 
 
 @dataclass
@@ -43,10 +43,6 @@ def k_bound(arena: Arena) -> int:
     return n * (2 * (n - 1) * max_abs_weight(arena) + 1)
 
 
-def _lift(x: np.ndarray, lift_at: int) -> None:
-    np.copyto(x, eng.POS, where=x > lift_at)
-
-
 def solve_tp(arena: Arena) -> TpResult:
     """Solve a total-payoff game exactly.
 
@@ -59,30 +55,13 @@ def solve_tp(arena: Arena) -> TpResult:
     started = time.perf_counter()
     ca = eng.CompiledArena(arena)
     n = arena.n
-    lift_at = (n - 1) * ca.W
+    x = np.full(n, eng.POS, dtype=np.int64)
     y = np.full(n, eng.NEG, dtype=np.int64)
-    stats = SolveStats()
-    outer_bound = k_bound(arena) + 1
-    while True:
-        ypre = y.copy()
-        ytrans = np.maximum(y, 0)
-        np.copyto(ytrans, eng.POS, where=y >= eng.POS)
-        x = np.full(n, eng.POS, dtype=np.int64)
-        while True:
-            xpre = x
-            x = eng.sweep(ca, xpre, ytrans)
-            eng.apply_cutoff(ca, x)
-            stats.inner_iterations += 1
-            if np.array_equal(x, xpre):
-                break
-        y = x
-        _lift(y, lift_at)
-        stats.outer_iterations += 1
-        if np.array_equal(y, ypre):
-            break
-        if stats.outer_iterations > outer_bound:
-            raise AssertionError("outer iteration exceeded its pass bound")
-    stats.sweeps = stats.inner_iterations
+    outer, inner = eng.nested_fixpoint(
+        ca, x, y, cutoff=ca.cutoff, lift=(n - 1) * ca.W,
+        inner_bound=sweep_bound(n, ca.W) + 1, outer_bound=k_bound(arena) + 1,
+    )
+    stats = SolveStats(sweeps=inner, inner_iterations=inner, outer_iterations=outer)
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
     return TpResult(eng.from_array(arena, y), stats)
 

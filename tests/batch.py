@@ -5,9 +5,11 @@ in -2..2, every ownership and target pattern) is too large to push through
 the per-arena APIs one game at a time, so shapes (structure + owners +
 targets) are enumerated in Python while all weight assignments of a shape
 are solved simultaneously as rows of one numpy system.  Both sides of every
-comparison are batched: the value-iteration solvers mirror the production
-kernels, the reference side re-implements the brute-force oracles
-(strategy enumeration + Bellman-Ford / outcome lassos) row-wise.
+comparison are batched.  The solver side is the production value-iteration
+kernel itself (``quantgames._engine.fixpoint``/``nested_fixpoint``), given
+one weight row per assignment.  The reference side is independent: it
+re-implements the brute-force oracles (strategy enumeration + Bellman-Ford /
+outcome lassos) row-wise.
 
 test_acceptance cross-validates these batched paths against the public
 per-arena APIs on random samples before trusting them.
@@ -21,8 +23,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-POS = np.int64(2**62)
-NEG = np.int64(-(2**62))
+from quantgames import _engine as eng
+from quantgames.mcr import sweep_bound
+
+POS = eng.POS
+NEG = eng.NEG
 WEIGHT_RANGE = range(-2, 3)
 
 
@@ -141,60 +146,35 @@ def tp_shapes(nv: int) -> Iterator[Shape]:
             yield _finish(nv, nv, None, owners, edges)
 
 
-def _sweep(shape: Shape, wfull: np.ndarray, cont: np.ndarray) -> np.ndarray:
-    cand = wfull + cont
-    np.copyto(cand, POS, where=cont >= POS)
-    np.copyto(cand, NEG, where=cont <= NEG)
-    mx = np.maximum.reduceat(cand, shape.starts, axis=1)
-    mn = np.minimum.reduceat(cand, shape.starts, axis=1)
-    return np.where(shape.is_max[None, :], mx, mn)
+def _slice(shape: Shape) -> eng.EdgeSlice:
+    """The whole-graph slice with one weight row per assignment."""
+    return eng.EdgeSlice(slice(None), shape.dst, shape.wfull(), shape.starts, shape.is_max)
 
 
 def solve_mcr_batch(shape: Shape) -> np.ndarray:
-    """Row-wise mirror of the production reachability solver."""
-    wfull = shape.wfull()
-    cut = (-(shape.n - 1) * shape.row_w())[:, None]
+    """Every weight row through the production reachability kernel."""
+    cutoff = (-(shape.n - 1) * shape.row_w())[:, None]
     x = np.full((shape.rows, shape.n), POS, dtype=np.int64)
     x[:, shape.target] = 0
-    bound = (2 * shape.n - 1) * 2 * shape.n + 2 * shape.n + 2
-    for _ in range(bound):
-        xn = _sweep(shape, wfull, x[:, shape.dst])
-        xn[:, shape.target] = 0
-        np.copyto(xn, NEG, where=xn < cut)
-        if np.array_equal(xn, x):
-            return x
-        x = xn
-    raise AssertionError("batched reachability solve failed to stabilize")
+    eng.fixpoint(_slice(shape), x, sweep_bound(shape.n, 2) + 1, cutoff=cutoff)
+    return x
 
 
 def solve_tp_batch(shape: Shape) -> np.ndarray:
-    """Row-wise mirror of the production total-payoff solver."""
-    wfull = shape.wfull()
-    roww = shape.row_w()
-    cut = (-(shape.n - 1) * roww)[:, None]
-    lift = ((shape.n - 1) * roww)[:, None]
+    """Every weight row through the production total-payoff kernel."""
+    roww = shape.row_w()[:, None]
+    x = np.full((shape.rows, shape.n), POS, dtype=np.int64)
     y = np.full((shape.rows, shape.n), NEG, dtype=np.int64)
-    outer_bound = shape.n * (2 * (shape.n - 1) * 2 + 1) + 2
-    for _ in range(outer_bound):
-        ypre = y
-        yt = np.maximum(y, 0)
-        np.copyto(yt, POS, where=y >= POS)
-        x = np.full((shape.rows, shape.n), POS, dtype=np.int64)
-        inner_bound = (2 * shape.n - 1) * 2 * shape.n + 2 * shape.n + 2
-        for _ in range(inner_bound):
-            cont = np.minimum(x[:, shape.dst], yt[:, shape.dst])
-            xn = _sweep(shape, wfull, cont)
-            np.copyto(xn, NEG, where=xn < cut)
-            if np.array_equal(xn, x):
-                break
-            x = xn
-        else:
-            raise AssertionError("batched inner loop failed to stabilize")
-        y = x.copy()
-        np.copyto(y, POS, where=y > lift)
-        if np.array_equal(y, ypre):
-            return y
-    raise AssertionError("batched outer loop failed to stabilize")
+    eng.nested_fixpoint(
+        _slice(shape),
+        x,
+        y,
+        cutoff=-(shape.n - 1) * roww,
+        lift=(shape.n - 1) * roww,
+        inner_bound=sweep_bound(shape.n, 2) + 1,
+        outer_bound=shape.n * (2 * (shape.n - 1) * 2 + 1) + 1,
+    )
+    return y
 
 
 def _max_strategies(shape: Shape) -> Iterator[Dict[int, int]]:
