@@ -10,7 +10,13 @@ out-edges.  ``CompiledArena`` is the whole-arena slice, ``ComponentView``
 the slice of one strongly connected component.  Contract:
 
 - ``sweep`` is one Jacobi pass: the members' new values, all computed from
-  the old vector.  Vertices outside the slice are read, never written.
+  the old vector.  Vertices outside the slice are read, never written.  It
+  does one reduction, not a max and a min: each candidate is multiplied by
+  its edge's sign (+1 from a Max vertex, -1 from a Min vertex), one
+  ``np.maximum.reduceat`` runs, and the result is multiplied by the
+  vertex's sign, since min(a) = -max(-a).  That is exact on the sentinels
+  only because ``NEG == -POS``.  Both sign arrays are derived when the
+  slice is built, so every sweep of a slice shares them.
 - ``fixpoint`` sweeps until the members stop changing.  After each sweep a
   post-step touches the members only: values below ``cutoff`` drop to -inf
   (descending) or values above ``lift`` rise to +inf (ascending), then the
@@ -20,7 +26,9 @@ the slice of one strongly connected component.  Contract:
   clamp, ``AssertionError`` otherwise.
 - ``nested_fixpoint`` is the outer total-payoff loop (inner solve, lift,
   compare with the previous outer vector), counted and bounded the same
-  way by ``outer_bound``, raising ``AssertionError``.
+  way by ``outer_bound``, raising ``AssertionError``.  A pass touches the
+  slice and its out-edges only, so solving the components of an arena one
+  after another costs time linear in the arena, not quadratic.
 
 Every operation broadcasts over a leading axis of weight rows: with ``wt``
 of shape ``[rows, E]``, vectors ``[rows, n]`` and ``cutoff``/``lift``
@@ -29,7 +37,7 @@ columns ``[rows, 1]``, one call solves every weight assignment of a graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -55,6 +63,17 @@ class EdgeSlice:
     wt: np.ndarray
     starts: np.ndarray
     is_max: np.ndarray
+    sign: np.ndarray = field(init=False)  # per member: +1 Max, -1 Min
+    edge_sign: np.ndarray = field(init=False)  # sign of each edge's source
+
+    def __post_init__(self) -> None:
+        self.sign = np.where(self.is_max, 1, -1).astype(np.int64, copy=False)
+        self.edge_sign = np.repeat(self.sign, out_degrees(self))
+
+
+def out_degrees(sl: EdgeSlice) -> np.ndarray:
+    """Edge count of each member of the slice."""
+    return np.concatenate((sl.starts[1:], [len(sl.dst)])) - sl.starts
 
 
 class CompiledArena(EdgeSlice):
@@ -78,22 +97,22 @@ class CompiledArena(EdgeSlice):
 
 
 class ComponentView(EdgeSlice):
-    """The slice of one strongly connected component of ``ca``."""
+    """The slice of one strongly connected component of ``ca``; built in
+    time linear in the component's members and edges."""
 
     def __init__(self, ca: CompiledArena, members: Sequence[int]) -> None:
         marr = np.asarray(sorted(members), dtype=np.int64)
-        idx: List[int] = []
-        starts: List[int] = []
-        for v in marr:
-            hi = ca.starts[v + 1] if v + 1 < ca.n else len(ca.dst)
-            starts.append(len(idx))
-            idx.extend(range(ca.starts[v], hi))
-        self.edge_idx = np.asarray(idx, dtype=np.int64)
+        lo = ca.starts[marr]
+        hi = np.where(marr + 1 < ca.n, ca.starts.take(marr + 1, mode="clip"), len(ca.dst))
+        counts = hi - lo
+        starts = np.cumsum(counts) - counts
+        # Edge j of member i sits at ca index lo[i] + (j - starts[i]).
+        self.edge_idx = np.repeat(lo - starts, counts) + np.arange(counts.sum())
         super().__init__(
             marr,
             ca.dst[self.edge_idx],
             ca.wt[self.edge_idx],
-            np.asarray(starts, dtype=np.int64),
+            starts,
             ca.is_max[marr],
         )
 
@@ -111,9 +130,10 @@ def sweep(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray] = None) -> 
     cand = sl.wt + cont
     np.copyto(cand, POS, where=cont >= POS)
     np.copyto(cand, NEG, where=cont <= NEG)
-    red_max = np.maximum.reduceat(cand, sl.starts, axis=-1)
-    red_min = np.minimum.reduceat(cand, sl.starts, axis=-1)
-    return np.where(sl.is_max, red_max, red_min)
+    cand *= sl.edge_sign
+    best = np.maximum.reduceat(cand, sl.starts, axis=-1)
+    best *= sl.sign
+    return best
 
 
 def _clamp(new: np.ndarray, tables: Sequence[Optional[np.ndarray]], up: bool) -> None:
@@ -191,20 +211,27 @@ def nested_fixpoint(
     max(y, 0)), lifts values above ``lift`` to +inf and stores the result
     in ``y``.  Returns (passes, inner sweeps), both counting the final
     confirming pass.
+
+    Successors outside the slice must be finished, with ``x`` equal to
+    ``y`` there, as a previous call leaves them.  The cap is then a no-op
+    outside the members, so the default pass caps ``y`` in place on the
+    members and reads it as the cap: O(slice) per pass, not O(n).
     """
     m = _member_index(sl, x)
     if inner is None:
         def inner() -> int:
+            y[m] = np.maximum(y[m], 0)
             x[m] = POS
-            return fixpoint(sl, x, inner_bound, cutoff=cutoff, ytrans=np.maximum(y, 0))
+            return fixpoint(sl, x, inner_bound, cutoff=cutoff, ytrans=y)
     passes = sweeps = 0
     while True:
+        prev = y[m].copy()
         sweeps += inner()
         new = x[m]
         np.copyto(new, POS, where=new > lift)
         x[m] = new
         passes += 1
-        stable = np.array_equal(new, y[m])
+        stable = np.array_equal(new, prev)
         y[m] = new
         if stable:
             return passes, sweeps

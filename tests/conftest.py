@@ -53,3 +53,14 @@ def single_vertex(owner: Player, weight: int, objective: Objective = Objective.T
         [0] if objective is Objective.MCR else [],
         objective,
     )
+
+
+# One component whose cycles have both signs (Min's -1 loop, Max's +1
+# loop), so the accelerated solver takes the generic nested iteration.
+MIXED = make_arena(
+    ["a", "b"],
+    [Player.MIN, Player.MAX],
+    [(0, 0, -1), (0, 1, 2), (1, 0, 0), (1, 1, 1)],
+    [],
+    Objective.TP,
+)

@@ -1,19 +1,30 @@
 import random
 
+import pytest
+
+from quantgames import _engine as eng
 from quantgames.accel import (
+    _cycle_sign_certificate,
     no_clamp_oracle,
     scc_decompose,
     simple_path_oracle,
     solve_mcr_accelerated,
     solve_tp_accelerated,
 )
-from quantgames.arena import Objective, Player, make_arena, normalize_target
+from quantgames.arena import (
+    Arena,
+    DeadlockVertexError,
+    Objective,
+    Player,
+    make_arena,
+    normalize_target,
+)
 from quantgames.cli import random_arena
 from quantgames.extvalue import MINUS_INF, PLUS_INF
 from quantgames.mcr import solve_mcr
 from quantgames.tp import solve_tp
 
-from conftest import fig2a, layered
+from conftest import MIXED, fig2a, layered
 
 
 def test_scc_layered():
@@ -195,3 +206,95 @@ def test_tp_accel_table_counts():
     r2 = solve_tp_accelerated(layered(10, 99))
     assert r2.stats.outer_iterations == 4 * 10 + 2
     assert r2.stats.inner_iterations == 14 * 10 + 4
+
+
+def simple_cycle_sums(arena, members):
+    """Weight of every simple cycle inside ``members`` (each cycle once per
+    rotation, which leaves the set of signs unchanged)."""
+    inside = set(members)
+    sums = []
+    for start in members:
+        stack = [(start, 0, (start,))]
+        while stack:
+            v, total, path = stack.pop()
+            for d, w in arena.successors(v):
+                if d == start:
+                    sums.append(total + w)
+                elif d in inside and d not in path:
+                    stack.append((d, total + w, path + (d,)))
+    return sums
+
+
+def test_cycle_sign_certificate_matches_cycle_enumeration():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        edges = [
+            (v, d, rng.randint(-3, 3))
+            for v in range(n)
+            for d in rng.sample(range(n), rng.randint(1, min(3, n)))
+        ]
+        arena = make_arena([f"v{i}" for i in range(n)], [Player.MAX] * n, edges)
+        ca = eng.CompiledArena(arena)
+        for members in scc_decompose(arena).components:
+            sums = simple_cycle_sums(arena, members)
+            want = (
+                "positive" if all(s > 0 for s in sums)
+                else "negative" if all(s < 0 for s in sums)
+                else None
+            )
+            got = _cycle_sign_certificate(eng.ComponentView(ca, members))
+            assert got == want, (arena, members, sums)
+            seen.add(got)
+    assert seen == {"positive", "negative", None}
+
+
+@pytest.mark.parametrize(
+    "arena", [MIXED, fig2a(5, Objective.TP), layered(3, 4)], ids=["mixed", "fig2a", "layered"]
+)
+def test_oracle_is_asked_only_for_certified_components(arena):
+    asked = []
+
+    def recording_oracle(arena, dec, q, finalized):
+        asked.append(q)
+        return simple_path_oracle(arena, dec, q, finalized)
+
+    dec = scc_decompose(arena)
+    ca = eng.CompiledArena(arena)
+    certified = [
+        q for q in range(len(dec))
+        if _cycle_sign_certificate(eng.ComponentView(ca, dec.components[q])) is not None
+    ]
+    result = solve_tp_accelerated(arena, recording_oracle)
+    assert asked == certified
+    assert list(result.values) == list(solve_tp(arena).values)
+
+
+def test_tp_accelerated_validates_unchecked_arena():
+    # Built without make_arena, so nothing has validated it yet.
+    arena = Arena(("a", "b"), (Player.MAX, Player.MIN), ((0, 1, 1),), frozenset(), Objective.TP)
+    with pytest.raises(DeadlockVertexError):
+        solve_tp_accelerated(arena)
+
+
+def edge_list_reads(arena):
+    """How often solve_tp_accelerated reads ``arena.edges``."""
+    reads = []
+
+    class Counting(Arena):
+        def __getattribute__(self, name):
+            if name == "edges":
+                reads.append(name)
+            return super().__getattribute__(name)
+
+    counted = Counting(arena.names, arena.owners, arena.edges, arena.targets, arena.objective)
+    reads.clear()
+    solve_tp_accelerated(counted)
+    return len(reads)
+
+
+def test_tp_accelerated_reads_the_edge_list_a_fixed_number_of_times():
+    # A whole-arena scan per component makes the solve quadratic; the count
+    # must not grow with the number of components (41 and 161 here).
+    assert edge_list_reads(layered(20, 5)) == edge_list_reads(layered(80, 5))

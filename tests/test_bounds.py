@@ -7,7 +7,7 @@ loop run two sweeps; -1 lets it run one.
 
 import pytest
 
-from quantgames import accel, mcr, tp
+from quantgames import _engine as eng, accel, mcr, tp
 from quantgames.accel import (
     UnsoundOracleError,
     no_clamp_oracle,
@@ -15,19 +15,9 @@ from quantgames.accel import (
     solve_mcr_accelerated,
     solve_tp_accelerated,
 )
-from quantgames.arena import Objective, Player, make_arena, normalize_target
+from quantgames.arena import Objective, Player, normalize_target
 
-from conftest import fig2a, layered, single_vertex
-
-# One component whose cycles have both signs (Min's -1 loop, Max's +1
-# loop), so the accelerated solver takes the generic nested iteration.
-MIXED = make_arena(
-    ["a", "b"],
-    [Player.MIN, Player.MAX],
-    [(0, 0, -1), (0, 1, 2), (1, 0, 0), (1, 1, 1)],
-    [],
-    Objective.TP,
-)
+from conftest import MIXED, fig2a, layered, single_vertex
 
 CASES = {
     "solve_mcr sweeps": (
@@ -75,7 +65,7 @@ def test_bound_is_enforced(case, monkeypatch):
 def test_accelerated_cases_reach_the_component_kind_they_name():
     def last_certificate(arena):
         members = scc_decompose(arena).components[-1]
-        return accel._cycle_sign_certificate(arena, members)
+        return accel._cycle_sign_certificate(eng.ComponentView(eng.CompiledArena(arena), members))
 
     assert last_certificate(fig2a(5, Objective.TP)) == "negative"
     assert last_certificate(single_vertex(Player.MAX, 1)) == "positive"
