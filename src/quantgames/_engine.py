@@ -84,12 +84,12 @@ class CompiledArena(EdgeSlice):
         n = arena.n
         self.n = n
         self.W = max_abs_weight(arena)
-        edges = arena.edges  # already sorted by (src, dst)
-        self.src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
+        # One contiguous row each for src, dst and w, sorted by (src, dst).
+        self.src, dst, wt = arena.edge_array.T.copy()
         super().__init__(
             slice(None),
-            np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges)),
-            np.fromiter((e[2] for e in edges), dtype=np.int64, count=len(edges)),
+            dst,
+            wt,
             np.searchsorted(self.src, np.arange(n, dtype=np.int64)),
             np.fromiter((o is Player.MAX for o in arena.owners), dtype=bool, count=n),
         )

@@ -3,19 +3,33 @@
 An arena is immutable after construction.  ``validate`` enforces the model
 invariants (deadlock-freeness, weight and size caps, simple edges); every
 solver in this package assumes a validated arena.
+
+``Arena.edge_array`` is the one int64 form of the edges, ``[E, 3]`` rows
+``(src, dst, w)`` built once from the sorted edge tuple; validation, the
+compiled solver arrays and ``max_abs_weight`` all read it.  The per-vertex
+successor tuples are built lazily, on the first ``successors()`` call, so a
+plain reachability solve never builds them.  A successful ``validate``
+records the vertex cap it checked against on the arena, and a later call
+under the same cap returns at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .extvalue import ExtValue
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# Every name valid, joined by newlines; a name holding a newline is caught
+# by the line count.
+_NAMES_RE = re.compile(r"[A-Za-z0-9_]+(?:\n[A-Za-z0-9_]+)*\Z")
 WEIGHT_CAP = 10**9
 DEFAULT_VERTEX_CAP = 10**6
 
@@ -85,34 +99,53 @@ class Arena:
     edges: Tuple[Tuple[int, int, int], ...]
     targets: frozenset
     objective: Objective
-    _succ: tuple = field(init=False, repr=False, compare=False, default=())
+    # Filled lazily, through object.__setattr__ on declared fields:
+    # functools.cached_property would write the instance __dict__, which
+    # costs the instance its compact layout and slows every attribute read.
+    _validated_cap: Optional[int] = field(init=False, repr=False, compare=False, default=None)
+    _edge_array: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
+    _succ: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        succ: list = [[] for _ in self.names]
-        for s, d, w in self.edges:
-            succ[s].append((d, w))
-        object.__setattr__(self, "_succ", tuple(tuple(x) for x in succ))
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The edges as ``[E, 3]`` int64 rows ``(src, dst, w)``, sorted; built
+        on first use.  Raises ``OverflowError`` when a value does not fit
+        int64."""
+        if self._edge_array is None:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(self.edges), dtype=np.int64, count=3 * len(self.edges)
+            )
+            object.__setattr__(self, "_edge_array", flat.reshape(-1, 3))
+        return self._edge_array
 
     @property
     def n(self) -> int:
         return len(self.names)
 
     def successors(self, v: int) -> Tuple[Tuple[int, int], ...]:
-        """(dst, weight) pairs of v, ascending by dst."""
+        """(dst, weight) pairs of v, ascending by dst.  The first call builds
+        them for every vertex."""
+        if self._succ is None:
+            succ: list = [[] for _ in self.names]
+            for s, d, w in self.edges:
+                succ[s].append((d, w))
+            object.__setattr__(self, "_succ", tuple(tuple(x) for x in succ))
         return self._succ[v]
 
     def successor_ids(self, v: int) -> Tuple[int, ...]:
-        return tuple(d for d, _ in self._succ[v])
+        return tuple(d for d, _ in self.successors(v))
 
     def weight(self, src: int, dst: int) -> int:
-        for d, w in self._succ[src]:
+        for d, w in self.successors(src):
             if d == dst:
                 return w
         raise KeyError(f"no edge {self.names[src]}->{self.names[dst]}")
 
     def has_edge(self, src: int, dst: int) -> bool:
-        return any(d == dst for d, _ in self._succ[src])
+        return any(d == dst for d, _ in self.successors(src))
 
     def index(self, name: str) -> int:
         try:
@@ -141,14 +174,51 @@ def make_arena(
 
 
 def validate(arena: Arena) -> None:
-    """Raise an ArenaError unless every arena invariant holds."""
+    """Raise an ArenaError unless every arena invariant holds.  A success
+    is recorded with the vertex cap; a later call under the same cap
+    returns at once."""
+    cap = vertex_cap()
+    if arena._validated_cap == cap:
+        return
+    _check(arena, cap)
+    object.__setattr__(arena, "_validated_cap", cap)
+
+
+def _check(arena: Arena, cap: int) -> None:
+    """The checks of ``validate``, vectorized.  A fault found is named by a
+    Python scan, so the first offender in scan order is the one raised."""
     n = arena.n
     if n == 0:
         raise ArenaError("arena has no vertices")
-    if n > vertex_cap():
-        raise CapExceededError(f"{n} vertices exceed the cap {vertex_cap()}")
+    if n > cap:
+        raise CapExceededError(f"{n} vertices exceed the cap {cap}")
     if len(arena.owners) != n:
         raise ArenaError("owner list length mismatch")
+    joined = "\n".join(arena.names)
+    if joined.count("\n") != n - 1 or not _NAMES_RE.match(joined) or len(set(arena.names)) != n:
+        _scan_names(arena)
+    try:
+        arr = arena.edge_array
+    except OverflowError:
+        _scan_edges(arena)
+        raise
+    src, dst, w = arr.T
+    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (w < -WEIGHT_CAP) | (w > WEIGHT_CAP)
+    bad[1:] |= (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if bad.any():
+        _scan_edges(arena)
+    deadlocked = np.flatnonzero(np.bincount(src, minlength=n) == 0)
+    if len(deadlocked):
+        raise DeadlockVertexError(arena.names[deadlocked[0]])
+    for t in arena.targets:
+        if not (0 <= t < n):
+            raise ArenaError(f"target index {t} out of range")
+    if arena.objective is Objective.MCR and not arena.targets:
+        raise EmptyTargetError()
+
+
+def _scan_names(arena: Arena) -> None:
+    """Raise BadNameError for the first invalid or repeated name."""
     seen_names = set()
     for name in arena.names:
         if not NAME_RE.match(name):
@@ -156,6 +226,11 @@ def validate(arena: Arena) -> None:
         if name in seen_names:
             raise BadNameError(name)
         seen_names.add(name)
+
+
+def _scan_edges(arena: Arena) -> None:
+    """Raise for the first faulty edge: range, then weight, then duplicate."""
+    n = arena.n
     seen_pairs = set()
     for s, d, w in arena.edges:
         if not (0 <= s < n and 0 <= d < n):
@@ -165,18 +240,11 @@ def validate(arena: Arena) -> None:
         if (s, d) in seen_pairs:
             raise DuplicateEdgeError(arena.names[s], arena.names[d])
         seen_pairs.add((s, d))
-    for v in range(n):
-        if not arena.successors(v):
-            raise DeadlockVertexError(arena.names[v])
-    for t in arena.targets:
-        if not (0 <= t < n):
-            raise ArenaError(f"target index {t} out of range")
-    if arena.objective is Objective.MCR and not arena.targets:
-        raise EmptyTargetError()
 
 
 def max_abs_weight(arena: Arena) -> int:
-    return max((abs(w) for _, _, w in arena.edges), default=0)
+    w = arena.edge_array[:, 2]
+    return max(int(w.max()), -int(w.min())) if len(w) else 0
 
 
 def is_normalized_mcr(arena: Arena) -> bool:
@@ -184,7 +252,9 @@ def is_normalized_mcr(arena: Arena) -> bool:
     if arena.objective is not Objective.MCR or len(arena.targets) != 1:
         return False
     (t,) = arena.targets
-    return arena.successors(t) == ((t, 0),)
+    arr = arena.edge_array
+    lo, hi = np.searchsorted(arr[:, 0], (t, t + 1))
+    return bool(hi - lo == 1 and arr[lo, 1] == t and arr[lo, 2] == 0)
 
 
 def fresh_name(taken: Iterable[str], base: str) -> str:
@@ -214,7 +284,8 @@ def normalize_target(arena: Arena) -> Arena:
     t = arena.n
     names = arena.names + (fresh_name(arena.names, "t"),)
     owners = arena.owners + (Player.MAX,)
-    edges = [(s, d, w) for s, d, w in arena.edges if s not in arena.targets]
+    targets = arena.targets
+    edges = [e for e in arena.edges if e[0] not in targets]
     for old in sorted(arena.targets):
         edges.append((old, t, 0))
     edges.append((t, t, 0))

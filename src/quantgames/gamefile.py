@@ -8,7 +8,8 @@ Format, one directive per line, ``#`` starts a comment::
 
 Vertex indices follow declaration order.  ``parse`` returns a validated
 arena; ``serialize`` emits a canonical byte form with ``parse(serialize(a))``
-isomorphic to ``a``.
+isomorphic to ``a``.  ``parse`` splits each line with ``str.split`` and
+computes token columns only on the error path, for ``GameSyntaxError``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class DuplicateVertexError(ValueError):
 
 
 def _tokens(line: str) -> List[Tuple[str, int]]:
+    """Tokens of ``line`` with their 1-based columns; error path only."""
     out = []
     col = 0
     for chunk in line.split("#", 1)[0].split():
@@ -52,6 +54,11 @@ def _tokens(line: str) -> List[Tuple[str, int]]:
         out.append((chunk, col + 1))
         col += len(chunk)
     return out
+
+
+def _syntax_error(lineno: int, raw: str, i: int, expected: str) -> GameSyntaxError:
+    """The error for token ``i`` of line ``raw``, at that token's column."""
+    return GameSyntaxError(lineno, _tokens(raw)[i][1], expected)
 
 
 def parse(text: Union[str, bytes]) -> Arena:
@@ -65,28 +72,27 @@ def parse(text: Union[str, bytes]) -> Arena:
     targets: List[int] = []
     edges: Dict[Tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
+        toks = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not toks:
             continue
-        head, col = toks[0]
+        head = toks[0]
         if objective is None:
             if head != "objective":
-                raise GameSyntaxError(lineno, col, "'objective' as first directive")
-            if len(toks) != 2 or toks[1][0] not in ("mcr", "tp"):
-                raise GameSyntaxError(lineno, col, "objective mcr|tp")
-            objective = Objective(toks[1][0])
+                raise _syntax_error(lineno, raw, 0, "'objective' as first directive")
+            if len(toks) != 2 or toks[1] not in ("mcr", "tp"):
+                raise _syntax_error(lineno, raw, 0, "objective mcr|tp")
+            objective = Objective(toks[1])
             continue
         if head == "objective":
-            raise GameSyntaxError(lineno, col, "a single objective line")
+            raise _syntax_error(lineno, raw, 0, "a single objective line")
         if head == "vertex":
             if len(toks) < 3 or len(toks) > 4:
-                raise GameSyntaxError(lineno, col, "vertex <name> min|max [target]")
-            name = toks[1][0]
-            owner_tok, owner_col = toks[2]
+                raise _syntax_error(lineno, raw, 0, "vertex <name> min|max [target]")
+            name, owner_tok = toks[1], toks[2]
             if owner_tok not in ("min", "max"):
-                raise GameSyntaxError(lineno, owner_col, "min|max")
-            if len(toks) == 4 and toks[3][0] != "target":
-                raise GameSyntaxError(lineno, toks[3][1], "'target'")
+                raise _syntax_error(lineno, raw, 2, "min|max")
+            if len(toks) == 4 and toks[3] != "target":
+                raise _syntax_error(lineno, raw, 3, "'target'")
             if name in index:
                 raise DuplicateVertexError(name, lineno)
             index[name] = len(names)
@@ -96,30 +102,30 @@ def parse(text: Union[str, bytes]) -> Arena:
                 targets.append(index[name])
         elif head == "edge":
             if len(toks) != 4:
-                raise GameSyntaxError(lineno, col, "edge <src> <dst> <integer>")
-            for tok, tok_col in toks[1:3]:
-                if tok not in index:
-                    raise UndeclaredVertexError(tok, lineno)
+                raise _syntax_error(lineno, raw, 0, "edge <src> <dst> <integer>")
+            s = index.get(toks[1])
+            d = index.get(toks[2])
+            if s is None or d is None:
+                raise UndeclaredVertexError(toks[1] if s is None else toks[2], lineno)
             try:
-                w = int(toks[3][0])
+                w = int(toks[3])
             except ValueError:
-                raise GameSyntaxError(lineno, toks[3][1], "an integer weight") from None
-            s, d = index[toks[1][0]], index[toks[2][0]]
-            if (s, d) in edges:
+                raise _syntax_error(lineno, raw, 3, "an integer weight") from None
+            old = edges.get((s, d))
+            if old is None:
+                edges[(s, d)] = w
+            else:
                 # Parallel edges are merged, keeping the best weight for the
                 # owner of the source vertex.
-                old = edges[(s, d)]
                 merged = max(old, w) if owners[s] is Player.MAX else min(old, w)
                 warnings.warn(
-                    f"line {lineno}: merged parallel edge {toks[1][0]}->{toks[2][0]} "
+                    f"line {lineno}: merged parallel edge {toks[1]}->{toks[2]} "
                     f"(kept weight {merged})",
                     stacklevel=2,
                 )
                 edges[(s, d)] = merged
-            else:
-                edges[(s, d)] = w
         else:
-            raise GameSyntaxError(lineno, col, "vertex|edge directive")
+            raise _syntax_error(lineno, raw, 0, "vertex|edge directive")
     if objective is None:
         raise GameSyntaxError(1, 1, "'objective' as first directive")
     arena = Arena(

@@ -109,7 +109,9 @@ def mp_sign(arena: Arena) -> Dict[int, Sign]:
     Runs the finite-horizon optimal-sum recurrence for N = 4|V|^2 W + 1
     steps; a nonzero mean payoff has magnitude >= 1/|V| while the horizon
     error is below 1/(2|V|), so comparing 2|V| x_N(v) against +/-N decides
-    the sign exactly.
+    the sign exactly.  Each step is one ``_engine.sweep``: the sums stay
+    within N W, far below its sentinels, so the sweep is the plain
+    max/min recurrence.
     """
     n = arena.n
     W = max_abs_weight(arena)
@@ -119,10 +121,7 @@ def mp_sign(arena: Arena) -> Dict[int, Sign]:
     ca = eng.CompiledArena(arena)
     x = np.zeros(n, dtype=np.int64)
     for _ in range(steps):
-        cand = ca.wt + x[ca.dst]
-        red_max = np.maximum.reduceat(cand, ca.starts)
-        red_min = np.minimum.reduceat(cand, ca.starts)
-        x = np.where(ca.is_max, red_max, red_min)
+        x = eng.sweep(ca, x)
     out: Dict[int, Sign] = {}
     for v in range(n):
         lhs = 2 * n * int(x[v])

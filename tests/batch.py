@@ -357,7 +357,8 @@ def attracted_region(shape: Shape) -> List[int]:
 
 
 def mp_sign_batch(shape: Shape, region: Sequence[int]) -> np.ndarray:
-    """Sign (-1/0/+1) of the mean payoff on the induced attracted region."""
+    """Sign (-1/0/+1) of the mean payoff on the induced attracted region,
+    by the recurrence of ``mcr.mp_sign`` on every weight row at once."""
     region = list(region)
     pos = {v: i for i, v in enumerate(region)}
     keep = [
@@ -372,14 +373,10 @@ def mp_sign_batch(shape: Shape, region: Sequence[int]) -> np.ndarray:
     cols = np.array(keep, dtype=np.int64)[order]
     m = len(region)
     starts = np.searchsorted(src, np.arange(m, dtype=np.int64))
-    is_max = shape.is_max[region]
-    wfull = shape.wfull()[:, cols]
+    sl = eng.EdgeSlice(slice(None), dst, shape.wfull()[:, cols], starts, shape.is_max[region])
     steps = 4 * m * m * 2 + 1
     x = np.zeros((shape.rows, m), dtype=np.int64)
     for _ in range(steps):
-        cand = wfull + x[:, dst]
-        mx = np.maximum.reduceat(cand, starts, axis=1)
-        mn = np.minimum.reduceat(cand, starts, axis=1)
-        x = np.where(is_max[None, :], mx, mn)
+        x = eng.sweep(sl, x)
     lhs = 2 * m * x
     return np.where(lhs > steps, 1, np.where(lhs < -steps, -1, 0))
