@@ -38,7 +38,7 @@ columns ``[rows, 1]``, one call solves every weight assignment of a graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -97,8 +97,8 @@ class CompiledArena(EdgeSlice):
 
 
 class ComponentView(EdgeSlice):
-    """The slice of one strongly connected component of ``ca``; built in
-    time linear in the component's members and edges."""
+    """The slice of a set of members of ``ca``, such as one strongly
+    connected component; built in time linear in its members and edges."""
 
     def __init__(self, ca: CompiledArena, members: Sequence[int]) -> None:
         marr = np.asarray(sorted(members), dtype=np.int64)
@@ -117,6 +117,15 @@ class ComponentView(EdgeSlice):
         )
 
 
+def candidates(sl: EdgeSlice, cont: np.ndarray) -> np.ndarray:
+    """Each edge's weight plus the continuation ``cont`` at its
+    destination, saturated: a sentinel continuation stays that sentinel."""
+    cand = sl.wt + cont
+    np.copyto(cand, POS, where=cont >= POS)
+    np.copyto(cand, NEG, where=cont <= NEG)
+    return cand
+
+
 def sweep(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray] = None) -> np.ndarray:
     """One Jacobi update of the slice's members; returns their new values.
 
@@ -127,9 +136,7 @@ def sweep(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray] = None) -> 
     cont = x.take(sl.dst, axis=-1)
     if ytrans is not None:
         cont = np.minimum(cont, ytrans.take(sl.dst, axis=-1))
-    cand = sl.wt + cont
-    np.copyto(cand, POS, where=cont >= POS)
-    np.copyto(cand, NEG, where=cont <= NEG)
+    cand = candidates(sl, cont)
     cand *= sl.edge_sign
     best = np.maximum.reduceat(cand, sl.starts, axis=-1)
     best *= sl.sign
@@ -163,12 +170,12 @@ def fixpoint(
     lift=None,
     ytrans: Optional[np.ndarray] = None,
     tables: Optional[Sequence[Optional[np.ndarray]]] = None,
-    trace: Optional[List[np.ndarray]] = None,
+    trace=None,
 ) -> int:
     """Sweep the slice until its members are stable, updating ``x`` in
-    place; descending with ``cutoff``, ascending with ``lift``.  Appends a
-    copy of ``x`` after every sweep to ``trace`` when given.  Returns the
-    sweep count."""
+    place; descending with ``cutoff``, ascending with ``lift``.  Calls
+    ``trace.append(x)`` after every sweep when given; the callee copies.
+    Returns the sweep count."""
     m = _member_index(sl, x)
     sweeps = 0
     while True:
@@ -183,7 +190,7 @@ def fixpoint(
         stable = np.array_equal(new, x[m])
         x[m] = new
         if trace is not None:
-            trace.append(x.copy())
+            trace.append(x)
         if stable:
             return sweeps
         if sweeps > bound:

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import accel as accel_mod
 from . import gamefile
+from ._engine import ext_of_raw
 from .arena import (
     Arena,
     ArenaError,
@@ -87,8 +88,8 @@ def cmd_solve(args) -> int:
         norm = normalize_target(arena)
         res = solve_mcr(norm, with_trace=True)
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for vec in res.trace.vectors:
-                fh.write("\t".join(str(to_json(v)) for v in vec) + "\n")
+            for row in res.trace.raw:
+                fh.write("\t".join(str(to_json(ext_of_raw(r))) for r in row.tolist()) + "\n")
         values = ValueVector(arena, res.values.values[: arena.n])
         stats = res.stats
     else:
@@ -383,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strategy", help="solve and emit optimal strategies")
     p.add_argument("file")
     p.add_argument("--player", choices=["max", "min", "both"], default="both")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_strategy)
 
     p = sub.add_parser("check", help="cross-validate against the reference solver")
@@ -417,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="export to DOT")
     p.add_argument("file")
-    p.add_argument("--dot", action="store_true")
     p.add_argument("--annotate", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_convert)

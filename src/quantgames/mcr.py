@@ -46,15 +46,44 @@ class SolveStats:
 
 @dataclass
 class IterationTrace:
-    """Recorded iterate sequence x_0, x_1, ...; pointwise non-increasing."""
+    """Recorded iterate sequence x_0, x_1, ..., x_sweeps; pointwise
+    non-increasing.  Row k of the int64 matrix ``raw`` is x_k, with the
+    ``_engine`` sentinels for +-inf: 8 bytes per vertex per sweep.
+    Indexing and ``vectors`` build ``ValueVector``s on demand."""
 
-    vectors: List[ValueVector]
+    arena: Arena
+    raw: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.raw)
 
     def __getitem__(self, i: int) -> ValueVector:
-        return self.vectors[i]
+        return eng.from_array(self.arena, self.raw[i])
+
+    @property
+    def vectors(self) -> List[ValueVector]:
+        return [self[i] for i in range(len(self))]
+
+
+class _TraceRows:
+    """The int64 matrix ``fixpoint`` appends the iterates to.  It grows in
+    place by a quarter (``ndarray.resize``), so it never holds two copies
+    and its capacity stays within 1.25 times the rows stored."""
+
+    def __init__(self, x0: np.ndarray) -> None:
+        self.raw = np.empty((64, len(x0)), dtype=np.int64)
+        self.rows = 0
+        self.append(x0)
+
+    def append(self, x: np.ndarray) -> None:
+        if self.rows == len(self.raw):
+            self.raw.resize((self.rows + self.rows // 4, self.raw.shape[1]), refcheck=False)
+        self.raw[self.rows] = x
+        self.rows += 1
+
+    def matrix(self) -> np.ndarray:
+        self.raw.resize((self.rows, self.raw.shape[1]), refcheck=False)
+        return self.raw
 
 
 @dataclass
@@ -84,13 +113,11 @@ def solve_mcr(arena: Arena, *, with_trace: bool = False) -> McrResult:
     ca = eng.CompiledArena(arena)
     x = np.full(arena.n, eng.POS, dtype=np.int64)
     x[t] = 0
-    raw_trace: Optional[List[np.ndarray]] = [x.copy()] if with_trace else None
-    sweeps = eng.fixpoint(ca, x, sweep_bound(arena.n, ca.W) + 1, cutoff=ca.cutoff, trace=raw_trace)
+    rows = _TraceRows(x) if with_trace else None
+    sweeps = eng.fixpoint(ca, x, sweep_bound(arena.n, ca.W) + 1, cutoff=ca.cutoff, trace=rows)
     stats = SolveStats(sweeps=sweeps, inner_iterations=sweeps, outer_iterations=1)
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
-    trace = (
-        IterationTrace([eng.from_array(arena, v) for v in raw_trace]) if with_trace else None
-    )
+    trace = IterationTrace(arena, rows.matrix()) if with_trace else None
     return McrResult(eng.from_array(arena, x), stats, trace)
 
 

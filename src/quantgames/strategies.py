@@ -19,6 +19,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
+import numpy as np
+
+from . import _engine as eng
 from .arena import Arena, Objective, Player, ValueVector
 from .attractor import compute_attractor
 from .extvalue import ExtValue, MINUS_INF, PLUS_INF, ext_add, is_finite
@@ -44,6 +47,31 @@ class MemorylessStrategy:
         return self.choice[v]
 
 
+@dataclass(frozen=True)
+class DecisionTable:
+    """A counting Moore machine's decisions: in memory state m it plays
+    ``rows[row_of[m]][j]`` at vertex ``cols[j]``, and states past the
+    last read the last.  Each distinct row is stored once."""
+
+    cols: List[int]
+    rows: List[List[int]]
+    row_of: List[int]
+
+    def decide(self, arena: Arena) -> Callable[[int, int], int]:
+        """Lookup ``decide(m, v)``; vertices outside ``cols`` take their
+        first successor."""
+        pos = {v: j for j, v in enumerate(self.cols)}
+        rows, row_of, last = self.rows, self.row_of, len(self.row_of) - 1
+
+        def decide(m: int, v: int) -> int:
+            j = pos.get(v)
+            if j is None:
+                return arena.successor_ids(v)[0]
+            return rows[row_of[min(m, last)]][j]
+
+        return decide
+
+
 @dataclass
 class MooreStrategy:
     player: Player
@@ -51,6 +79,7 @@ class MooreStrategy:
     update: Callable[[Hashable, int], Hashable]
     decide: Callable[[Hashable, int], int]
     size: Optional[int] = None
+    table: Optional[DecisionTable] = None  # decide's table for states 0..size-1
 
     @staticmethod
     def of_memoryless(strategy: MemorylessStrategy) -> "MooreStrategy":
@@ -115,85 +144,84 @@ class TraceMissingError(ValueError):
     pass
 
 
+def _argmin(sl: eng.EdgeSlice, cont: np.ndarray, tiekey: np.ndarray, n: int) -> np.ndarray:
+    """Per member of ``sl`` (along the last axis), the successor that
+    minimizes (weight + ``cont``, ``tiekey``), sentinels saturated.
+    ``tiekey`` is distinct among a member's edges, below ``POS``, and
+    congruent to the edge's destination modulo ``n``."""
+    val = eng.candidates(sl, cont)
+    best = np.minimum.reduceat(val, sl.starts, axis=-1)
+    key = np.where(val == np.repeat(best, eng.out_degrees(sl), axis=-1), tiekey, eng.POS)
+    return np.minimum.reduceat(key, sl.starts, axis=-1) % n
+
+
+BLOCK_ENTRIES = 1 << 18  # candidate entries per block of the rewind table
+
+
 def extract_min_mcr(
     arena: Arena, result: McrResult
 ) -> Tuple[MemorylessStrategy, MemorylessStrategy, MooreStrategy]:
     """Min's strategy trio from a traced reachability solve.
 
-    sigma1 records, per vertex, the argmin against the iterate preceding
-    its last strict decrease; sigma2 is the attractor reach strategy
-    (completed by sigma1 off the attractor); the Moore strategy counts play
-    length m and plays the argmin against iterate x_{sweeps - m - 1} (the
-    rewind rule), reaching the target within `sweeps` steps at optimal cost.
+    sigma1 plays, at each Min vertex, the argmin of weight + value against
+    the iterate preceding the vertex's last change in the trace (the last
+    iterate if it never changed), value ties to the smallest successor.
+    sigma2 is the attractor reach strategy, completed by sigma1 off the
+    attractor.  The Moore strategy is the rewind machine: it counts play
+    length m and plays the argmin against iterate x_{sweeps - m} (x_0 once
+    m passes sweeps), value ties to the successor of smallest attractor
+    rank, then smallest index, so it never idles in a zero-weight cycle;
+    it reaches the target within ``sweeps`` steps at optimal cost.
+
+    Everything is computed from the trace matrix: the last changes by one
+    comparison of consecutive rows, the rewind machine's decision table
+    (one row per iterate) by two segmented minima per block of iterates.
+    A machine whose rows are all equal collapses to one state.
     """
     if result.trace is None:
         raise TraceMissingError("solve_mcr must be run with with_trace=True")
-    trace = result.trace.vectors
+    raw = result.trace.raw
     sweeps = result.stats.sweeps
+    n = arena.n
     att = compute_attractor(arena, arena.targets)
+    cols = [v for v in range(n) if arena.owners[v] is Player.MIN and not arena.is_target(v)]
+    sl = eng.ComponentView(eng.CompiledArena(arena), cols)
 
-    def argmin_against(v: int, vec: ValueVector) -> int:
-        best = None
-        for d, w in arena.successors(v):
-            cand = ext_add(w, vec[d])
-            if best is None or cand < best[0]:
-                best = (cand, d)
-        return best[1]
-
-    def argmin_progressing(v: int, vec: ValueVector) -> int:
-        # Value ties break toward the successor closest to the target, so
-        # the rewind machine never idles in a zero-weight cycle.
-        best = None
-        for d, w in arena.successors(v):
-            key = (ext_add(w, vec[d]), att.rank.get(d, arena.n + 1), d)
-            if best is None or key < best:
-                best = key
-        return best[2]
-
-    choice1: Dict[int, int] = {}
-    for v in range(arena.n):
-        if arena.owners[v] is not Player.MIN or arena.is_target(v):
-            continue
-        last_change = 0
-        for i in range(1, len(trace)):
-            if trace[i][v] != trace[i - 1][v]:
-                last_change = i
-        against = trace[last_change - 1] if last_change > 0 else trace[-1]
-        choice1[v] = argmin_against(v, against)
+    changed = raw[1:] != raw[:-1]
+    last = np.where(changed.any(axis=0), len(changed) - changed[::-1].argmax(axis=0), 0)
+    against = np.where(last > 0, last - 1, len(raw) - 1)[cols]
+    pick1 = _argmin(sl, raw[np.repeat(against, eng.out_degrees(sl)), sl.dst], sl.dst, n)
+    choice1 = dict(zip(cols, pick1.tolist()))
     sigma1 = MemorylessStrategy(Player.MIN, choice1)
 
     choice2 = dict(choice1)
     choice2.update(att.min_reach)
     sigma2 = MemorylessStrategy(Player.MIN, choice2)
 
-    top = sweeps + 1  # memory saturates here; play length sweeps and beyond
-
-    def decide(m: int, v: int) -> int:
-        if arena.owners[v] is not Player.MIN or arena.is_target(v):
-            return arena.successor_ids(v)[0]
-        edges_so_far = m - 1  # memory has absorbed m vertices
-        if 0 <= edges_so_far < sweeps:
-            return argmin_progressing(v, trace[sweeps - edges_so_far - 1])
-        return argmin_progressing(v, trace[0])
-
-    min_vertices = [
-        v
-        for v in range(arena.n)
-        if arena.owners[v] is Player.MIN and not arena.is_target(v)
-    ]
-    rows = {tuple(decide(m, v) for v in min_vertices) for m in range(1, top + 1)}
+    rank = np.full(n, n + 1, dtype=np.int64)
+    rank[list(att.rank)] = list(att.rank.values())
+    tiekey = rank[sl.dst] * n + sl.dst
+    # Row k is the argmin against x_k; the machine reads rows 0..sweeps-1.
+    read = raw[:sweeps]
+    table = np.empty((sweeps, len(cols)), dtype=np.int64)
+    step = max(1, BLOCK_ENTRIES // max(len(sl.dst), 1))
+    for lo in range(0, sweeps, step):
+        table[lo : lo + step] = _argmin(sl, read[lo : lo + step].take(sl.dst, axis=1), tiekey, n)
+    # Rows change at few iterates, so only the first row of each run of
+    # equal rows goes through the (slow) row-wise np.unique.
+    heads = np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
+    rows, head_row = np.unique(table[heads], axis=0, return_inverse=True)
+    inverse = np.repeat(head_row.reshape(-1), np.diff(np.r_[heads, sweeps]))
     if len(rows) <= 1:
-        sigma_star = MooreStrategy(
-            Player.MIN, 0, lambda m, v: 0, lambda m, v: decide(1, v), size=1
-        )
+        size, update, row_of = 1, (lambda m, v: 0), [0]
     else:
-        sigma_star = MooreStrategy(
-            Player.MIN,
-            0,
-            lambda m, v: min(m + 1, top),
-            decide,
-            size=top + 1,
-        )
+        top = sweeps + 1  # memory saturates here; play length sweeps and beyond
+        # Memory m has absorbed m vertices: m - 1 edges played, so m in
+        # 1..sweeps reads x_{sweeps - m}; m = 0 and m = top read x_0.
+        trace_row = np.concatenate(([0], np.arange(sweeps - 1, -1, -1), [0]))
+        size, update, row_of = top + 1, (lambda m, v: min(m + 1, top)), inverse[trace_row].tolist()
+    decisions = DecisionTable(cols, rows.tolist(), row_of)
+    sigma_star = MooreStrategy(Player.MIN, 0, update, decisions.decide(arena), size, decisions)
     return sigma1, sigma2, sigma_star
 
 
@@ -551,14 +579,39 @@ def strategy_json(strategy: AnyStrategy, arena: Arena) -> bytes:
             "memory_size": strategy.size,
         }
         if strategy.size is not None and strategy.size <= 4096:
-            table = {}
-            for m in range(strategy.size):
-                row = {}
-                for v in range(arena.n):
-                    if arena.owners[v] is strategy.player and not arena.is_target(v):
-                        row[arena.names[v]] = arena.names[strategy.decide(m, v)]
-                table[str(m)] = row
-            doc["decision"] = table
+            return _moore_json(doc, _decision_table(strategy, arena), arena)
     else:
         raise TypeError(f"not a strategy: {strategy!r}")
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def _decision_table(strategy: MooreStrategy, arena: Arena) -> DecisionTable:
+    """The machine's own table, or one read off ``decide`` state by state
+    at the player's vertices outside the targets."""
+    if strategy.table is not None:
+        return strategy.table
+    cols = [
+        v for v in range(arena.n) if arena.owners[v] is strategy.player and not arena.is_target(v)
+    ]
+    index: Dict[Tuple[int, ...], int] = {}
+    row_of = [
+        index.setdefault(tuple(strategy.decide(m, v) for v in cols), len(index))
+        for m in range(strategy.size)
+    ]
+    return DecisionTable(cols, [list(row) for row in index], row_of)
+
+
+def _moore_json(doc: dict, table: DecisionTable, arena: Arena) -> bytes:
+    """The bytes of ``json.dumps(doc, indent=2)`` once ``doc["decision"]``
+    maps each state to its row, with each distinct row encoded once and
+    indented to its depth in the document."""
+    names = arena.names
+    texts = [
+        json.dumps({names[v]: names[d] for v, d in zip(table.cols, row)}, indent=2)
+        .replace("\n", "\n    ")
+        for row in table.rows
+    ]
+    body = ",\n".join(f'    "{m}": {texts[r]}' for m, r in enumerate(table.row_of))
+    decision = "{\n" + body + "\n  }" if body else "{}"
+    head = json.dumps(doc, indent=2)[: -len("\n}")]
+    return (head + ',\n  "decision": ' + decision + "\n}\n").encode("utf-8")

@@ -95,14 +95,23 @@ def test_trace_dump(tmp_path):
     trace = tmp_path / "trace.tsv"
     out = _run(["solve", path, "--trace", str(trace)])
     assert out.returncode == 0
-    lines = trace.read_text().strip().splitlines()
-    assert lines[0].split("\t") == ["+inf", "+inf", "0"]
-    assert len(lines) == 2 * 3 + 2 + 1  # sweeps plus the initial vector
+    # x_0 .. x_8: the W-step descent of v1 and v2, then the confirming sweep
+    assert trace.read_text() == (
+        "+inf\t+inf\t0\n"
+        "+inf\t0\t0\n"
+        "-1\t0\t0\n"
+        "-1\t-1\t0\n"
+        "-2\t-1\t0\n"
+        "-2\t-2\t0\n"
+        "-3\t-2\t0\n"
+        "-3\t-3\t0\n"
+        "-3\t-3\t0\n"
+    )
 
 
 def test_convert_dot(tmp_path):
     path = _gen(tmp_path, "fig2a", W=50)
-    out = _run(["convert", path, "--dot"])
+    out = _run(["convert", path])
     assert out.returncode == 0
     assert out.stdout.startswith("digraph")
     assert "shape=box" in out.stdout

@@ -1,6 +1,10 @@
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+
+from quantgames import _engine as eng
 
 from quantgames.arena import (
     ArenaError,
@@ -15,7 +19,7 @@ from quantgames.extvalue import MINUS_INF, PLUS_INF, is_finite
 from quantgames.mcr import Sign, mp_sign, mp_to_mcr, solve_mcr, sweep_bound
 from quantgames.oracle import mcr_oracle, mp_oracle
 
-from conftest import fig2a, prune_to_attractor, single_vertex
+from conftest import fig2a, layered, prune_to_attractor, single_vertex
 from quantgames.gamefile import FamilySpec, generate
 
 
@@ -81,6 +85,27 @@ def test_trace_non_increasing_and_bounded():
             for v in vec:
                 if is_finite(v):
                     assert -(n - 1) * W <= v <= n * W
+
+
+def test_trace_is_one_int64_matrix(monkeypatch):
+    arena = normalize_target(layered(6, 9, Objective.MCR))
+    ca = eng.CompiledArena(arena)
+    x = np.full(arena.n, eng.POS, dtype=np.int64)
+    (t,) = arena.targets
+    x[t] = 0
+    rows = [x.copy()]
+    copies = SimpleNamespace(append=lambda y: rows.append(y.copy()))
+    eng.fixpoint(ca, x, 10**6, cutoff=ca.cutoff, trace=copies)
+    real = eng.from_array
+    calls = []
+    monkeypatch.setattr(eng, "from_array", lambda a, y: calls.append(len(y)) or real(a, y))
+    res = solve_mcr(arena, with_trace=True)
+    assert calls == [arena.n]  # the final values only
+    raw = res.trace.raw
+    assert raw.dtype == np.int64 and raw.shape == (res.stats.sweeps + 1, arena.n)
+    assert len(raw) > 64  # the buffer grew past its first 64 rows
+    assert np.array_equal(raw, np.array(rows))
+    assert len(res.trace) == len(rows) and list(res.trace[-1]) == list(res.values)
 
 
 def test_converged_values_are_fixed_point():
