@@ -2,10 +2,10 @@
 
 The first scheme solves one strongly connected component at a time in
 topological order, reusing finished values.  The second additionally asks a
-value oracle for a finite candidate set per vertex and snaps iterates onto
-it, collapsing long descents into one jump.
+value oracle for a sorted candidate table per vertex and snaps iterates
+onto it, collapsing long descents into one jump.
 
-For total-payoff components the candidate sets built from exit paths are a
+For total-payoff components the candidate tables built from exit paths are a
 sound description of the final values only when every internal cycle is
 strictly positive or every one strictly negative (otherwise optimal plays
 may stay inside forever).  Components certified that way are solved in a
@@ -18,16 +18,14 @@ a total-payoff solve costs time linear in |V| + |E| outside the sweeps.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import _engine as eng
 from .arena import Arena, ArenaError, Objective, is_normalized_mcr, validate
-from .extvalue import ExtValue, MINUS_INF, PLUS_INF, is_finite
 from .mcr import McrResult, SolveStats, sweep_bound
 from .tp import TpResult, k_bound
 
@@ -36,33 +34,23 @@ UnsoundOracleError = eng.UnsoundOracleError
 DEFAULT_PATH_CAP = 4096
 PATH_WORK_CAP = 200_000
 
-# An oracle maps (arena, dec, q, finalized) to one candidate set per member
-# of component q, or None entries meaning "no clamp" for that vertex.
-# ``finalized`` is an indexable view of already-final values.
+# An oracle maps (arena, dec, q, finalized) to one candidate table per
+# member of component q: a sorted int64 array holding both sentinels, or
+# None meaning "no clamp" for that vertex.  ``finalized`` is the solver's
+# raw int64 vector; only the entries of earlier components are read.
 Oracle = Callable[
-    [Arena, "SccDecomposition", int, Sequence[ExtValue]],
-    List[Optional[FrozenSet[ExtValue]]],
+    [Arena, "SccDecomposition", int, np.ndarray],
+    List[Optional[np.ndarray]],
 ]
 
-
-class _FinalizedView:
-    """Lazy extended-value view over the solver's raw vector."""
-
-    def __init__(self, raw: np.ndarray) -> None:
-        self._raw = raw
-
-    def __getitem__(self, i: int) -> ExtValue:
-        return eng.ext_of_raw(int(self._raw[i]))
-
-    def __len__(self) -> int:
-        return len(self._raw)
+_POS, _NEG = int(eng.POS), int(eng.NEG)
 
 
 @dataclass(frozen=True)
 class SccDecomposition:
-    """Topologically ordered components: dec(v) >= dec(v') on every edge,
-    every index inhabited, component 0 is the normalized target when one
-    exists."""
+    """Components in reverse topological order: dec(v) >= dec(v') on every
+    edge, every index inhabited, each component's members sorted, and
+    component 0 the normalized target when one exists."""
 
     comp_of: Tuple[int, ...]
     components: Tuple[Tuple[int, ...], ...]
@@ -71,13 +59,13 @@ class SccDecomposition:
         return len(self.components)
 
 
-def _tarjan_sccs(arena: Arena) -> List[List[int]]:
+def _tarjan_sccs(arena: Arena) -> List[Tuple[int, ...]]:
     n = arena.n
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: List[int] = []
-    sccs: List[List[int]] = []
+    sccs: List[Tuple[int, ...]] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
@@ -111,7 +99,7 @@ def _tarjan_sccs(arena: Arena) -> List[List[int]]:
                     comp.append(w)
                     if w == v:
                         break
-                sccs.append(sorted(comp))
+                sccs.append(tuple(sorted(comp)))
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
@@ -119,53 +107,27 @@ def _tarjan_sccs(arena: Arena) -> List[List[int]]:
 
 
 def scc_decompose(arena: Arena) -> SccDecomposition:
-    """Deterministic numbering: sinks first (reverse topological), ties by
-    smallest member index, the normalized target component always first."""
+    """Components in the order Tarjan's algorithm completes them: a
+    component completes only after every component it reaches, so that
+    order is already reverse topological and needs no condensation graph.
+    The normalized target's component, a sink, moves to index 0.  The
+    numbering depends only on the arena's vertex and edge order."""
     validate(arena)
     sccs = _tarjan_sccs(arena)
-    raw_of: Dict[int, int] = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            raw_of[v] = i
-    out_deg = [0] * len(sccs)
-    preds: List[set] = [set() for _ in sccs]
-    cross: List[set] = [set() for _ in sccs]
-    for s, d, _ in arena.edges:
-        a, b = raw_of[s], raw_of[d]
-        if a != b and b not in cross[a]:
-            cross[a].add(b)
-            out_deg[a] += 1
-            preds[b].add(a)
-    target_comp = -1
     if is_normalized_mcr(arena):
         (t,) = arena.targets
-        target_comp = raw_of[t]
-    heap = [
-        (i != target_comp, comp[0], i)
-        for i, comp in enumerate(sccs)
-        if out_deg[i] == 0
-    ]
-    heapq.heapify(heap)
-    number: Dict[int, int] = {}
-    ordered: List[Tuple[int, ...]] = []
-    while heap:
-        _, _, i = heapq.heappop(heap)
-        number[i] = len(ordered)
-        ordered.append(tuple(sccs[i]))
-        for p in preds[i]:
-            out_deg[p] -= 1
-            if out_deg[p] == 0:
-                heapq.heappush(heap, (p != target_comp, sccs[p][0], p))
+        sccs.remove((t,))
+        sccs.insert(0, (t,))
     comp_of = [0] * arena.n
-    for i, q in number.items():
-        for v in sccs[i]:
+    for q, comp in enumerate(sccs):
+        for v in comp:
             comp_of[v] = q
-    return SccDecomposition(tuple(comp_of), tuple(ordered))
+    return SccDecomposition(tuple(comp_of), tuple(sccs))
 
 
 def no_clamp_oracle(
-    arena: Arena, dec: SccDecomposition, q: int, finalized: Sequence[ExtValue]
-) -> List[Optional[FrozenSet[ExtValue]]]:
+    arena: Arena, dec: SccDecomposition, q: int, finalized: np.ndarray
+) -> List[Optional[np.ndarray]]:
     """Trivial oracle: every representable value is possible, so no clamp."""
     return [None] * len(dec.components[q])
 
@@ -174,23 +136,29 @@ def simple_path_oracle(
     arena: Arena,
     dec: SccDecomposition,
     q: int,
-    finalized: Sequence[ExtValue],
+    finalized: np.ndarray,
     cap: int = DEFAULT_PATH_CAP,
-) -> List[Optional[FrozenSet[ExtValue]]]:
-    """Candidate values from simple paths that leave the component.
+) -> List[Optional[np.ndarray]]:
+    """Candidate values from simple paths that leave the component, as
+    sorted int64 tables with the engine's sentinels.
 
     Each candidate is the path sum plus the finished value at the exit (or
     the sum alone when the path ends in an in-component target).  Both
-    infinities are always included.  If any vertex would exceed ``cap``
+    sentinels are always included.  If any vertex would exceed ``cap``
     candidates, or the enumeration itself grows too large, the whole
     component degrades to no-clamp.
+
+    ``finalized`` is normally the solver's raw vector, but a list of
+    extended values (ints, ``PLUS_INF``, ``MINUS_INF``) works too: exit
+    values are only compared with the sentinels, and the infinities order
+    against ints just as the sentinels do.
     """
     members = dec.components[q]
     inside = set(members)
-    sets: List[Optional[FrozenSet[ExtValue]]] = []
+    tables: List[Optional[np.ndarray]] = []
     work = 0
     for v in members:
-        cands: set = {MINUS_INF, PLUS_INF}
+        cands = {_NEG, _POS}
         # Iterative DFS over simple paths from v through the component.
         path_sum = {v: 0}
         stack: List[Tuple[int, List[Tuple[int, int]]]] = [(v, list(arena.successors(v)))]
@@ -208,7 +176,7 @@ def simple_path_oracle(
             s = path_sum[u] + w
             if d not in inside:
                 fv = finalized[d]
-                cands.add(fv if not is_finite(fv) else s + fv)
+                cands.add(_POS if fv >= _POS else _NEG if fv <= _NEG else s + int(fv))
             elif arena.is_target(d) and arena.objective is Objective.MCR:
                 cands.add(s)
             elif d not in path_sum:
@@ -219,8 +187,8 @@ def simple_path_oracle(
                 break
         if aborted:
             return [None] * len(members)
-        sets.append(frozenset(cands))
-    return sets
+        tables.append(np.array(sorted(cands), dtype=np.int64))
+    return tables
 
 
 def _cycle_sign_certificate(view: eng.ComponentView) -> Optional[str]:
@@ -262,15 +230,6 @@ def _cycle_sign_certificate(view: eng.ComponentView) -> Optional[str]:
     return None
 
 
-def _candidate_tables(
-    sets: List[Optional[FrozenSet[ExtValue]]],
-) -> List[Optional[np.ndarray]]:
-    return [
-        None if s is None else np.array(sorted(map(eng.raw_of_ext, s)), dtype=np.int64)
-        for s in sets
-    ]
-
-
 def solve_mcr_accelerated(
     arena: Arena, oracle: Oracle = simple_path_oracle
 ) -> McrResult:
@@ -290,9 +249,8 @@ def solve_mcr_accelerated(
     stats = SolveStats()
     bound = sweep_bound(arena.n, ca.W) + 1
     for q in range(1, len(dec)):
-        tables = _candidate_tables(oracle(arena, dec, q, _FinalizedView(x)))
+        tables = oracle(arena, dec, q, x)
         view = eng.ComponentView(ca, dec.components[q])
-        x[view.members] = [eng.POS if tab is None else tab[-1] for tab in tables]
         stats.outer_iterations += 1
         stats.inner_iterations += eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
     stats.sweeps = stats.inner_iterations
@@ -330,7 +288,7 @@ def solve_tp_accelerated(
         certificate = _cycle_sign_certificate(view)
         inner = None
         if certificate is not None:
-            tables = _candidate_tables(oracle(arena, dec, q, _FinalizedView(x)))
+            tables = oracle(arena, dec, q, x)
             inner = _signed_pass(ca, view, x, tables, certificate)
         outer, sweeps = eng.nested_fixpoint(
             view, x, y, cutoff=ca.cutoff, lift=lift_at,

@@ -2,7 +2,8 @@
 
 Subcommands: solve, strategy, check, gen, bench, play, convert.  Output is
 deterministic byte-for-byte across runs unless --stats adds wall-clock
-fields.  Exit codes: 0 ok, 1 check mismatch, 2 parse/validation error.
+fields.  Exit codes: 0 ok, 1 check mismatch, 2 parse/validation error,
+bad argument or unreadable/unwritable file.
 """
 
 from __future__ import annotations
@@ -318,6 +319,8 @@ def cmd_play(args) -> int:
         game = arena
         values = res.values
     machine = _as_moore(tool)
+    if args.start and args.start not in game.names:
+        raise ValueError(f"no vertex named {args.start!r}")
     v = game.index(args.start) if args.start else 0
     state = machine.update(machine.initial, v)
     running = 0
@@ -428,7 +431,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArenaError, gamefile.GameSyntaxError, ValueError) as exc:
+    except (ArenaError, gamefile.GameSyntaxError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from quantgames import _engine as eng
@@ -138,31 +139,27 @@ def test_mcr_accelerated_layered_100_counts():
 
 
 def test_no_clamp_oracle_matches_per_component_plain():
-    arena = normalize_target(layered(6, 4, Objective.MCR))
-    a = solve_mcr_accelerated(arena, no_clamp_oracle)
-    b = solve_mcr_accelerated(arena, no_clamp_oracle)
-    assert list(a.values) == list(solve_mcr(arena).values)
-    assert a.stats.inner_iterations == b.stats.inner_iterations
+    # Without clamping each layer's components run the plain descent:
+    # closed form k_e = 2n and k_i = n(2W + 4).
+    n = 6
+    for W in (4, 7):
+        arena = normalize_target(layered(n, W, Objective.MCR))
+        res = solve_mcr_accelerated(arena, no_clamp_oracle)
+        assert list(res.values) == list(solve_mcr(arena).values)
+        assert res.stats.outer_iterations == 2 * n
+        assert res.stats.inner_iterations == n * (2 * W + 4)
 
 
 def test_simple_path_oracle_layered_component():
     arena = normalize_target(layered(2, 5, Objective.MCR))
     dec = scc_decompose(arena)
-    vals = solve_mcr(arena).values
-    # component of {a1, b1} (the layer nearest the target comes first)
-    for q in range(1, len(dec)):
-        members = dec.components[q]
-        finalized = [
-            vals[v] if dec.comp_of[v] < q else None for v in range(arena.n)
-        ]
-        view = [vals[v] for v in range(arena.n)]
-        sets = simple_path_oracle(arena, dec, q, view)
-        names = {arena.names[v] for v in members}
-        if names == {"a1", "b1"}:
-            by_name = dict(zip(members, sets))
-            a1 = arena.index("a1")
-            # exits: a->c directly (-W + W = 0) and via b (-1 + 0 + W = W-1)
-            assert {0, 5 - 1, MINUS_INF, PLUS_INF} <= set(by_name[a1])
+    x = eng.to_array(solve_mcr(arena).values)
+    a1 = arena.index("a1")
+    members = dec.components[dec.comp_of[a1]]
+    assert {arena.names[v] for v in members} == {"a1", "b1"}
+    table = simple_path_oracle(arena, dec, dec.comp_of[a1], x)[members.index(a1)]
+    # exits: a->c directly (-W + W = 0) and via b (-1 + 0 + W = W-1)
+    assert {0, 5 - 1, int(eng.NEG), int(eng.POS)} <= set(table.tolist())
 
 
 def test_simple_path_oracle_single_exit_vertex():
@@ -174,8 +171,8 @@ def test_simple_path_oracle_single_exit_vertex():
         Objective.MCR,
     )
     dec = scc_decompose(arena)
-    sets = simple_path_oracle(arena, dec, 1, [0, 0])
-    assert set(sets[0]) == {4, MINUS_INF, PLUS_INF}
+    tables = simple_path_oracle(arena, dec, 1, np.zeros(2, dtype=np.int64))
+    assert tables[0].tolist() == [int(eng.NEG), 4, int(eng.POS)]
 
 
 def test_simple_path_oracle_soundness():
@@ -183,13 +180,43 @@ def test_simple_path_oracle_soundness():
     rng = random.Random(54)
     for _ in range(60):
         arena = normalize_target(random_arena(rng, 6, 3, Objective.MCR))
-        vals = solve_mcr(arena).values
+        x = eng.to_array(solve_mcr(arena).values)
         dec = scc_decompose(arena)
         for q in range(1, len(dec)):
-            sets = simple_path_oracle(arena, dec, q, list(vals))
-            for v, s in zip(dec.components[q], sets):
-                if s is not None:
-                    assert vals[v] in s
+            tables = simple_path_oracle(arena, dec, q, x)
+            for v, table in zip(dec.components[q], tables):
+                if table is not None:
+                    assert int(x[v]) in table.tolist()
+
+
+def test_simple_path_oracle_contract():
+    # The raw vector and the API's extended values give equal tables, and
+    # every table is sorted int64 from the -inf to the +inf sentinel.
+    rng = random.Random(55)
+    infinities = set()
+    for i in range(80):
+        objective = Objective.MCR if i % 2 == 0 else Objective.TP
+        arena = random_arena(rng, 6, 3, objective)
+        if objective is Objective.MCR:
+            arena = normalize_target(arena)
+            values = solve_mcr(arena).values
+        else:
+            values = solve_tp(arena).values
+        infinities.update(repr(v) for v in values if v is PLUS_INF or v is MINUS_INF)
+        dec = scc_decompose(arena)
+        for q in range(len(dec)):
+            raw = simple_path_oracle(arena, dec, q, eng.to_array(values))
+            ext = simple_path_oracle(arena, dec, q, values.values)
+            assert len(raw) == len(ext) == len(dec.components[q])
+            for a, b in zip(raw, ext):
+                assert (a is None) == (b is None)
+                if a is None:
+                    continue
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+                assert a[0] == eng.NEG and a[-1] == eng.POS
+                assert np.all(a[:-1] < a[1:])
+    assert infinities == {"+inf", "-inf"}
 
 
 def test_simple_path_oracle_cap_degrades():

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from quantgames.cli import run
 
 QG = [sys.executable, "-m", "quantgames.cli"]
@@ -57,6 +59,35 @@ def test_parse_error_exit_2(tmp_path):
     out = _run(["solve", str(bad)])
     assert out.returncode == 2
     assert "error:" in out.stderr
+
+
+def _assert_error_exit_2(out):
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_missing_input_file_exit_2(tmp_path):
+    _assert_error_exit_2(_run(["solve", str(tmp_path / "missing.qg")]))
+
+
+@pytest.mark.parametrize("flags", [
+    ["solve", "GAME", "--trace", "OUT"],
+    ["gen", "fig2a", "-o", "OUT"],
+    ["bench", "--W-list", "1", "--n-list", "1", "--csv", "OUT"],
+], ids=["trace", "output", "csv"])
+def test_unwritable_output_exit_2(tmp_path, flags):
+    game = _gen(tmp_path, "fig2a", W=3)
+    out_path = str(tmp_path / "no-such-dir" / "out.txt")
+    args = [game if f == "GAME" else out_path if f == "OUT" else f for f in flags]
+    _assert_error_exit_2(_run(args))
+
+
+def test_play_unknown_start_exit_2(tmp_path):
+    path = _gen(tmp_path, "fig2a", W=3)
+    out = _run(["play", path, "--start", "nosuch"], input_text="")
+    _assert_error_exit_2(out)
+    assert "nosuch" in out.stderr
 
 
 def test_check_random_ok():
