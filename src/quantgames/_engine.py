@@ -1,9 +1,20 @@
 """The value-iteration kernel behind every solver loop.
 
 Vectors are int64 numpy arrays with saturated sentinels for the two
-infinities.  Finite solver values are bounded by |V|*W + W, far below the
-sentinel magnitude, so ``weight + sentinel`` cannot wrap and a mask pass
-restores exact sentinels after each sweep.
+infinities, ``POS = 2**62`` and ``NEG = -POS``.
+
+Sentinel contract.  A sweep adds weights to sentinel continuations
+without masking them: ``POS + w`` and ``NEG + w`` land within |w| of their
+sentinel.  Exact sentinels are restored once per member, on the reduced
+values: anything at or beyond +-``SNAP`` (2**61) becomes the sentinel on
+its side.  That is exact while every finite value and every finite sum
+stays strictly inside +-2**61 and every weight is far smaller than 2**61.
+Under the caps |V| <= 10**6 and |w| <= 10**9, finite solver values are
+bounded by |V|*W + W, about 10**15, and a sentinel plus a weight stays
+within 10**9 of the sentinel; 2**61 is about 2.3 * 10**18, so neither side
+can cross it, and ``POS + w`` cannot wrap past 2**63.  Callers whose sums
+grow beyond the solver bound (``mcr.mp_sign``) check their own bound
+against ``SNAP``.
 
 The kernel works over an *edge slice*: member vertices with their
 out-edges.  ``CompiledArena`` is the whole-arena slice, ``ComponentView``
@@ -14,21 +25,30 @@ the slice of one strongly connected component.  Contract:
   does one reduction, not a max and a min: each candidate is multiplied by
   its edge's sign (+1 from a Max vertex, -1 from a Min vertex), one
   ``np.maximum.reduceat`` runs, and the result is multiplied by the
-  vertex's sign, since min(a) = -max(-a).  That is exact on the sentinels
-  only because ``NEG == -POS``.  Both sign arrays are derived when the
-  slice is built, so every sweep of a slice shares them.
+  vertex's sign, since min(a) = -max(-a).  The sign is folded into the
+  weights when the slice is built (``swt = wt * edge_sign``), so a
+  candidate costs one multiply and one add.  Saturation survives the sign
+  flip only because ``NEG == -POS``.
 - ``fixpoint`` sweeps until the members stop changing.  After each sweep a
   post-step touches the members only: values below ``cutoff`` drop to -inf
-  (descending) or values above ``lift`` rise to +inf (ascending), then the
-  optional candidate tables clamp them.  The returned count includes the
-  final sweep that confirms stabilization.  Members still changing after
-  more than ``bound`` sweeps raise ``UnsoundOracleError`` when tables
-  clamp, ``AssertionError`` otherwise.
+  (descending) or values above ``lift`` rise to +inf (ascending), fused
+  with the sentinel snap on the other side, then the optional candidate
+  tables clamp them.  The returned count includes the final sweep that
+  confirms stabilization.  Members still changing after more than
+  ``bound`` sweeps raise ``UnsoundOracleError`` when tables clamp,
+  ``AssertionError`` otherwise.
 - ``nested_fixpoint`` is the outer total-payoff loop (inner solve, lift,
   compare with the previous outer vector), counted and bounded the same
   way by ``outer_bound``, raising ``AssertionError``.  A pass touches the
   slice and its out-edges only, so solving the components of an arena one
   after another costs time linear in the arena, not quadratic.
+
+Component layout.  ``ComponentLayout`` copies the compiled edge arrays
+once, sorted by component: vertices in the order of the concatenated
+components, each component's members sorted, and every vertex's edges
+after it.  The signs, the signed weights and the cycle-sign certificate's
+local indices are computed on that copy, so the view of one component is
+a set of basic slices of it, O(1) to build and sharing its memory.
 
 Every operation broadcasts over a leading axis of weight rows: with ``wt``
 of shape ``[rows, E]``, vectors ``[rows, n]`` and ``cutoff``/``lift``
@@ -37,6 +57,7 @@ columns ``[rows, 1]``, one call solves every weight assignment of a graph.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -47,6 +68,7 @@ from .extvalue import ExtValue, MINUS_INF, PLUS_INF
 
 POS = np.int64(2**62)
 NEG = np.int64(-(2**62))
+SNAP = np.int64(2**61)  # finite values stay strictly inside +-SNAP
 
 
 class UnsoundOracleError(RuntimeError):
@@ -65,10 +87,12 @@ class EdgeSlice:
     is_max: np.ndarray
     sign: np.ndarray = field(init=False)  # per member: +1 Max, -1 Min
     edge_sign: np.ndarray = field(init=False)  # sign of each edge's source
+    swt: np.ndarray = field(init=False)  # wt * edge_sign
 
     def __post_init__(self) -> None:
         self.sign = np.where(self.is_max, 1, -1).astype(np.int64, copy=False)
         self.edge_sign = np.repeat(self.sign, out_degrees(self))
+        self.swt = self.wt * self.edge_sign
 
 
 def out_degrees(sl: EdgeSlice) -> np.ndarray:
@@ -96,25 +120,79 @@ class CompiledArena(EdgeSlice):
         self.cutoff = np.int64(-(n - 1) * self.W)
 
 
+class ComponentLayout:
+    """The edge arrays of ``ca`` copied once in component order, so that
+    ``view(q)`` is O(1).
+
+    Vertices are ordered as the concatenation of ``components`` with each
+    component's members sorted, so oracle tables line up with them; each
+    vertex's edges follow in ``ca``'s order.  Per vertex: ``members``,
+    ``is_max``, ``sign`` and ``starts`` (relative to the vertex's
+    component).  Per edge: ``dst``, ``wt``, ``swt``, ``edge_sign``,
+    ``edge_idx`` (the edge's index in ``ca``) and, for the cycle-sign
+    certificate, ``inside`` (the edge stays in its component) with
+    ``local_src``/``local_dst``, the endpoints' positions within it
+    (``local_dst`` is meaningless off ``inside``).
+    """
+
+    VERTEX_FIELDS = ("members", "is_max", "sign", "starts")
+    EDGE_FIELDS = ("dst", "wt", "swt", "edge_sign", "edge_idx", "inside", "local_src", "local_dst")
+
+    def __init__(self, ca: CompiledArena, components: Sequence[Sequence[int]]) -> None:
+        sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
+        flat = np.fromiter(
+            itertools.chain.from_iterable(components), dtype=np.int64, count=int(sizes.sum())
+        )
+        comp = np.repeat(np.arange(len(sizes)), sizes)
+        order = flat[np.lexsort((flat, comp))]
+        vstart = np.concatenate(([0], np.cumsum(sizes)))
+        deg = out_degrees(ca)[order]
+        ecum = np.concatenate(([0], np.cumsum(deg)))
+        estart = ecum[vstart]
+        # Edge j of the vertex at layout position p sits at ca index
+        # ca.starts[order[p]] + (j - ecum[p]).
+        edge_idx = np.repeat(ca.starts[order] - ecum[:-1], deg) + np.arange(ecum[-1])
+        pos = np.arange(len(order)) - np.repeat(vstart[:-1], sizes)  # within its component
+        comp_of = np.full(ca.n, -1, dtype=np.int64)
+        comp_of[order] = comp
+        local = np.zeros(ca.n, dtype=np.int64)
+        local[order] = pos
+        self.members = order
+        self.is_max = ca.is_max[order]
+        self.sign = ca.sign[order]
+        self.starts = ecum[:-1] - np.repeat(estart[:-1], sizes)
+        self.dst = ca.dst[edge_idx]
+        self.wt = ca.wt[edge_idx]
+        self.swt = ca.swt[edge_idx]
+        self.edge_sign = ca.edge_sign[edge_idx]
+        self.edge_idx = edge_idx
+        self.inside = comp_of[self.dst] == np.repeat(comp, deg)
+        self.local_src = np.repeat(pos, deg)
+        self.local_dst = local[self.dst]
+        self._bounds = list(zip(vstart.tolist(), vstart[1:].tolist(),
+                                estart.tolist(), estart[1:].tolist()))
+
+    def view(self, q: int) -> ComponentView:
+        """Component ``q``'s slice: basic slices of the layout arrays."""
+        view = ComponentView.__new__(ComponentView)
+        self._fill(view, q)
+        return view
+
+    def _fill(self, view: ComponentView, q: int) -> None:
+        v0, v1, e0, e1 = self._bounds[q]
+        for name in self.VERTEX_FIELDS:
+            setattr(view, name, getattr(self, name)[v0:v1])
+        for name in self.EDGE_FIELDS:
+            setattr(view, name, getattr(self, name)[e0:e1])
+
+
 class ComponentView(EdgeSlice):
     """The slice of a set of members of ``ca``, such as one strongly
-    connected component; built in time linear in its members and edges."""
+    connected component: the one view of a layout over that member set.
+    Carries the ``ComponentLayout`` fields, sliced to the component."""
 
     def __init__(self, ca: CompiledArena, members: Sequence[int]) -> None:
-        marr = np.asarray(sorted(members), dtype=np.int64)
-        lo = ca.starts[marr]
-        hi = np.where(marr + 1 < ca.n, ca.starts.take(marr + 1, mode="clip"), len(ca.dst))
-        counts = hi - lo
-        starts = np.cumsum(counts) - counts
-        # Edge j of member i sits at ca index lo[i] + (j - starts[i]).
-        self.edge_idx = np.repeat(lo - starts, counts) + np.arange(counts.sum())
-        super().__init__(
-            marr,
-            ca.dst[self.edge_idx],
-            ca.wt[self.edge_idx],
-            starts,
-            ca.is_max[marr],
-        )
+        ComponentLayout(ca, [members])._fill(self, 0)
 
 
 def candidates(sl: EdgeSlice, cont: np.ndarray) -> np.ndarray:
@@ -126,6 +204,19 @@ def candidates(sl: EdgeSlice, cont: np.ndarray) -> np.ndarray:
     return cand
 
 
+def _reduce(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray]) -> np.ndarray:
+    """The members' new values before the sentinel snap: values at or
+    beyond +-``SNAP`` stand for the sentinel on their side."""
+    cont = x.take(sl.dst, axis=-1)
+    if ytrans is not None:
+        np.minimum(cont, ytrans.take(sl.dst, axis=-1), out=cont)
+    cont *= sl.edge_sign
+    cont += sl.swt
+    best = np.maximum.reduceat(cont, sl.starts, axis=-1)
+    best *= sl.sign
+    return best
+
+
 def sweep(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray] = None) -> np.ndarray:
     """One Jacobi update of the slice's members; returns their new values.
 
@@ -133,14 +224,10 @@ def sweep(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray] = None) -> 
     (the stop-request form used by the total-payoff inner loop); without it
     the continuation is x itself.
     """
-    cont = x.take(sl.dst, axis=-1)
-    if ytrans is not None:
-        cont = np.minimum(cont, ytrans.take(sl.dst, axis=-1))
-    cand = candidates(sl, cont)
-    cand *= sl.edge_sign
-    best = np.maximum.reduceat(cand, sl.starts, axis=-1)
-    best *= sl.sign
-    return best
+    new = _reduce(sl, x, ytrans)
+    new[new >= SNAP] = POS
+    new[new <= -SNAP] = NEG
+    return new
 
 
 def _clamp(new: np.ndarray, tables: Sequence[Optional[np.ndarray]], up: bool) -> None:
@@ -150,9 +237,9 @@ def _clamp(new: np.ndarray, tables: Sequence[Optional[np.ndarray]], up: bool) ->
     for i, table in enumerate(tables):
         if table is not None:
             if up:
-                new[i] = table[np.searchsorted(table, new[i], side="left")]
+                new[i] = table[table.searchsorted(new[i], side="left")]
             else:
-                new[i] = table[np.searchsorted(table, new[i], side="right") - 1]
+                new[i] = table[table.searchsorted(new[i], side="right") - 1]
 
 
 def _member_index(sl: EdgeSlice, x: np.ndarray):
@@ -179,15 +266,19 @@ def fixpoint(
     m = _member_index(sl, x)
     sweeps = 0
     while True:
-        new = sweep(sl, x, ytrans)
+        new = _reduce(sl, x, ytrans)
+        # cutoff and lift lie inside +-SNAP, so each also restores one
+        # sentinel; one more masked copy restores the other.
         if lift is None:
-            np.copyto(new, NEG, where=new < cutoff)
+            new[new < cutoff] = NEG
+            new[new >= SNAP] = POS
         else:
-            np.copyto(new, POS, where=new > lift)
+            new[new > lift] = POS
+            new[new <= -SNAP] = NEG
         if tables is not None:
             _clamp(new, tables, up=lift is not None)
         sweeps += 1
-        stable = np.array_equal(new, x[m])
+        stable = not (new != x[m]).any()
         x[m] = new
         if trace is not None:
             trace.append(x)
@@ -235,10 +326,10 @@ def nested_fixpoint(
         prev = y[m].copy()
         sweeps += inner()
         new = x[m]
-        np.copyto(new, POS, where=new > lift)
+        new[new > lift] = POS
         x[m] = new
         passes += 1
-        stable = np.array_equal(new, prev)
+        stable = not (new != prev).any()
         y[m] = new
         if stable:
             return passes, sweeps

@@ -10,10 +10,15 @@ sound description of the final values only when every internal cycle is
 strictly positive or every one strictly negative (otherwise optimal plays
 may stay inside forever).  Components certified that way are solved in a
 single reachability-style pass; the rest fall back to the plain nested
-iteration restricted to the component.  The certificate reads the
-component's own edge slice, and the oracle and its tables are built only
-for certified components, since the nested iteration never reads them; so
-a total-payoff solve costs time linear in |V| + |E| outside the sweeps.
+iteration restricted to the component.  The oracle and its tables are
+built only for certified components, since the nested iteration never
+reads them.
+
+Both solvers copy the compiled edge arrays once into a
+``ComponentLayout`` in component order; each component's view is then a
+set of slices of it, built in O(1), and the certificate reads the view's
+precomputed inside-edge flags and local indices.  So a solve costs time
+linear in |V| + |E| outside the sweeps.
 """
 
 from __future__ import annotations
@@ -196,11 +201,9 @@ def _cycle_sign_certificate(view: eng.ComponentView) -> Optional[str]:
     has that strict sign (vacuously 'positive' when there is none), else
     None.  Reads the view's own edges only."""
     k = len(view.members)
-    local_dst = np.searchsorted(view.members, view.dst)
-    inside = view.members.take(local_dst, mode="clip") == view.dst
-    local_src = np.repeat(np.arange(k), eng.out_degrees(view))
+    inside = view.inside
     edges = list(zip(
-        local_src[inside].tolist(), local_dst[inside].tolist(), view.wt[inside].tolist()
+        view.local_src[inside].tolist(), view.local_dst[inside].tolist(), view.wt[inside].tolist()
     ))
     if not edges:
         return "positive"
@@ -246,11 +249,12 @@ def solve_mcr_accelerated(
     (t,) = arena.targets
     x = np.full(arena.n, eng.POS, dtype=np.int64)
     x[t] = 0
+    layout = eng.ComponentLayout(ca, dec.components)
     stats = SolveStats()
     bound = sweep_bound(arena.n, ca.W) + 1
     for q in range(1, len(dec)):
         tables = oracle(arena, dec, q, x)
-        view = eng.ComponentView(ca, dec.components[q])
+        view = layout.view(q)
         stats.outer_iterations += 1
         stats.inner_iterations += eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
     stats.sweeps = stats.inner_iterations
@@ -283,8 +287,9 @@ def solve_tp_accelerated(
     stats = SolveStats()
     inner_bound = sweep_bound(n, ca.W) + 1
     outer_bound = k_bound(arena) + 1
+    layout = eng.ComponentLayout(ca, dec.components)
     for q in range(len(dec)):
-        view = eng.ComponentView(ca, dec.components[q])
+        view = layout.view(q)
         certificate = _cycle_sign_certificate(view)
         inner = None
         if certificate is not None:

@@ -336,7 +336,10 @@ def cmd_play(args) -> int:
             return 0
         succs = [game.names[d] for d, _ in game.successors(v)]
         if game.owners[v] is human:
-            choice = input(f"your move {succs}: ").strip()
+            try:
+                choice = input(f"your move {succs}: ").strip()
+            except EOFError:
+                raise ValueError("input closed before the game ended") from None
             if choice not in succs:
                 print("illegal move")
                 continue

@@ -136,15 +136,18 @@ def mp_sign(arena: Arena) -> Dict[int, Sign]:
     Runs the finite-horizon optimal-sum recurrence for N = 4|V|^2 W + 1
     steps; a nonzero mean payoff has magnitude >= 1/|V| while the horizon
     error is below 1/(2|V|), so comparing 2|V| x_N(v) against +/-N decides
-    the sign exactly.  Each step is one ``_engine.sweep``: the sums stay
-    within N W, far below its sentinels, so the sweep is the plain
-    max/min recurrence.
+    the sign exactly.  Each step is one ``_engine.sweep``; the sums stay
+    within N W, which must lie below the kernel's sentinel snap
+    ``_engine.SNAP`` (2**61) for the sweep to be the plain max/min
+    recurrence, so a larger N W raises ``CapExceededError`` up front.
     """
     n = arena.n
     W = max_abs_weight(arena)
     if n * n * W > MP_CAP:
         raise CapExceededError(f"|V|^2 W = {n * n * W} exceeds {MP_CAP}")
     steps = 4 * n * n * W + 1
+    if steps * W >= int(eng.SNAP):
+        raise CapExceededError(f"mean-payoff sums up to {steps * W} reach 2**61")
     ca = eng.CompiledArena(arena)
     x = np.zeros(n, dtype=np.int64)
     for _ in range(steps):

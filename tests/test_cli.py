@@ -90,6 +90,16 @@ def test_play_unknown_start_exit_2(tmp_path):
     assert "nosuch" in out.stderr
 
 
+def test_play_stdin_closed_exit_2(tmp_path):
+    path = _gen(tmp_path, "fig2a", W=3)
+    out = subprocess.run(
+        QG + ["play", path, "--as", "max"],
+        capture_output=True, text=True, stdin=subprocess.DEVNULL, timeout=300,
+    )
+    _assert_error_exit_2(out)
+    assert "input closed before the game ended" in out.stderr
+
+
 def test_check_random_ok():
     out = _run(["check", "--random", "seed=7", "count=40", "vmax=4", "wmax=3"])
     assert out.returncode == 0

@@ -8,6 +8,7 @@ from quantgames import _engine as eng
 
 from quantgames.arena import (
     ArenaError,
+    CapExceededError,
     Objective,
     Player,
     make_arena,
@@ -150,6 +151,17 @@ def test_mp_sign_trivial():
     assert mp_sign(single_vertex(Player.MAX, 3))[0] is Sign.POSITIVE
     assert mp_sign(single_vertex(Player.MAX, 0))[0] is Sign.ZERO
     assert mp_sign(single_vertex(Player.MIN, -2))[0] is Sign.NEGATIVE
+
+
+def test_mp_sign_refuses_sums_past_the_sentinel_snap(monkeypatch):
+    # N = 4 * 10**9 + 1 steps with W = 10**9: sums up to about 4 * 10**18,
+    # past 2**61, so the sweep's sentinel snap would be wrong.
+    def no_sweep(*args):
+        raise AssertionError("mp_sign started a sweep")
+
+    monkeypatch.setattr(eng, "sweep", no_sweep)
+    with pytest.raises(CapExceededError, match="2\\*\\*61"):
+        mp_sign(single_vertex(Player.MAX, 10**9))
 
 
 def test_mp_sign_fig1a_all_zero():
