@@ -4,13 +4,18 @@ An arena is immutable after construction.  ``validate`` enforces the model
 invariants (deadlock-freeness, weight and size caps, simple edges); every
 solver in this package assumes a validated arena.
 
-``Arena.edge_array`` is the one int64 form of the edges, ``[E, 3]`` rows
-``(src, dst, w)`` built once from the sorted edge tuple; validation, the
-compiled solver arrays and ``max_abs_weight`` all read it.  The per-vertex
-successor tuples are built lazily, on the first ``successors()`` call, so a
-plain reachability solve never builds them.  A successful ``validate``
-records the vertex cap it checked against on the arena, and a later call
-under the same cap returns at once.
+``Arena.edge_array`` is the stored form of the edges: ``[E, 3]`` int64
+rows ``(src, dst, w)``, sorted and read-only.  Validation, the compiled
+solver arrays, ``max_abs_weight`` and ``normalize_target`` read it, and
+the parser and ``normalize_target`` build arenas from such arrays.
+``Arena.edges``, the sorted ``(src, dst, w)`` tuples, is built lazily
+from it on first use.  An arena built from tuples, as the generators and
+tests do, keeps them and builds the array on first use instead.  The
+per-vertex successor tuples and the name -> index dict behind
+``Arena.index`` are also built lazily, so a plain reachability solve from
+a file builds none of them.  A successful ``validate`` records the vertex
+cap it checked against on the arena, and a later call under the same cap
+returns at once.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from dataclasses import dataclass, field
+from functools import partial
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,34 +95,95 @@ class CapExceededError(ArenaError):
     pass
 
 
-@dataclass(frozen=True)
 class Arena:
-    """Weighted game graph.  Edges are kept sorted by (src, dst)."""
+    """Weighted game graph.  Edges are kept sorted by (src, dst).
 
-    names: Tuple[str, ...]
-    owners: Tuple[Player, ...]
-    edges: Tuple[Tuple[int, int, int], ...]
-    targets: frozenset
-    objective: Objective
-    # Filled lazily, through object.__setattr__ on declared fields:
-    # functools.cached_property would write the instance __dict__, which
-    # costs the instance its compact layout and slows every attribute read.
-    _validated_cap: Optional[int] = field(init=False, repr=False, compare=False, default=None)
-    _edge_array: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
-    _succ: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
+    ``edges`` is either an iterable of ``(src, dst, w)`` tuples or an int64
+    ``[E, 3]`` array of such rows.  The arena stores the form it is given
+    (rows sorted); the other form is derived on first use and cached.
+    ``index`` is an optional name -> index dict the caller already holds.
+    Arenas are immutable and compare equal when their names, owners,
+    sorted edges, targets and objective are equal.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+    __slots__ = (
+        "names", "owners", "targets", "objective",
+        "_edges", "_edge_array", "_succ", "_index", "_validated_cap",
+    )
+
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        owners: Tuple[Player, ...],
+        edges,
+        targets: frozenset,
+        objective: Objective,
+        index: Optional[Dict[str, int]] = None,
+    ) -> None:
+        init = partial(object.__setattr__, self)
+        init("names", names)
+        init("owners", owners)
+        init("targets", targets)
+        init("objective", objective)
+        if isinstance(edges, np.ndarray):
+            init("_edges", None)
+            init("_edge_array", _sorted_rows(edges))
+        else:
+            init("_edges", tuple(sorted(edges)))
+            init("_edge_array", None)
+        init("_succ", None)
+        init("_index", index)
+        init("_validated_cap", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: Arena is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: Arena is immutable")
+
+    def __reduce__(self):
+        edges = self._edges if self._edges is not None else self._edge_array
+        return self.__class__, (self.names, self.owners, edges, self.targets, self.objective)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.names, self.owners, self.targets, self.objective) != (
+            other.names, other.owners, other.targets, other.objective
+        ):
+            return False
+        try:
+            return np.array_equal(self.edge_array, other.edge_array)
+        except OverflowError:
+            return self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.owners, self.targets, self.objective))
+
+    def __repr__(self) -> str:
+        return (
+            f"Arena(names={self.names!r}, owners={self.owners!r}, edges={self.edges!r}, "
+            f"targets={self.targets!r}, objective={self.objective!r})"
+        )
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int, int], ...]:
+        """The edges as sorted ``(src, dst, w)`` tuples; built on first use
+        when the arena was built from an array."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", tuple(map(tuple, self._edge_array.tolist())))
+        return self._edges
 
     @property
     def edge_array(self) -> np.ndarray:
-        """The edges as ``[E, 3]`` int64 rows ``(src, dst, w)``, sorted; built
-        on first use.  Raises ``OverflowError`` when a value does not fit
-        int64."""
+        """The edges as read-only ``[E, 3]`` int64 rows ``(src, dst, w)``,
+        sorted; built on first use when the arena was built from tuples.
+        Raises ``OverflowError`` when a value does not fit int64."""
         if self._edge_array is None:
             flat = np.fromiter(
-                itertools.chain.from_iterable(self.edges), dtype=np.int64, count=3 * len(self.edges)
+                itertools.chain.from_iterable(self._edges), dtype=np.int64, count=3 * len(self._edges)
             )
+            flat.flags.writeable = False
             object.__setattr__(self, "_edge_array", flat.reshape(-1, 3))
         return self._edge_array
 
@@ -130,7 +196,8 @@ class Arena:
         them for every vertex."""
         if self._succ is None:
             succ: list = [[] for _ in self.names]
-            for s, d, w in self.edges:
+            rows = self._edges if self._edges is not None else zip(*self._edge_array.T.tolist())
+            for s, d, w in rows:
                 succ[s].append((d, w))
             object.__setattr__(self, "_succ", tuple(tuple(x) for x in succ))
         return self._succ[v]
@@ -148,9 +215,14 @@ class Arena:
         return any(d == dst for d, _ in self.successors(src))
 
     def index(self, name: str) -> int:
+        """Index of the vertex called ``name``, through a dict built on
+        first use (the first of repeated names wins, as in ``names``)."""
+        if self._index is None:
+            n = len(self.names)
+            object.__setattr__(self, "_index", dict(zip(reversed(self.names), range(n - 1, -1, -1))))
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise KeyError(f"no vertex named {name!r}") from None
 
     def is_target(self, v: int) -> bool:
@@ -160,15 +232,29 @@ class Arena:
         return self.owners[v]
 
 
+def _sorted_rows(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of the ``[E, 3]`` int64 rows ``arr``, sorted as
+    their tuples would be; sorted input is not copied."""
+    if arr.dtype != np.int64 or arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError("an edge array must be int64 of shape [E, 3]")
+    s, d = arr[:, 0], arr[:, 1]
+    if not ((s[1:] > s[:-1]) | ((s[1:] == s[:-1]) & (d[1:] > d[:-1]))).all():
+        arr = arr[np.lexsort(arr.T[::-1])]
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 def make_arena(
     names: Sequence[str],
     owners: Sequence[Player],
-    edges: Iterable[Tuple[int, int, int]],
+    edges,
     targets: Iterable[int] = (),
     objective: Objective = Objective.TP,
 ) -> Arena:
-    """Build and validate an arena in one step."""
-    arena = Arena(tuple(names), tuple(owners), tuple(edges), frozenset(targets), objective)
+    """Build and validate an arena in one step.  ``edges`` is an iterable
+    of ``(src, dst, w)`` tuples or an int64 ``[E, 3]`` array."""
+    arena = Arena(tuple(names), tuple(owners), edges, frozenset(targets), objective)
     validate(arena)
     return arena
 
@@ -274,7 +360,9 @@ def normalize_target(arena: Arena) -> Arena:
     straight to the fresh target for free: the payoff is sealed at the
     first target visit, so leaving them their old moves would hand the
     owner new (value-changing) options.  Canonical inputs are returned
-    unchanged.
+    unchanged.  The rewiring works on the sorted edge array: the targets'
+    rows are dropped and each forwarding row is inserted where they were,
+    so the rows stay sorted.
     """
     if arena.objective is not Objective.MCR:
         raise ArenaError("normalize_target expects an MCR arena")
@@ -284,11 +372,14 @@ def normalize_target(arena: Arena) -> Arena:
     t = arena.n
     names = arena.names + (fresh_name(arena.names, "t"),)
     owners = arena.owners + (Player.MAX,)
-    targets = arena.targets
-    edges = [e for e in arena.edges if e[0] not in targets]
-    for old in sorted(arena.targets):
-        edges.append((old, t, 0))
-    edges.append((t, t, 0))
+    arr = arena.edge_array
+    olds = np.array(sorted(arena.targets), dtype=np.int64)
+    is_target = np.zeros(t, dtype=bool)
+    is_target[olds] = True
+    kept = arr[~is_target[arr[:, 0]]]
+    forward = np.column_stack((olds, np.full_like(olds, t), np.zeros_like(olds)))
+    edges = np.insert(kept, np.searchsorted(kept[:, 0], olds), forward, axis=0)
+    edges = np.concatenate((edges, np.array([[t, t, 0]], dtype=np.int64)))
     return make_arena(names, owners, edges, [t], Objective.MCR)
 
 

@@ -15,9 +15,11 @@ import sys
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
+from . import _engine as eng
 from . import accel as accel_mod
 from . import gamefile
-from ._engine import ext_of_raw
 from .arena import (
     Arena,
     ArenaError,
@@ -31,6 +33,7 @@ from .extvalue import MINUS_INF, to_json
 from .mcr import SolveStats, solve_mcr
 from .oracle import mcr_oracle, tp_oracle
 from .strategies import (
+    DECISION_TABLE_CAP,
     _as_moore,
     _move,
     extract_max_memoryless,
@@ -89,8 +92,7 @@ def cmd_solve(args) -> int:
         norm = normalize_target(arena)
         res = solve_mcr(norm, with_trace=True)
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for row in res.trace.raw:
-                fh.write("\t".join(str(to_json(ext_of_raw(r))) for r in row.tolist()) + "\n")
+            write_trace(fh, res.trace.raw)
         values = ValueVector(arena, res.values.values[: arena.n])
         stats = res.stats
     else:
@@ -102,6 +104,28 @@ def cmd_solve(args) -> int:
         if args.stats:
             _print_stats(stats)
     return 0
+
+
+TRACE_BLOCK_VALUES = 1 << 16
+
+
+def write_trace(fh, raw: np.ndarray) -> None:
+    """The trace as TSV, row k holding x_k, infinities as -inf and +inf.
+
+    Rows are formatted a block at a time from the raw int64 values; the
+    sentinels' digits are then replaced, the negative one first since its
+    digits contain the positive one's.  Values are clipped to the
+    sentinels first, and a finite value lies strictly inside +-2**61, so
+    its digits never spell a sentinel: the text is the one each value's
+    ``to_json(ext_of_raw(r))`` gives.  A block holds about
+    ``TRACE_BLOCK_VALUES`` values.
+    """
+    pos, neg = str(int(eng.POS)), str(int(eng.NEG))
+    rows = max(1, TRACE_BLOCK_VALUES // raw.shape[1])
+    for i in range(0, len(raw), rows):
+        block = np.clip(raw[i : i + rows], eng.NEG, eng.POS).tolist()
+        text = "".join(["\t".join(map(str, row)) + "\n" for row in block])
+        fh.write(text.replace(neg, "-inf").replace(pos, "+inf"))
 
 
 def cmd_strategy(args) -> int:
@@ -120,6 +144,11 @@ def cmd_strategy(args) -> int:
             else:
                 docs["min_sigma1"] = strategy_json(sigma1, norm)
                 docs["min_sigma2"] = strategy_json(sigma2, norm)
+            if sigma_star.size > DECISION_TABLE_CAP:
+                sys.stderr.write(
+                    f"note: min_moore: the Moore machine has {sigma_star.size} states, above "
+                    f"the cap of {DECISION_TABLE_CAP}; its decision table is left out\n"
+                )
             docs["min_moore"] = strategy_json(sigma_star, norm)
     else:
         res = solve_tp(arena)
@@ -319,9 +348,10 @@ def cmd_play(args) -> int:
         game = arena
         values = res.values
     machine = _as_moore(tool)
-    if args.start and args.start not in game.names:
-        raise ValueError(f"no vertex named {args.start!r}")
-    v = game.index(args.start) if args.start else 0
+    try:
+        v = game.index(args.start) if args.start else 0
+    except KeyError:
+        raise ValueError(f"no vertex named {args.start!r}") from None
     state = machine.update(machine.initial, v)
     running = 0
     print(f"playing as {human.value}; tool answers optimally. values: ")

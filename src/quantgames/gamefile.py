@@ -8,16 +8,35 @@ Format, one directive per line, ``#`` starts a comment::
 
 Vertex indices follow declaration order.  ``parse`` returns a validated
 arena; ``serialize`` emits a canonical byte form with ``parse(serialize(a))``
-isomorphic to ``a``.  ``parse`` splits each line with ``str.split`` and
-computes token columns only on the error path, for ``GameSyntaxError``.
+isomorphic to ``a``.
+
+``parse`` has two paths that end in the same arena construction.  A clean
+file is read in bulk (``_scan_bulk``): the text is split once into a
+vertex block and an edge block, each block into tokens, names map to
+indices through one dict, weights are read with ``int`` into an int64
+column, and one sort on ``src * n + dst`` orders the edges and finds
+parallel ones; the arena stores that ``[E, 3]`` array and builds no edge
+tuples.  Clean means: only ``[A-Za-z0-9_-]``, spaces and newlines; the
+objective line first, then every vertex line, then every edge line; no
+blank or indented line; no vertex named ``vertex`` or ``edge``; every
+endpoint declared, no name declared twice, no parallel edge and every
+weight within int64.  Any other file (a comment, a tab, CRLF line ends, a
+bad token, ...) goes to the line parser (``_scan_lines``), which splits
+each line with ``str.split``.  It is the reference and the only path that
+raises ``GameSyntaxError``, ``UndeclaredVertexError`` and
+``DuplicateVertexError`` or warns of merged parallel edges; token columns
+are computed only on its error path.
 """
 
 from __future__ import annotations
 
 import json
+import string
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from .arena import Arena, Objective, Player, make_arena, validate
 from .extvalue import to_json
@@ -62,9 +81,130 @@ def _syntax_error(lineno: int, raw: str, i: int, expected: str) -> GameSyntaxErr
 
 
 def parse(text: Union[str, bytes]) -> Arena:
-    """Parse the text format into a validated arena."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    """Parse the text format into a validated arena: in bulk when the file
+    is clean, else line by line."""
+    parts = _scan_bulk(text)
+    if parts is None:
+        parts = _scan_lines(text.decode("utf-8") if isinstance(text, bytes) else text)
+    arena = Arena(*parts)
+    validate(arena)
+    return arena
+
+
+# Every byte a clean file may hold.  Anything else (a comment, a tab, a
+# carriage return, non-ASCII text) sends the file to the line parser.
+_CLEAN_BYTES = (string.ascii_letters + string.digits + "_- \n").encode("ascii")
+# Owner tokens once " target\n" is rewritten to "+\n".
+_OWNER_TOKENS = {"max": Player.MAX, "min": Player.MIN, "max+": Player.MAX, "min+": Player.MIN}
+
+
+def _scan_bulk(text: Union[str, bytes]):
+    """The parts of an arena read from a clean file in bulk, or None when
+    the file needs the line parser.
+
+    A clean file holds only ``[A-Za-z0-9_-]``, spaces and newlines: the
+    objective line, then the vertex lines, then the edge lines, with no
+    blank line, no indent and no parallel edge, every endpoint declared,
+    no vertex named ``vertex`` or ``edge`` and every weight within int64.
+    For those the result equals the line parser's.  A block's tokens are
+    sliced into columns only once they provably line up: each line's first
+    token is its directive, so with exactly one directive token per line,
+    all at every third (fourth) token, the lines start at tokens 0, 3, 6,
+    ... (0, 4, 8, ...) and each has three (four) tokens.
+    """
+    if isinstance(text, str):
+        if not text.isascii() or text.encode("ascii").translate(None, _CLEAN_BYTES):
+            return None
+    elif text.translate(None, _CLEAN_BYTES):
+        return None
+    else:
+        text = text.decode("ascii")
+    head, _, rest = text.partition("\n")
+    if head not in ("objective mcr", "objective tp") or not rest.startswith("vertex "):
+        return None
+    k = rest.find("\nedge ") + 1
+    if k == 0:
+        return None
+    vblock, eblock = rest[:k], rest[k:]
+    del text, rest
+    nv = vblock.count("\n")
+    ne = eblock.count("\n") + (not eblock.endswith("\n"))
+    # Every line starts with its directive, so no line is blank, indented
+    # or of another kind, and no vertex line follows an edge line.
+    if vblock.count("\nvertex ") != nv - 1 or eblock.count("\nedge ") != ne - 1:
+        return None
+    vertices = _scan_vertices(vblock, nv)
+    if vertices is None:
+        return None
+    names, owners, targets, index = vertices
+    edges = _scan_edges(eblock, index)
+    if edges is None:
+        return None
+    return names, owners, edges, targets, Objective(head[len("objective "):]), index
+
+
+def _scan_vertices(vblock: str, nv: int):
+    """Names, owners, targets and name index of the vertex block's ``nv``
+    lines, or None."""
+    # " target\n" becomes "+\n" so that every vertex line has three tokens;
+    # on a line "vertex target" that would glue "+" to the directive.
+    if vblock.startswith("vertex target\n") or "\nvertex target\n" in vblock:
+        return None
+    toks = vblock.replace(" target\n", "+\n").split()
+    if len(toks) != 3 * nv or toks.count("vertex") != nv or toks[::3].count("vertex") != nv:
+        return None
+    names = tuple(toks[1::3])
+    index = dict(zip(names, range(nv)))
+    if len(index) != nv:
+        return None
+    owner_toks = toks[2::3]
+    try:
+        owners = tuple(map(_OWNER_TOKENS.__getitem__, owner_toks))
+    except KeyError:
+        return None
+    is_target = np.fromiter(map(len, owner_toks), np.int64, nv) == len("max+")
+    return names, owners, frozenset(np.flatnonzero(is_target).tolist()), index
+
+
+# Characters of the edge block split at a time, so that the token lists
+# stay small (about 2 MB) next to the arrays they fill.
+_EDGE_CHUNK = 1 << 18
+
+
+def _scan_edges(eblock: str, index: Dict[str, int]):
+    """The edge block's rows sorted by (src, dst), or None."""
+    columns = []
+    start = 0
+    while start < len(eblock):
+        end = eblock.find("\n", start + _EDGE_CHUNK) + 1 or len(eblock)
+        chunk = eblock[start:end]
+        start = end
+        lines = chunk.count("\n") + (not chunk.endswith("\n"))
+        toks = chunk.split()
+        if len(toks) != 4 * lines or toks.count("edge") != lines or toks[::4].count("edge") != lines:
+            return None
+        try:
+            columns.append((
+                np.fromiter(map(index.__getitem__, toks[1::4]), np.int64, lines),
+                np.fromiter(map(index.__getitem__, toks[2::4]), np.int64, lines),
+                # int() keeps the line parser's rules (signs, ``1_000``); a
+                # weight beyond int64 raises OverflowError.
+                np.fromiter(map(int, toks[3::4]), np.int64, lines),
+            ))
+        except (KeyError, ValueError, OverflowError):
+            return None
+    src, dst, wt = (np.concatenate(col) for col in zip(*columns))
+    key = src * len(index) + dst
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        return None
+    return np.column_stack((src[order], dst[order], wt[order]))
+
+
+def _scan_lines(text: str):
+    """The parts of an arena read line by line: the reference parser, and
+    the one that raises every syntax error and warns of parallel edges."""
     objective: Optional[Objective] = None
     names: List[str] = []
     owners: List[Player] = []
@@ -121,22 +261,21 @@ def parse(text: Union[str, bytes]) -> Arena:
                 warnings.warn(
                     f"line {lineno}: merged parallel edge {toks[1]}->{toks[2]} "
                     f"(kept weight {merged})",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 edges[(s, d)] = merged
         else:
             raise _syntax_error(lineno, raw, 0, "vertex|edge directive")
     if objective is None:
         raise GameSyntaxError(1, 1, "'objective' as first directive")
-    arena = Arena(
+    return (
         tuple(names),
         tuple(owners),
         tuple((s, d, w) for (s, d), w in edges.items()),
         frozenset(targets),
         objective,
+        index,
     )
-    validate(arena)
-    return arena
 
 
 def serialize(arena: Arena) -> bytes:
@@ -264,9 +403,12 @@ def generate(spec: FamilySpec) -> Arena:
 
 
 def write_results_json(values, stats, strategies=None) -> bytes:
-    """Results document: values keyed by name in index order, stats, strategies."""
+    """Results document: values keyed by name in index order, stats,
+    strategies.  The bytes are those of ``json.dumps(doc, indent=2)``; the
+    values block is written with one join, since valid names need no
+    escaping and an extended integer prints as its JSON literal once the
+    infinities are quoted."""
     doc = {
-        "values": {name: to_json(v) for name, v in values.items()},
         "stats": {
             "outer_iterations": stats.outer_iterations,
             "inner_iterations": stats.inner_iterations,
@@ -276,4 +418,8 @@ def write_results_json(values, stats, strategies=None) -> bytes:
     }
     if strategies is not None:
         doc["strategies"] = strategies
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    pairs = map('": '.join, zip(values.arena.names, map(str, values.values)))
+    body = ',\n    "'.join(pairs).replace(": -inf", ': "-inf"').replace(": +inf", ': "+inf"')
+    block = '{\n    "' + body + "\n  }" if len(values) else "{}"
+    rest = json.dumps(doc, indent=2)[len("{\n"):]
+    return ('{\n  "values": ' + block + ",\n" + rest + "\n").encode("utf-8")

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 import numpy as np
 
 from . import _engine as eng
-from .arena import Arena, Objective, Player, ValueVector
+from .arena import Arena, Objective, Player, ValueVector, max_abs_weight
 from .attractor import compute_attractor
 from .extvalue import ExtValue, MINUS_INF, PLUS_INF, ext_add, is_finite
 from .mcr import McrResult
@@ -36,6 +36,8 @@ from .oracle import (
 )
 
 PRODUCT_CAP = 10**6
+# strategy_json writes the decision table of Moore machines up to this many states.
+DECISION_TABLE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ class SwitchingStrategy:
         c2_lo = min((c for c in self.cost2 if is_finite(c)), default=0)
         c2_hi = max((c for c in self.cost2 if is_finite(c)), default=0)
         n = self.arena.n
-        w = max((abs(e[2]) for e in self.arena.edges), default=0)
+        w = max_abs_weight(self.arena)
         # Outside this window the exact sum no longer influences any future
         # switch decision, so clamping keeps the memory finite.
         self._sum_floor = min(lo - c2_hi, 0) - (n + 1) * w - 1
@@ -578,7 +580,7 @@ def strategy_json(strategy: AnyStrategy, arena: Arena) -> bytes:
             "kind": "moore",
             "memory_size": strategy.size,
         }
-        if strategy.size is not None and strategy.size <= 4096:
+        if strategy.size is not None and strategy.size <= DECISION_TABLE_CAP:
             return _moore_json(doc, _decision_table(strategy, arena), arena)
     else:
         raise TypeError(f"not a strategy: {strategy!r}")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from quantgames.arena import (
@@ -114,3 +115,88 @@ def test_every_vertex_has_out_edge_after_validate():
     arena = fig2a(2)
     for v in range(arena.n):
         assert arena.successors(v)
+
+
+def test_arena_from_array_equals_arena_from_tuples():
+    edges = [(1, 0, -7), (0, 1, 5), (0, 0, 2)]
+    args = (("a", "b"), (Player.MAX, Player.MIN))
+    from_tuples = Arena(*args, tuple(edges), frozenset(), Objective.TP)
+    from_array = Arena(*args, np.array(edges, dtype=np.int64), frozenset(), Objective.TP)
+    assert from_array._edges is None  # the tuples are built on first use
+    assert from_array == from_tuples and hash(from_array) == hash(from_tuples)
+    assert from_array.edges == from_tuples.edges == ((0, 0, 2), (0, 1, 5), (1, 0, -7))
+    assert from_array.edge_array.tolist() == from_tuples.edge_array.tolist()
+    assert from_array.successors(0) == from_tuples.successors(0) == ((0, 2), (1, 5))
+    assert from_array != Arena(*args, np.array(edges[:2], dtype=np.int64), frozenset(), Objective.TP)
+    assert repr(from_array) == repr(from_tuples)
+
+
+def test_array_rows_sort_as_their_tuples():
+    rng = random.Random(5)
+    for _ in range(50):
+        rows = [(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2)) for _ in range(rng.randint(0, 12))]
+        arena = Arena(("a",), (Player.MAX,), np.array(rows, dtype=np.int64).reshape(-1, 3), frozenset(), Objective.TP)
+        assert arena.edges == tuple(sorted(rows))
+
+
+def test_sorted_array_is_kept_without_a_copy_and_read_only():
+    rows = np.array([[0, 0, 1], [0, 1, 2], [1, 0, 3]], dtype=np.int64)
+    arena = Arena(("a", "b"), (Player.MAX, Player.MIN), rows, frozenset(), Objective.TP)
+    assert np.shares_memory(arena.edge_array, rows)
+    assert rows.flags.writeable and not arena.edge_array.flags.writeable
+    assert not fig2a(3).edge_array.flags.writeable
+    with pytest.raises(ValueError):
+        Arena(("a",), (Player.MAX,), rows.astype(np.int32), frozenset(), Objective.TP)
+
+
+def test_arena_is_immutable_and_copies_by_value():
+    import copy
+    import pickle
+
+    arena = fig2a(3)
+    from_array = Arena(arena.names, arena.owners, arena.edge_array, arena.targets, arena.objective)
+    for a in (arena, from_array):
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        arena.names = ("x",)
+    with pytest.raises(AttributeError):
+        del arena.targets
+
+
+def test_index_by_name():
+    arena = make_arena(["p", "q", "r"], [Player.MAX] * 3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+    assert [arena.index(name) for name in ("p", "q", "r")] == [0, 1, 2]
+    with pytest.raises(KeyError, match="no vertex named 's'"):
+        arena.index("s")
+    # Unvalidated repeated names: the first one wins, as with tuple.index.
+    twice = Arena(("p", "q", "p"), (Player.MAX,) * 3, (), frozenset(), Objective.TP)
+    assert twice.index("p") == 0
+
+
+def _normalize_by_tuples(arena):
+    """The rewiring of ``normalize_target`` on the edge tuples."""
+    t = arena.n
+    edges = [e for e in arena.edges if e[0] not in arena.targets]
+    edges += [(old, t, 0) for old in sorted(arena.targets)] + [(t, t, 0)]
+    return edges
+
+
+def test_normalize_on_the_array_matches_the_tuple_rewiring():
+    rng = random.Random(3)
+    for _ in range(200):
+        arena = random_arena(rng, 12, 4, Objective.MCR)
+        norm = normalize_target(arena)
+        if norm is arena:
+            continue
+        assert norm.edges == tuple(sorted(_normalize_by_tuples(arena)))
+        assert norm.names == arena.names + ("t",) and norm.targets == frozenset({arena.n})
+
+
+def test_file_to_values_builds_no_edge_tuples():
+    from quantgames.gamefile import parse
+    from quantgames.mcr import solve_mcr
+
+    arena = parse("objective mcr\nvertex a min\nvertex b max target\nedge a b 3\nedge a a 1\nedge b a 0\n")
+    norm = normalize_target(arena)
+    solve_mcr(norm)
+    assert arena._edges is None and norm._edges is None

@@ -229,3 +229,66 @@ def test_minimizer_shrinks_under_predicate():
     for drop in range(small.n):
         sub = _induced(small, [v for v in range(small.n) if v != drop])
         assert sub is None or not has_negative_edge(sub)
+
+
+def _trace_by_element(raw):
+    from quantgames._engine import ext_of_raw
+    from quantgames.extvalue import to_json
+
+    return "".join(
+        "\t".join(str(to_json(ext_of_raw(r))) for r in row) + "\n" for row in raw.tolist()
+    )
+
+
+def test_trace_writer_matches_the_per_element_formula(monkeypatch):
+    import io
+    import random
+
+    import numpy as np
+
+    from quantgames import _engine as eng
+    from quantgames import cli
+    from quantgames.gamefile import parse
+    from quantgames.mcr import solve_mcr
+
+    pos, neg, snap = int(eng.POS), int(eng.NEG), int(eng.SNAP)
+    rng = random.Random(4)
+    boundary = [pos, neg, pos + 3, neg - 3, snap - 1, -(snap - 1), 0, -1, 4611686018427387, -461168601842738790]
+    raw = np.array(
+        [[rng.choice(boundary + [rng.randint(-snap + 1, snap - 1)]) for _ in range(37)] for _ in range(50)],
+        dtype=np.int64,
+    )
+    # Min may loop on c's -1 edge as long as it likes before leaving, so c
+    # is worth -inf; b loops forever, so it is worth +inf.
+    arena = parse(
+        "objective mcr\nvertex a max\nvertex b max\nvertex c min\nvertex t max target\n"
+        "edge a c 2\nedge a t 5\nedge b b 1\nedge c c -1\nedge c t 0\nedge t t 0\n"
+    )
+    solved = solve_mcr(arena, with_trace=True).trace.raw
+    assert (solved == pos).any() and (solved == neg).any()
+    for matrix in (raw, solved, raw[:0]):
+        for block in (1 << 16, 1, 100):
+            monkeypatch.setattr(cli, "TRACE_BLOCK_VALUES", block)
+            fh = io.StringIO()
+            cli.write_trace(fh, matrix)
+            assert fh.getvalue() == _trace_by_element(matrix)
+
+
+def test_strategy_notes_a_dropped_decision_table(tmp_path, capsys):
+    # fig2a's rewind machine has 2W + 4 states; the table is written up
+    # to 4,096 states.
+    for W, states in ((2000, 4004), (2100, 4204)):
+        path = _gen(tmp_path, "fig2a", W=W)
+        capsys.readouterr()
+        assert run(["strategy", path, "--player", "min"]) == 0
+        out, err = capsys.readouterr()
+        moore = json.loads(out.split("--- min_moore ---\n")[1])
+        assert moore["memory_size"] == states
+        if states <= 4096:
+            assert "decision" in moore and err == ""
+        else:
+            assert "decision" not in moore
+            assert err == (
+                f"note: min_moore: the Moore machine has {states} states, above the cap "
+                "of 4096; its decision table is left out\n"
+            )

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -174,3 +175,31 @@ def test_results_json_infinity_literal():
     res = solve_mcr(arena)
     doc = json.loads(write_results_json(res.values, res.stats).decode())
     assert doc["values"]["a"] == "+inf"
+
+
+def test_results_json_bytes_equal_json_dumps():
+    from quantgames.extvalue import MINUS_INF, PLUS_INF, to_json
+    from quantgames.mcr import SolveStats
+
+    rng = random.Random(9)
+    for n in (1, 2, 7, 300):
+        arena = layered(n, 3)
+        values = ValueVector(
+            arena,
+            [rng.choice([PLUS_INF, MINUS_INF, 0, rng.randint(-10**15, 10**15)]) for _ in range(arena.n)],
+        )
+        stats = SolveStats(outer_iterations=n, inner_iterations=2 * n, sweeps=3, wall_ms=1.25)
+        for strategies in (None, {"max": {"a0": "b0"}}):
+            doc = {
+                "values": {name: to_json(v) for name, v in values.items()},
+                "stats": {
+                    "outer_iterations": n,
+                    "inner_iterations": 2 * n,
+                    "sweeps": 3,
+                    "wall_ms": 1.25,
+                },
+            }
+            if strategies is not None:
+                doc["strategies"] = strategies
+            want = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+            assert write_results_json(values, stats, strategies) == want
