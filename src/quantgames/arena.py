@@ -6,8 +6,9 @@ solver in this package assumes a validated arena.
 
 ``Arena.edge_array`` is the stored form of the edges: ``[E, 3]`` int64
 rows ``(src, dst, w)``, sorted and read-only.  Validation, the compiled
-solver arrays, ``max_abs_weight`` and ``normalize_target`` read it, and
-the parser and ``normalize_target`` build arenas from such arrays.
+solver arrays, ``max_abs_weight`` and the derived games read it; the
+parser, ``normalize_target`` and the derived games build arenas from such
+rows (``edge_rows``) and name their new vertices with ``fresh_names``.
 ``Arena.edges``, the sorted ``(src, dst, w)`` tuples, is built lazily
 from it on first use.  An arena built from tuples, as the generators and
 tests do, keeps them and builds the array on first use instead.  The
@@ -25,7 +26,7 @@ import os
 import re
 from functools import partial
 from enum import Enum
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -228,9 +229,6 @@ class Arena:
     def is_target(self, v: int) -> bool:
         return v in self.targets
 
-    def owner(self, v: int) -> Player:
-        return self.owners[v]
-
 
 def _sorted_rows(arr: np.ndarray) -> np.ndarray:
     """A read-only view of the ``[E, 3]`` int64 rows ``arr``, sorted as
@@ -343,14 +341,31 @@ def is_normalized_mcr(arena: Arena) -> bool:
     return bool(hi - lo == 1 and arr[lo, 1] == t and arr[lo, 2] == 0)
 
 
-def fresh_name(taken: Iterable[str], base: str) -> str:
+def edge_rows(src, dst, w=0) -> np.ndarray:
+    """``[E, 3]`` int64 edge rows ``(src, dst, w)`` from the three
+    broadcast against each other and flattened."""
+    rows = np.stack(np.broadcast_arrays(src, dst, w), -1)
+    return rows.reshape(-1, 3).astype(np.int64, copy=False)
+
+
+def fresh_names(taken: Iterable[str], wanted: Iterable[str]) -> List[str]:
+    """Names for new vertices, the one allocator of the derived games.
+
+    Each wanted name is kept unless ``taken`` or an earlier name of this
+    call holds it; then it gets the first free numeric suffix (``t`` ->
+    ``t0``, ``t1``, ...).  One set is built per call, not one per name.
+    """
     used = set(taken)
-    if base not in used:
-        return base
-    i = 0
-    while f"{base}{i}" in used:
-        i += 1
-    return f"{base}{i}"
+    out = []
+    for base in wanted:
+        name = base
+        i = 0
+        while name in used:
+            name = f"{base}{i}"
+            i += 1
+        used.add(name)
+        out.append(name)
+    return out
 
 
 def normalize_target(arena: Arena) -> Arena:
@@ -370,16 +385,15 @@ def normalize_target(arena: Arena) -> Arena:
     if is_normalized_mcr(arena):
         return arena
     t = arena.n
-    names = arena.names + (fresh_name(arena.names, "t"),)
+    names = arena.names + tuple(fresh_names(arena.names, ["t"]))
     owners = arena.owners + (Player.MAX,)
     arr = arena.edge_array
     olds = np.array(sorted(arena.targets), dtype=np.int64)
     is_target = np.zeros(t, dtype=bool)
     is_target[olds] = True
     kept = arr[~is_target[arr[:, 0]]]
-    forward = np.column_stack((olds, np.full_like(olds, t), np.zeros_like(olds)))
-    edges = np.insert(kept, np.searchsorted(kept[:, 0], olds), forward, axis=0)
-    edges = np.concatenate((edges, np.array([[t, t, 0]], dtype=np.int64)))
+    edges = np.insert(kept, np.searchsorted(kept[:, 0], olds), edge_rows(olds, t), axis=0)
+    edges = np.concatenate((edges, edge_rows(t, t)))
     return make_arena(names, owners, edges, [t], Objective.MCR)
 
 
@@ -422,7 +436,8 @@ class ValueVector:
 
 
 def scale_weights(arena: Arena, c: int) -> Arena:
-    """Multiply all edge weights by a positive integer c."""
+    """Multiply all edge weights by a positive integer c.  The products are
+    Python ints, so ``validate`` sees an overflow that int64 would wrap."""
     if c <= 0:
         raise ValueError("scale factor must be positive")
     edges = tuple((s, d, w * c) for s, d, w in arena.edges)

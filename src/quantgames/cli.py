@@ -3,7 +3,7 @@
 Subcommands: solve, strategy, check, gen, bench, play, convert.  Output is
 deterministic byte-for-byte across runs unless --stats adds wall-clock
 fields.  Exit codes: 0 ok, 1 check mismatch, 2 parse/validation error,
-bad argument or unreadable/unwritable file.
+bad argument, unreadable/unwritable file or stdin closed during ``play``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import random
 import sys
-from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -46,27 +45,25 @@ from .strategies import (
 from .tp import build_game_Y, solve_tp
 
 
-def _solve_dispatch(arena: Arena, accel: str, path_cap: int):
-    """Solve per the arena's objective; returns (values on the input's
-    vertices, stats, normalized arena or None)."""
-    oracle = None
-    if accel == "scc":
-        oracle = accel_mod.no_clamp_oracle
-    elif accel == "scc+paths":
-        oracle = partial(accel_mod.simple_path_oracle, cap=path_cap)
+ORACLES = {"none": None, "scc": accel_mod.no_clamp_oracle, "scc+paths": accel_mod.simple_path_oracle}
+
+
+def _solve_dispatch(arena: Arena, accel: str):
+    """Solve per the arena's objective; returns the values on the input's
+    vertices and the stats."""
+    oracle = ORACLES[accel]
     if arena.objective is Objective.MCR:
         norm = normalize_target(arena)
         if oracle is None:
             res = solve_mcr(norm)
         else:
             res = accel_mod.solve_mcr_accelerated(norm, oracle)
-        values = ValueVector(arena, res.values.values[: arena.n])
-        return values, res.stats, norm
+        return ValueVector(arena, res.values.values[: arena.n]), res.stats
     if oracle is None:
         res = solve_tp(arena)
     else:
         res = accel_mod.solve_tp_accelerated(arena, oracle)
-    return res.values, res.stats, None
+    return res.values, res.stats
 
 
 def _print_values(values: ValueVector) -> None:
@@ -96,7 +93,7 @@ def cmd_solve(args) -> int:
         values = ValueVector(arena, res.values.values[: arena.n])
         stats = res.stats
     else:
-        values, stats, _ = _solve_dispatch(arena, args.accel, args.path_cap)
+        values, stats = _solve_dispatch(arena, args.accel)
     if args.json:
         sys.stdout.buffer.write(gamefile.write_results_json(values, stats))
     else:
@@ -306,7 +303,7 @@ def cmd_bench(args) -> int:
         for n in [int(x) for x in args.n_list.split(",")]:
             spec = gamefile.FamilySpec(args.family, W=W, n=n)
             arena = gamefile.generate(spec)
-            values, stats, _ = _solve_dispatch(arena, args.accel, args.path_cap)
+            values, stats = _solve_dispatch(arena, args.accel)
             rows.append(
                 f"{args.family},{W},{n},{args.accel},{stats.outer_iterations},"
                 f"{stats.inner_iterations},{stats.wall_ms},{_values_hash(values)}"
@@ -388,8 +385,7 @@ def cmd_convert(args) -> int:
     arena = _load(args.file)
     annot = None
     if args.annotate:
-        values, _, _ = _solve_dispatch(arena, "none", accel_mod.DEFAULT_PATH_CAP)
-        annot = values
+        annot, _ = _solve_dispatch(arena, "none")
     blob = gamefile.export_dot(arena, annot)
     if args.output:
         with open(args.output, "wb") as fh:
@@ -410,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a game file")
     p.add_argument("file")
-    p.add_argument("--accel", choices=["none", "scc", "scc+paths"], default="none")
-    p.add_argument("--path-cap", type=int, default=accel_mod.DEFAULT_PATH_CAP)
+    p.add_argument("--accel", choices=list(ORACLES), default="none")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--trace", metavar="FILE")
     p.add_argument("--json", action="store_true")
@@ -439,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="layered")
     p.add_argument("--W-list", default="50")
     p.add_argument("--n-list", default="100")
-    p.add_argument("--accel", choices=["none", "scc", "scc+paths"], default="none")
-    p.add_argument("--path-cap", type=int, default=accel_mod.DEFAULT_PATH_CAP)
+    p.add_argument("--accel", choices=list(ORACLES), default="none")
     p.add_argument("--csv", metavar="FILE")
     p.set_defaults(func=cmd_bench)
 

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .arena import Arena, Objective, Player, make_arena, validate
+from .arena import Arena, CapExceededError, Objective, Player, make_arena, validate, vertex_cap
 from .extvalue import to_json
 
 
@@ -380,6 +380,8 @@ def generate(spec: FamilySpec) -> Arena:
             Objective.MCR,
         )
     else:  # layered
+        if 3 * n + 1 > vertex_cap():
+            raise CapExceededError(f"{3 * n + 1} vertices exceed the cap {vertex_cap()}")
         objective = spec.objective or Objective.TP
         names: List[str] = []
         owners: List[Player] = []

@@ -4,7 +4,7 @@ The solver iterates the one-step optimality operator from above (Knaster-
 Tarski greatest fixed point), with an early drop to -inf once a vertex is
 provably improvable without bound.  Also home to the mean-payoff sign
 classifier and the mean-payoff-to-reachability reduction used to validate
-the -inf rule.
+the -inf rule; the reduction is built on the input's int64 edge array.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from .arena import (
     Objective,
     Player,
     ValueVector,
-    fresh_name,
+    edge_rows,
+    fresh_names,
     is_normalized_mcr,
     make_arena,
     max_abs_weight,
+    validate,
 )
 
 
@@ -165,39 +167,38 @@ def mp_sign(arena: Arena) -> Dict[int, Sign]:
 
 
 def make_bipartite(arena: Arena) -> Arena:
-    """Insert a relay of the opposite owner on every same-owner edge."""
-    names = list(arena.names)
-    owners = list(arena.owners)
-    edges = []
-    for s, d, w in arena.edges:
-        if arena.owners[s] is arena.owners[d]:
-            r = len(names)
-            names.append(fresh_name(names, f"r{s}_{d}"))
-            owners.append(arena.owners[s].opponent())
-            edges.append((s, r, w))
-            edges.append((r, d, 0))
-        else:
-            edges.append((s, d, w))
+    """Insert a relay of the opposite owner on every same-owner edge.
+
+    The relay of the k-th same-owner edge (s, d), in edge order, is vertex
+    n + k, named ``r{s}_{d}`` unless that name is taken; it takes the
+    edge's weight in and forwards to d for free.
+    """
+    validate(arena)
+    src, dst, _ = arena.edge_array.T
+    is_max = np.array([o is Player.MAX for o in arena.owners])
+    same = np.flatnonzero(is_max[src] == is_max[dst])
+    pairs = arena.edge_array[same, :2].tolist()
+    relays = np.arange(arena.n, arena.n + len(same))
+    names = arena.names + tuple(fresh_names(arena.names, [f"r{s}_{d}" for s, d in pairs]))
+    owners = arena.owners + tuple(arena.owners[s].opponent() for s, _ in pairs)
+    edges = arena.edge_array.copy()
+    edges[same, 1] = relays
+    edges = np.concatenate((edges, edge_rows(relays, dst[same])))
     return make_arena(names, owners, edges, arena.targets, arena.objective)
 
 
 def mp_to_mcr(arena: Arena) -> Arena:
     """Reduce a mean-payoff game to min-cost reachability.
 
-    The image is bipartite with a fresh Max target; every Min vertex gains
-    a free escape to the target.  A vertex has negative mean payoff exactly
-    when its image has reachability value -inf.  Original vertices keep
-    their indices.
+    The image is ``make_bipartite``'s with a fresh Max target; every Min
+    vertex gains a free escape to the target.  A vertex has negative mean
+    payoff exactly when its image has reachability value -inf.  Original
+    vertices keep their indices.
     """
-    bip = make_bipartite(
-        make_arena(arena.names, arena.owners, arena.edges, [], Objective.TP)
-    )
+    bip = make_bipartite(arena)
     t = bip.n
-    names = bip.names + (fresh_name(bip.names, "t"),)
+    names = bip.names + tuple(fresh_names(bip.names, ["t"]))
     owners = bip.owners + (Player.MAX,)
-    edges = list(bip.edges)
-    for v in range(bip.n):
-        if bip.owners[v] is Player.MIN:
-            edges.append((v, t, 0))
-    edges.append((t, t, 0))
+    mins = np.flatnonzero([o is Player.MIN for o in bip.owners])
+    edges = np.concatenate((bip.edge_array, edge_rows(mins, t), edge_rows(t, t)))
     return make_arena(names, owners, edges, [t], Objective.MCR)

@@ -45,9 +45,6 @@ class MemorylessStrategy:
     player: Player
     choice: Dict[int, int]
 
-    def decision(self, v: int) -> int:
-        return self.choice[v]
-
 
 @dataclass(frozen=True)
 class DecisionTable:

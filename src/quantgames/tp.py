@@ -3,7 +3,10 @@
 The outer vector climbs from -inf toward the game values; each outer pass
 runs a reachability-style inner iteration in which every successor value is
 truncated by the current outer vector (Min's standing offer to stop).  The
-stop-request game constructions used to validate the solver are also here.
+stop-request game constructions used to validate the solver are also here:
+the one-copy game Y and the n-copy unfolding.  Both are built from the
+input's int64 edge array, read the outer vector as raw int64, and name
+their new vertices through ``arena.fresh_names``.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from .arena import (
     Objective,
     Player,
     ValueVector,
+    edge_rows,
+    fresh_names,
     make_arena,
     max_abs_weight,
     validate,
     vertex_cap,
 )
-from .extvalue import MINUS_INF, PLUS_INF
 from .mcr import Sign, SolveStats, mp_sign, sweep_bound
 
 
@@ -83,43 +87,39 @@ def build_game_Y(arena: Arena, y: ValueVector) -> Arena:
     interior stop-request vertex of i, vertex 2n is the target.  Moving
     along an original edge enters the successor's interior vertex, where
     Min chooses between continuing (free) and stopping for max(0, y).
-    Stopping is unavailable where y is +inf.
+    Stopping is unavailable where y is +inf.  The interiors are named
+    ``in_<name>`` and the target ``t`` unless those names are taken.
     """
     validate(arena)
     n = arena.n
-    taken = set(arena.names)
-    int_names = []
-    for name in arena.names:
-        cand = f"in_{name}"
-        while cand in taken:
-            cand += "_"
-        taken.add(cand)
-        int_names.append(cand)
-    t_name = "t"
-    while t_name in taken:
-        t_name += "_"
-    names = arena.names + tuple(int_names) + (t_name,)
-    owners = arena.owners + tuple(Player.MIN for _ in range(n)) + (Player.MAX,)
     t = 2 * n
-    edges = [(s, n + d, w) for s, d, w in arena.edges]
-    for v in range(n):
-        edges.append((n + v, v, 0))
-        yv = y[v]
-        if yv is not PLUS_INF:
-            stop = 0 if yv is MINUS_INF else max(0, yv)
-            edges.append((n + v, t, stop))
-    edges.append((t, t, 0))
+    wanted = [f"in_{name}" for name in arena.names] + ["t"]
+    names = arena.names + tuple(fresh_names(arena.names, wanted))
+    owners = arena.owners + (Player.MIN,) * n + (Player.MAX,)
+    src, dst, w = arena.edge_array.T
+    v = np.arange(n)
+    raw = eng.to_array(y)
+    stops = np.flatnonzero(raw != eng.POS)
+    edges = np.concatenate((
+        edge_rows(src, n + dst, w),
+        edge_rows(n + v, v),
+        edge_rows(n + stops, t, np.maximum(raw[stops], 0)),
+        edge_rows(t, t),
+    ))
     return make_arena(names, owners, edges, [t], Objective.MCR)
 
 
 def build_unfolding(arena: Arena, n_copies: int) -> Tuple[Arena, Dict[int, int]]:
     """Layered reachability game with n stop requests.
 
-    Copy j in 1..n holds three vertices per original vertex v: the copy
-    (v,j), its interior (in,v,j) where Min may request to stop, and its
-    exterior (ex,v,j) where Max either accepts (to the target) or vetoes
-    (down to copy j-1; absent for j=1).  Only copy edges carry the original
-    weights.  Returns the arena and the map v -> index of (v, n).
+    Copy j in 1..n holds three vertices per original vertex v, at indices
+    3n(j-1) + v, + n + v and + 2n + v: the copy (v,j), named
+    ``<name>_c<j>``; its interior (in,v,j), ``in_<name>_c<j>``, where Min
+    may request to stop; and its exterior (ex,v,j), ``ex_<name>_c<j>``,
+    where Max either accepts (to the target ``t``, the last vertex) or
+    vetoes (down to copy j-1; absent for j=1).  A name that an earlier
+    vertex already holds gets a numeric suffix.  Only copy edges carry the
+    original weights.  Returns the arena and the map v -> index of (v, n).
     """
     validate(arena)
     if n_copies < 1:
@@ -128,41 +128,27 @@ def build_unfolding(arena: Arena, n_copies: int) -> Tuple[Arena, Dict[int, int]]
     total = 3 * n * n_copies + 1
     if total > vertex_cap():
         raise CapExceededError(f"unfolding needs {total} vertices, cap is {vertex_cap()}")
-
-    def copy_ix(v: int, j: int) -> int:
-        return 3 * n * (j - 1) + v
-
-    def int_ix(v: int, j: int) -> int:
-        return 3 * n * (j - 1) + n + v
-
-    def ext_ix(v: int, j: int) -> int:
-        return 3 * n * (j - 1) + 2 * n + v
-
-    t = 3 * n * n_copies
-    names = []
-    owners = []
-    for j in range(1, n_copies + 1):
-        for v in range(n):
-            names.append(f"{arena.names[v]}_c{j}")
-            owners.append(arena.owners[v])
-        for v in range(n):
-            names.append(f"in_{arena.names[v]}_c{j}")
-            owners.append(Player.MIN)
-        for v in range(n):
-            names.append(f"ex_{arena.names[v]}_c{j}")
-            owners.append(Player.MAX)
-    names.append("t")
-    owners.append(Player.MAX)
-    edges = [(t, t, 0)]
-    for j in range(1, n_copies + 1):
-        for s, d, w in arena.edges:
-            edges.append((copy_ix(s, j), int_ix(d, j), w))
-        for v in range(n):
-            edges.append((int_ix(v, j), copy_ix(v, j), 0))
-            edges.append((int_ix(v, j), ext_ix(v, j), 0))
-            edges.append((ext_ix(v, j), t, 0))
-            if j > 1:
-                edges.append((ext_ix(v, j), copy_ix(v, j - 1), 0))
+    t = total - 1
+    wanted = [
+        f"{role}{name}_c{j}"
+        for j in range(1, n_copies + 1)
+        for role in ("", "in_", "ex_")
+        for name in arena.names
+    ]
+    names = fresh_names((), wanted + ["t"])
+    owners = (arena.owners + (Player.MIN,) * n + (Player.MAX,) * n) * n_copies + (Player.MAX,)
+    src, dst, w = arena.edge_array.T
+    base = 3 * n * np.arange(n_copies)[:, None]
+    copy = base + np.arange(n)
+    inner = copy + n
+    outer = copy + 2 * n
+    edges = np.concatenate((
+        edge_rows(base + src, base + n + dst, w),
+        edge_rows(inner, copy),
+        edge_rows(inner, outer),
+        edge_rows(outer, t),
+        edge_rows(outer[1:], copy[:-1]),
+        edge_rows(t, t),
+    ))
     unfolded = make_arena(names, owners, edges, [t], Objective.MCR)
-    top = {v: copy_ix(v, n_copies) for v in range(n)}
-    return unfolded, top
+    return unfolded, dict(enumerate(copy[-1].tolist()))

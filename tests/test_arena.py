@@ -10,6 +10,7 @@ from quantgames.arena import (
     Objective,
     Player,
     WeightOverflowError,
+    fresh_names,
     make_arena,
     max_abs_weight,
     normalize_target,
@@ -88,6 +89,12 @@ def test_normalize_two_targets():
     assert norm.has_edge(1, t) and norm.weight(1, t) == 0
     assert norm.successors(t) == ((t, 0),)
     assert normalize_target(norm) is norm
+
+
+def test_fresh_names_keeps_free_names_and_suffixes_taken_ones():
+    assert fresh_names(["a", "t"], ["t", "b", "t", "t0"]) == ["t0", "b", "t1", "t00"]
+    assert fresh_names((), ["x", "x", "x"]) == ["x", "x0", "x1"]
+    assert fresh_names(["t", "t0", "t1"], ["t"]) == ["t2"]
 
 
 def test_normalize_preserves_values():

@@ -49,7 +49,7 @@ def test_solve_accel_modes_agree(tmp_path):
     path = _gen(tmp_path, "layered", W=9, n=6)
     plain = _run(["solve", path]).stdout
     scc = _run(["solve", path, "--accel", "scc"]).stdout
-    paths = _run(["solve", path, "--accel", "scc+paths", "--path-cap", "64"]).stdout
+    paths = _run(["solve", path, "--accel", "scc+paths"]).stdout
     assert plain == scc == paths
 
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from quantgames.arena import Objective, Player, validate
+from quantgames import gamefile
+from quantgames.arena import CapExceededError, Objective, Player, validate
 from quantgames.gamefile import (
     FAMILIES,
     DuplicateVertexError,
@@ -127,6 +128,18 @@ def test_layered_counts():
 def test_fig2a_structure_counts():
     arena = fig2a(50)
     assert arena.n == 3 and len(arena.edges) == 5
+
+
+def test_layered_checks_the_vertex_cap_before_building(monkeypatch):
+    monkeypatch.setenv("QG_MAX_VERTICES", "10")
+    assert generate(FamilySpec("layered", n=3)).n == 10
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the layered lists were built past the cap")
+
+    monkeypatch.setattr(gamefile, "make_arena", unreachable)
+    with pytest.raises(CapExceededError, match="13 vertices exceed the cap 10"):
+        generate(FamilySpec("layered", n=4))
 
 
 def test_bad_family_params():

@@ -6,18 +6,23 @@ import pytest
 
 from quantgames import _engine as eng
 
+from quantgames import arena as arena_mod
+from quantgames import mcr as mcr_mod
+from quantgames import tp as tp_mod
 from quantgames.arena import (
     ArenaError,
     CapExceededError,
     Objective,
     Player,
+    ValueVector,
     make_arena,
     normalize_target,
     scale_weights,
 )
 from quantgames.cli import random_arena
 from quantgames.extvalue import MINUS_INF, PLUS_INF, is_finite
-from quantgames.mcr import Sign, mp_sign, mp_to_mcr, solve_mcr, sweep_bound
+from quantgames.mcr import Sign, make_bipartite, mp_sign, mp_to_mcr, solve_mcr, sweep_bound
+from quantgames.tp import build_game_Y, build_unfolding
 from quantgames.oracle import mcr_oracle, mp_oracle
 
 from conftest import fig2a, layered, prune_to_attractor, single_vertex
@@ -215,3 +220,38 @@ def test_mp_to_mcr_random():
         exact = mp_oracle(arena)
         for v in range(arena.n):
             assert (exact[v] < 0) == (vals[v] is MINUS_INF)
+
+
+# construction -> (module whose fresh_names it calls, call, allocator calls)
+CONSTRUCTIONS = {
+    "make_bipartite": (mcr_mod, make_bipartite, 1),
+    "mp_to_mcr": (mcr_mod, mp_to_mcr, 2),  # its bipartite image, then its target
+    "build_game_Y": (tp_mod, lambda a: build_game_Y(a, ValueVector(a, [0] * a.n)), 1),
+    "build_unfolding": (tp_mod, lambda a: build_unfolding(a, 2)[0], 1),
+    "normalize_target": (arena_mod, normalize_target, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_derived_games_name_fresh_vertices_with_one_allocator_call(name, monkeypatch):
+    """The allocator runs a fixed number of times per construction and
+    reads O(|result|) names, at every size; every edge of the all-Max
+    arena below needs a relay in ``make_bipartite``."""
+    module, build, expected_calls = CONSTRUCTIONS[name]
+    real = arena_mod.fresh_names
+    work = []
+
+    def counting(taken, wanted):
+        taken, wanted = list(taken), list(wanted)
+        work.append(len(taken) + len(wanted))
+        return real(taken, wanted)
+
+    monkeypatch.setattr(module, "fresh_names", counting)
+    for n in (30, 300):
+        work.clear()
+        edges = [(v, (v + k) % n, 1) for v in range(n) for k in (1, 2)]
+        arena = make_arena([f"v{i}" for i in range(n)], [Player.MAX] * n, edges, [0, 1], Objective.MCR)
+        result = build(arena)
+        assert len(work) == expected_calls
+        assert sum(work) <= 2 * result.n
+        assert len(set(result.names)) == result.n

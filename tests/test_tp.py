@@ -136,24 +136,59 @@ def test_unfolding_cap_guard(monkeypatch):
         build_unfolding(fig2a(4, Objective.TP), 5)
 
 
+def _assert_unfolding_reproduces_tp_values(arena):
+    unf, top = build_unfolding(arena, k_bound(arena))
+    uv = solve_mcr(unf).values
+    tv = solve_tp(arena).values
+    W = max(abs(w) for _, _, w in arena.edges)
+    cut = (arena.n - 1) * W + 1
+    for v in range(arena.n):
+        if tv[v] is PLUS_INF:
+            assert uv[top[v]] is PLUS_INF or uv[top[v]] >= cut
+        else:
+            got = uv[top[v]]
+            assert got == tv[v] or got is tv[v]
+            if is_finite(tv[v]):
+                assert got < cut
+
+
 def test_unfolding_reproduces_tp_values():
     rng = random.Random(24)
     for _ in range(12):
-        arena = random_arena(rng, 3, 2, Objective.TP)
-        K = k_bound(arena)
-        unf, top = build_unfolding(arena, K)
-        uv = solve_mcr(unf).values
-        tv = solve_tp(arena).values
-        W = max(abs(w) for _, _, w in arena.edges)
-        cut = (arena.n - 1) * W + 1
-        for v in range(arena.n):
-            if tv[v] is PLUS_INF:
-                assert uv[top[v]] is PLUS_INF or uv[top[v]] >= cut
-            else:
-                got = uv[top[v]]
-                assert got == tv[v] or got is tv[v]
-                if is_finite(tv[v]):
-                    assert got < cut
+        _assert_unfolding_reproduces_tp_values(random_arena(rng, 3, 2, Objective.TP))
+
+
+def test_unfolding_names_role_prefixed_vertices_apart():
+    # The interior of `a` in copy 1 and the copy of `in_a` both want the
+    # name in_a_c1 (and ex_a_c1 likewise); the later one gets a suffix.
+    arena = make_arena(
+        ["a", "in_a", "ex_a"],
+        [Player.MAX, Player.MIN, Player.MAX],
+        [(0, 1, 1), (1, 0, -1), (1, 2, 2), (2, 0, 0), (2, 2, -1)],
+        [],
+        Objective.TP,
+    )
+    unf, top = build_unfolding(arena, 2)
+    assert unf.names[:9] == (
+        "a_c1", "in_a_c1", "ex_a_c1",
+        "in_a_c10", "in_in_a_c1", "in_ex_a_c1",
+        "ex_a_c10", "ex_in_a_c1", "ex_ex_a_c1",
+    )
+    assert len(set(unf.names)) == unf.n and unf.names[-1] == "t"
+    assert top == {0: 9, 1: 10, 2: 11}
+    _assert_unfolding_reproduces_tp_values(arena)
+
+
+def test_game_y_names_interiors_and_target_apart():
+    arena = make_arena(
+        ["t", "in_t"], [Player.MAX, Player.MIN], [(0, 1, 2), (1, 0, -1), (1, 1, 0)], [], Objective.TP
+    )
+    tpv = solve_tp(arena).values
+    gy = build_game_Y(arena, tpv)
+    assert gy.names == ("t", "in_t", "in_t0", "in_in_t", "t0")
+    assert gy.targets == frozenset([4])
+    gyv = solve_mcr(gy).values
+    assert [gyv[v] for v in range(arena.n)] == list(tpv)
 
 
 def test_classify_examples():
