@@ -23,12 +23,11 @@ the slice of one strongly connected component.  Contract:
 - ``sweep`` is one Jacobi pass: the members' new values, all computed from
   the old vector.  Vertices outside the slice are read, never written.  It
   does one reduction, not a max and a min: each candidate is multiplied by
-  its edge's sign (+1 from a Max vertex, -1 from a Min vertex), one
-  ``np.maximum.reduceat`` runs, and the result is multiplied by the
-  vertex's sign, since min(a) = -max(-a).  The sign is folded into the
-  weights when the slice is built (``swt = wt * edge_sign``), so a
-  candidate costs one multiply and one add.  Saturation survives the sign
-  flip only because ``NEG == -POS``.
+  its member's sign (+1 for a Max vertex, -1 for a Min vertex), one
+  maximum is taken per member, and the result is multiplied by the sign
+  again, since min(a) = -max(-a).  The sign is folded into the weights
+  when the slice is built, so a candidate costs one multiply and one add.
+  Saturation survives the sign flip only because ``NEG == -POS``.
 - ``fixpoint`` sweeps until the members stop changing.  After each sweep a
   post-step touches the members only: values below ``cutoff`` drop to -inf
   (descending) or values above ``lift`` rise to +inf (ascending), fused
@@ -43,12 +42,38 @@ the slice of one strongly connected component.  Contract:
   slice and its out-edges only, so solving the components of an arena one
   after another costs time linear in the arena, not quadratic.
 
+Column form.  A sweep reads the edges in the padded-column (ELL) layout of
+Bell and Garland, "Implementing sparse matrix-vector multiplication on
+throughput-oriented processors" (SC 2009), not in CSR order.  A slice of
+k members and E edges has width D = min(max out-degree, ceil(2E/k)), and
+its ``cols`` (a ``ColumnForm``) hold its destinations, edge signs and
+signed weights as row-major ``[D, k]`` tables ``cdst``, ``csign`` and
+``cswt``: row j holds each member's j-th out-edge, and a member with
+fewer than D edges repeats its last one.  A repeated candidate changes
+neither a max nor a min, so the padding is exact.  ``csign`` repeats the member signs down the rows, so that the sign
+multiply meets an array of its own shape; a broadcast multiply costs
+about 1 us more per call on small slices.
+
+The per-member maximum is then a halving over the rows: ``np.maximum`` of
+the top half of the live rows into the bottom half, ceil(log2 D) calls in
+all (one for D = 2), the last writing a fresh array.  Each call is
+elementwise over whole rows, where ``np.maximum.reduceat`` pays a fixed
+cost per member however short its edge list.  Edges past column D go to a
+CSR ``overflow`` that only members with more than D edges use; one
+``reduceat`` over it runs only when it is not empty.  Each table holds
+D*k <= 2E + k entries, even on a star graph, and the overflow at most E.
+The tables replace the CSR signed weights and edge signs, which only the
+sweep read; ``dst``, ``wt`` and ``starts`` stay for the certificate and
+the strategy code.
+
 Component layout.  ``ComponentLayout`` copies the compiled edge arrays
 once, sorted by component: vertices in the order of the concatenated
 components, each component's members sorted, and every vertex's edges
-after it.  The signs, the signed weights and the cycle-sign certificate's
-local indices are computed on that copy, so the view of one component is
-a set of basic slices of it, O(1) to build and sharing its memory.
+after it.  The signs, the column form (one contiguous ``[D_q, k_q]``
+block per component, each with its own width), the overflow and the
+cycle-sign certificate's local indices are computed on that copy, so the
+view of one component is a set of basic slices of it, O(1) to build and
+sharing its memory.
 
 Every operation broadcasts over a leading axis of weight rows: with ``wt``
 of shape ``[rows, E]``, vectors ``[rows, n]`` and ``cutoff``/``lift``
@@ -57,9 +82,10 @@ columns ``[rows, 1]``, one call solves every weight assignment of a graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,15 +96,46 @@ POS = np.int64(2**62)
 NEG = np.int64(-(2**62))
 SNAP = np.int64(2**61)  # finite values stay strictly inside +-SNAP
 
+_ROW0 = (Ellipsis, 0, slice(None))  # row 0 of a [..., D, k] column table
+_ROW1 = (Ellipsis, 1, slice(None))
+
 
 class UnsoundOracleError(RuntimeError):
     """A component clamped onto candidate tables failed to stabilize."""
 
 
+class Overflow(NamedTuple):
+    """The out-edges past a slice's column width, in CSR form over the
+    members that have them: ``members`` are positions within the slice,
+    member i's edges run from ``starts[i]`` to ``starts[i + 1]``, and
+    ``sign`` repeats each member's sign over its edges."""
+
+    members: np.ndarray
+    dst: np.ndarray
+    swt: np.ndarray
+    sign: np.ndarray
+    starts: np.ndarray
+
+
+class ColumnForm(NamedTuple):
+    """What a sweep reads of a slice (see the module docstring): the
+    ``[width, k]`` tables of destinations ``cdst``, edge signs ``csign``
+    and signed weights ``cswt``, the halving steps ``folds``, and the
+    ``overflow``, None when empty."""
+
+    cdst: np.ndarray
+    csign: np.ndarray
+    cswt: np.ndarray
+    folds: tuple
+    width: int
+    overflow: Optional[Overflow]
+
+
 @dataclass(eq=False)
 class EdgeSlice:
     """Member vertices and their out-edges; member i owns the edges
-    ``starts[i]`` up to ``starts[i + 1]`` of ``dst`` and ``wt``."""
+    ``starts[i]`` up to ``starts[i + 1]`` of ``dst`` and ``wt``.  The
+    sweep reads ``cols``, the slice's column form."""
 
     members: Union[np.ndarray, slice]  # slice(None) for every vertex
     dst: np.ndarray
@@ -86,18 +143,118 @@ class EdgeSlice:
     starts: np.ndarray
     is_max: np.ndarray
     sign: np.ndarray = field(init=False)  # per member: +1 Max, -1 Min
-    edge_sign: np.ndarray = field(init=False)  # sign of each edge's source
-    swt: np.ndarray = field(init=False)  # wt * edge_sign
 
     def __post_init__(self) -> None:
         self.sign = np.where(self.is_max, 1, -1).astype(np.int64, copy=False)
-        self.edge_sign = np.repeat(self.sign, out_degrees(self))
-        self.swt = self.wt * self.edge_sign
+
+    @functools.cached_property
+    def cols(self) -> ColumnForm:
+        """Built on first use: a compiled arena solved one component at a
+        time never sweeps whole.  A layout sets its views' directly."""
+        deg = out_degrees(self)
+        columns = _Columns(self.dst, self.wt, self.sign, deg, [len(deg)])
+        return columns.form(*columns.bounds[0].tolist())
 
 
 def out_degrees(sl: EdgeSlice) -> np.ndarray:
     """Edge count of each member of the slice."""
     return np.concatenate((sl.starts[1:], [len(sl.dst)])) - sl.starts
+
+
+@functools.lru_cache(maxsize=64)
+def _halving(width: int) -> tuple:
+    """The in-place steps that fold ``width`` rows into two (or one): each
+    a pair of index tuples, the top half of the live rows maxed into the
+    bottom half."""
+    steps = []
+    while width > 2:
+        half = width // 2
+        steps.append(((Ellipsis, slice(0, half), slice(None)),
+                      (Ellipsis, slice(width - half, width), slice(None))))
+        width -= half
+    return tuple(steps)
+
+
+class _Columns:
+    """The column form of consecutive groups of members with out-degrees
+    ``deg``: one group for a slice, one per component for a layout.
+
+    Group q of k_q members and E_q edges has width D_q = min(max degree,
+    ceil(2 E_q / k_q)) and a row-major ``[D_q, k_q]`` block, row j holding
+    each member's j-th edge, its last edge repeated past its degree; the
+    blocks lie one after another.  Edges past column D_q go to the
+    overflow, in member order.  ``cswt`` and ``ovf_swt`` are ``wt``
+    times each edge's sign, with any leading axis of weight rows.
+    """
+
+    def __init__(self, dst, wt, sign, deg, sizes) -> None:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        vstart = np.concatenate(([0], np.cumsum(sizes)))
+        ecum = np.concatenate(([0], np.cumsum(deg)))
+        maxdeg = np.zeros(len(sizes), dtype=np.int64)
+        full = sizes > 0
+        if full.any():
+            maxdeg[full] = np.maximum.reduceat(deg, vstart[:-1][full])
+        edges = ecum[vstart[1:]] - ecum[vstart[:-1]]
+        width = np.maximum(np.minimum(maxdeg, -(-2 * edges // np.maximum(sizes, 1))), 1)
+        coff = np.concatenate(([0], np.cumsum(width * sizes)))
+        wv = np.repeat(width, sizes)  # each member's width
+        pos = np.arange(len(deg)) - np.repeat(vstart[:-1], sizes)  # within its group
+        extra = deg - wv
+        ov = np.flatnonzero(extra > 0)
+        ocum = np.concatenate(([0], np.cumsum(extra[ov])))
+        oidx = np.repeat(ecum[ov + 1] - ocum[1:], extra[ov]) + np.arange(ocum[-1])
+        self.ovf_members = pos[ov]
+        self.ovf_dst = dst[oidx]
+        self.ovf_sign = np.repeat(sign[ov], extra[ov])
+        self.ovf_swt = wt[..., oidx] * self.ovf_sign
+        self.ovf_cum = ocum
+        # Row j of member p sits at slot[p] + j * stride[p].  Taking the
+        # members widest first makes those with a row j a prefix, so the
+        # rows cost O(entries) with O(members) scratch.
+        slot = np.repeat(coff[:-1], sizes) + pos
+        stride = np.repeat(sizes, sizes)
+        top = int(width.max(initial=0))
+        by_width = np.argsort(-wv, kind="stable")
+        live = len(wv) - np.cumsum(np.bincount(wv, minlength=top + 1))  # members wider than j
+        del extra, oidx, pos, wv  # free the scratch before the tables are allocated
+        cidx = np.empty(coff[-1], dtype=np.int64)
+        self.csign = np.empty(coff[-1], dtype=np.int64)
+        for j in range(top):
+            p = by_width[:live[j]]
+            at = slot[p] + j * stride[p]
+            cidx[at] = np.minimum(ecum[p] + j, ecum[p + 1] - 1)
+            self.csign[at] = sign[p]
+        del slot, stride, by_width
+        self.cdst = dst[cidx]
+        self.cswt = wt[..., cidx]
+        self.cswt *= self.csign
+        obound = np.searchsorted(ov, vstart)
+        # Per group, the arguments of ``form``; an int64 array, not tuples
+        # of Python ints, which cost about 200 bytes per group.
+        self.bounds = np.stack(
+            (width, sizes, coff[:-1], coff[1:], obound[:-1], obound[1:]), axis=1
+        )
+
+    def form(self, width: int, k: int, c0: int, c1: int, o0: int, o1: int) -> ColumnForm:
+        """The column form of the group with row ``bounds`` (width, member
+        count, block and overflow-member ranges): basic slices of the
+        blocks, reshaped; an overflow only when the group has one."""
+        overflow = None
+        if o0 < o1:
+            f0, f1 = self.ovf_cum[o0], self.ovf_cum[o1]
+            overflow = Overflow(
+                self.ovf_members[o0:o1], self.ovf_dst[f0:f1], self.ovf_swt[..., f0:f1],
+                self.ovf_sign[f0:f1], self.ovf_cum[o0:o1] - f0,
+            )
+        return ColumnForm(
+            self.cdst[c0:c1].reshape(width, k),
+            self.csign[c0:c1].reshape(width, k),
+            self.cswt[..., c0:c1].reshape(self.cswt.shape[:-1] + (width, k)),
+            _halving(width),
+            width,
+            overflow,
+        )
 
 
 class CompiledArena(EdgeSlice):
@@ -128,15 +285,15 @@ class ComponentLayout:
     component's members sorted, so oracle tables line up with them; each
     vertex's edges follow in ``ca``'s order.  Per vertex: ``members``,
     ``is_max``, ``sign`` and ``starts`` (relative to the vertex's
-    component).  Per edge: ``dst``, ``wt``, ``swt``, ``edge_sign``,
-    ``edge_idx`` (the edge's index in ``ca``) and, for the cycle-sign
+    component).  Per edge: ``dst``, ``wt`` and, for the cycle-sign
     certificate, ``inside`` (the edge stays in its component) with
     ``local_src``/``local_dst``, the endpoints' positions within it
-    (``local_dst`` is meaningless off ``inside``).
+    (``local_dst`` is meaningless off ``inside``).  The sweep's column
+    form is one block per component.
     """
 
     VERTEX_FIELDS = ("members", "is_max", "sign", "starts")
-    EDGE_FIELDS = ("dst", "wt", "swt", "edge_sign", "edge_idx", "inside", "local_src", "local_dst")
+    EDGE_FIELDS = ("dst", "wt", "inside", "local_src", "local_dst")
 
     def __init__(self, ca: CompiledArena, components: Sequence[Sequence[int]]) -> None:
         sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
@@ -163,14 +320,16 @@ class ComponentLayout:
         self.starts = ecum[:-1] - np.repeat(estart[:-1], sizes)
         self.dst = ca.dst[edge_idx]
         self.wt = ca.wt[edge_idx]
-        self.swt = ca.swt[edge_idx]
-        self.edge_sign = ca.edge_sign[edge_idx]
-        self.edge_idx = edge_idx
         self.inside = comp_of[self.dst] == np.repeat(comp, deg)
         self.local_src = np.repeat(pos, deg)
         self.local_dst = local[self.dst]
-        self._bounds = list(zip(vstart.tolist(), vstart[1:].tolist(),
-                                estart.tolist(), estart[1:].tolist()))
+        self.columns = _Columns(self.dst, self.wt, self.sign, deg, sizes)
+        # Per component: vertex range, edge range, then the column bounds.
+        self._bounds = np.concatenate(
+            (np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:]), axis=1),
+             self.columns.bounds),
+            axis=1,
+        )
 
     def view(self, q: int) -> ComponentView:
         """Component ``q``'s slice: basic slices of the layout arrays."""
@@ -179,11 +338,12 @@ class ComponentLayout:
         return view
 
     def _fill(self, view: ComponentView, q: int) -> None:
-        v0, v1, e0, e1 = self._bounds[q]
+        v0, v1, e0, e1, *cols = self._bounds[q].tolist()
         for name in self.VERTEX_FIELDS:
             setattr(view, name, getattr(self, name)[v0:v1])
         for name in self.EDGE_FIELDS:
             setattr(view, name, getattr(self, name)[e0:e1])
+        view.cols = self.columns.form(*cols)
 
 
 class ComponentView(EdgeSlice):
@@ -204,15 +364,40 @@ def candidates(sl: EdgeSlice, cont: np.ndarray) -> np.ndarray:
     return cand
 
 
-def _reduce(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray]) -> np.ndarray:
+def _take(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``v`` at ``idx`` along the last axis; without the ``axis`` keyword
+    on one vector, which saves about 0.5 us per call."""
+    return v.take(idx) if v.ndim == 1 else v.take(idx, axis=-1)
+
+
+def _gather(sl: EdgeSlice, y: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``y`` at the destinations of the column form and of the overflow."""
+    cols = sl.cols
+    ovf = cols.overflow
+    return _take(y, cols.cdst), None if ovf is None else _take(y, ovf.dst)
+
+
+def _reduce(sl: EdgeSlice, x: np.ndarray, ycols) -> np.ndarray:
     """The members' new values before the sentinel snap: values at or
-    beyond +-``SNAP`` stand for the sentinel on their side."""
-    cont = x.take(sl.dst, axis=-1)
-    if ytrans is not None:
-        np.minimum(cont, ytrans.take(sl.dst, axis=-1), out=cont)
-    cont *= sl.edge_sign
-    cont += sl.swt
-    best = np.maximum.reduceat(cont, sl.starts, axis=-1)
+    beyond +-``SNAP`` stand for the sentinel on their side.  ``ycols`` is
+    ``_gather(sl, ytrans)`` or None."""
+    cdst, csign, cswt, folds, width, ovf = sl.cols
+    cont = _take(x, cdst)
+    if ycols is not None:
+        np.minimum(cont, ycols[0], out=cont)
+    cont *= csign
+    cont += cswt
+    for lo, hi in folds:
+        np.maximum(cont[lo], cont[hi], out=cont[lo])
+    best = cont[_ROW0] if width == 1 else np.maximum(cont[_ROW0], cont[_ROW1])
+    if ovf is not None:
+        more = _take(x, ovf.dst)
+        if ycols is not None:
+            np.minimum(more, ycols[1], out=more)
+        more *= ovf.sign
+        more += ovf.swt
+        at = (Ellipsis, ovf.members)
+        best[at] = np.maximum(best[at], np.maximum.reduceat(more, ovf.starts, axis=-1))
     best *= sl.sign
     return best
 
@@ -224,7 +409,7 @@ def sweep(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray] = None) -> 
     (the stop-request form used by the total-payoff inner loop); without it
     the continuation is x itself.
     """
-    new = _reduce(sl, x, ytrans)
+    new = _reduce(sl, x, None if ytrans is None else _gather(sl, ytrans))
     new[new >= SNAP] = POS
     new[new <= -SNAP] = NEG
     return new
@@ -262,11 +447,16 @@ def fixpoint(
     """Sweep the slice until its members are stable, updating ``x`` in
     place; descending with ``cutoff``, ascending with ``lift``.  Calls
     ``trace.append(x)`` after every sweep when given; the callee copies.
-    Returns the sweep count."""
+    Returns the sweep count.
+
+    ``ytrans`` is gathered into column form once, at the start of the
+    call, so it must not change during the call (no caller changes it:
+    the total-payoff pass caps ``y`` before solving, then reads it)."""
     m = _member_index(sl, x)
+    ycols = None if ytrans is None else _gather(sl, ytrans)
     sweeps = 0
     while True:
-        new = _reduce(sl, x, ytrans)
+        new = _reduce(sl, x, ycols)
         # cutoff and lift lie inside +-SNAP, so each also restores one
         # sentinel; one more masked copy restores the other.
         if lift is None:
@@ -278,7 +468,7 @@ def fixpoint(
         if tables is not None:
             _clamp(new, tables, up=lift is not None)
         sweeps += 1
-        stable = not (new != x[m]).any()
+        stable = not np.count_nonzero(new != x[m])  # cheaper than .any() on small slices
         x[m] = new
         if trace is not None:
             trace.append(x)
@@ -329,7 +519,7 @@ def nested_fixpoint(
         new[new > lift] = POS
         x[m] = new
         passes += 1
-        stable = not (new != prev).any()
+        stable = not np.count_nonzero(new != prev)
         y[m] = new
         if stable:
             return passes, sweeps

@@ -23,6 +23,7 @@ linear in |V| + |E| outside the sweeps.
 
 from __future__ import annotations
 
+import array
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -65,7 +66,14 @@ class SccDecomposition:
 
 
 def _tarjan_sccs(arena: Arena) -> List[Tuple[int, ...]]:
+    """Tarjan's algorithm over the sorted edge array: vertex v's
+    successors are ``dst[ends[v]:ends[v + 1]]``, in ascending order."""
     n = arena.n
+    src, dst, _ = arena.edge_array.T
+    # int64 arrays of the standard library: indexed as fast as lists, but
+    # 8 bytes an entry, not a list slot plus an int object.
+    ends = array.array("q", np.searchsorted(src, np.arange(n + 1)).tobytes())
+    dst = array.array("q", dst.tobytes())
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -75,39 +83,39 @@ def _tarjan_sccs(arena: Arena) -> List[Tuple[int, ...]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        # Each frame is a vertex and the position of its next edge.
+        work = [(root, ends[root])]
         while work:
-            v, ei = work.pop()
-            if ei == 0:
+            v, e = work.pop()
+            if e == ends[v]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            succs = arena.successor_ids(v)
-            recursed = False
-            for k in range(ei, len(succs)):
-                w = succs[k]
+            end = ends[v + 1]
+            while e < end:
+                w = dst[e]
+                e += 1
                 if index[w] == -1:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    recursed = True
+                    work.append((v, e))
+                    work.append((w, ends[w]))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recursed:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(tuple(sorted(comp)))
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
     return sccs
 
 
@@ -233,6 +241,17 @@ def _cycle_sign_certificate(view: eng.ComponentView) -> Optional[str]:
     return None
 
 
+def _clamping(
+    tables: List[Optional[np.ndarray]],
+) -> Optional[List[Optional[np.ndarray]]]:
+    """The oracle's tables, or None when no member has one (a no-clamp or
+    degraded component), so that its sweeps skip the clamp altogether."""
+    for table in tables:
+        if table is not None:
+            return tables
+    return None
+
+
 def solve_mcr_accelerated(
     arena: Arena, oracle: Oracle = simple_path_oracle
 ) -> McrResult:
@@ -253,7 +272,7 @@ def solve_mcr_accelerated(
     stats = SolveStats()
     bound = sweep_bound(arena.n, ca.W) + 1
     for q in range(1, len(dec)):
-        tables = oracle(arena, dec, q, x)
+        tables = _clamping(oracle(arena, dec, q, x))
         view = layout.view(q)
         stats.outer_iterations += 1
         stats.inner_iterations += eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
@@ -293,7 +312,7 @@ def solve_tp_accelerated(
         certificate = _cycle_sign_certificate(view)
         inner = None
         if certificate is not None:
-            tables = oracle(arena, dec, q, x)
+            tables = _clamping(oracle(arena, dec, q, x))
             inner = _signed_pass(ca, view, x, tables, certificate)
         outer, sweeps = eng.nested_fixpoint(
             view, x, y, cutoff=ca.cutoff, lift=lift_at,
@@ -310,7 +329,7 @@ def _signed_pass(
     ca: eng.CompiledArena,
     view: eng.ComponentView,
     x: np.ndarray,
-    tables: List[Optional[np.ndarray]],
+    tables: Optional[List[Optional[np.ndarray]]],
     certificate: str,
 ) -> Callable[[], int]:
     """Inner pass for a certified component: the clamped reachability-style
@@ -321,7 +340,7 @@ def _signed_pass(
     def solve() -> int:
         x[marr] = eng.POS
         sweeps = eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
-        if certificate == "negative" and np.any(x[marr] >= eng.POS):
+        if certificate == "negative" and np.count_nonzero(x[marr] >= eng.POS):
             # Starting from above can strand vertices at +inf; approach the
             # same fixed point from below instead.
             x[marr] = eng.NEG

@@ -85,6 +85,9 @@ def cmd_solve(args) -> int:
     if args.trace and arena.objective is not Objective.MCR:
         sys.stderr.write("error: --trace is only available for mcr games\n")
         return 2
+    if args.trace and args.accel != "none":
+        sys.stderr.write("error: --trace records the plain solve; it cannot be used with --accel\n")
+        return 2
     if args.trace and arena.objective is Objective.MCR:
         norm = normalize_target(arena)
         res = solve_mcr(norm, with_trace=True)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -224,6 +225,32 @@ def test_simple_path_oracle_cap_degrades():
     dec = scc_decompose(arena)
     sets = simple_path_oracle(arena, dec, 1, [0] * arena.n, cap=1)
     assert sets == [None, None]
+
+
+def test_degraded_components_never_reach_the_clamp(monkeypatch):
+    """A component whose oracle tables are all None sweeps with
+    ``tables=None``: the clamp is never entered for it, and the values
+    still equal the plain solver's."""
+    entered = []
+    clamp = eng._clamp
+
+    def counting_clamp(new, tables, up):
+        entered.append(len(tables))
+        clamp(new, tables, up)
+
+    monkeypatch.setattr(eng, "_clamp", counting_clamp)
+    degraded = functools.partial(simple_path_oracle, cap=1)
+    for arena, solve, plain in (
+        (normalize_target(fig2a(3)), solve_mcr_accelerated, solve_mcr),
+        (fig2a(3, Objective.TP), solve_tp_accelerated, solve_tp),
+    ):
+        for oracle in (degraded, no_clamp_oracle):
+            assert solve(arena, oracle).values == plain(arena).values
+        assert entered == []
+        # The counter sees the clamp when the oracle does return tables.
+        assert solve(arena, simple_path_oracle).values == plain(arena).values
+        assert entered
+        entered.clear()
 
 
 def test_tp_accel_table_counts():

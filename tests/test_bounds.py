@@ -12,6 +12,7 @@ from quantgames.accel import (
     UnsoundOracleError,
     no_clamp_oracle,
     scc_decompose,
+    simple_path_oracle,
     solve_mcr_accelerated,
     solve_tp_accelerated,
 )
@@ -30,15 +31,25 @@ CASES = {
     "solve_tp outer passes": (
         tp, "k_bound", -1, AssertionError, lambda: tp.solve_tp(layered(2, 5)),
     ),
+    # A component without candidate tables sweeps unclamped, so it fails
+    # like the plain solver; one with tables blames the oracle.
     "solve_mcr_accelerated sweeps": (
-        accel, "sweep_bound", -1, UnsoundOracleError,
+        accel, "sweep_bound", -1, AssertionError,
         lambda: solve_mcr_accelerated(normalize_target(fig2a(5)), no_clamp_oracle),
+    ),
+    "solve_mcr_accelerated clamped sweeps": (
+        accel, "sweep_bound", -1, UnsoundOracleError,
+        lambda: solve_mcr_accelerated(normalize_target(fig2a(5)), simple_path_oracle),
     ),
     # The zero self-loop of fig2a's sink is generic and stabilizes in two
     # sweeps per pass; the signed component {v1, v2} descends for longer.
     "solve_tp_accelerated signed sweeps": (
-        accel, "sweep_bound", 0, UnsoundOracleError,
+        accel, "sweep_bound", 0, AssertionError,
         lambda: solve_tp_accelerated(fig2a(5, Objective.TP), no_clamp_oracle),
+    ),
+    "solve_tp_accelerated clamped signed sweeps": (
+        accel, "sweep_bound", 0, UnsoundOracleError,
+        lambda: solve_tp_accelerated(fig2a(5, Objective.TP), simple_path_oracle),
     ),
     "solve_tp_accelerated signed passes": (
         accel, "k_bound", -1, AssertionError,

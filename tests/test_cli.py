@@ -199,6 +199,16 @@ def test_trace_rejected_for_tp(tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("accel", ["scc", "scc+paths"])
+def test_trace_refused_with_accel(tmp_path, accel):
+    path = _gen(tmp_path, "fig2a", W=3)
+    trace = tmp_path / "t.tsv"
+    out = _run(["solve", path, "--accel", accel, "--stats", "--trace", str(trace)])
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "--accel" in out.stderr
+    assert out.stdout == "" and not trace.exists()
+
+
 def test_bench_published_cell(tmp_path):
     out = _run(["bench", "--family", "layered", "--W-list", "50", "--n-list", "100"])
     row = out.stdout.strip().splitlines()[1].split(",")

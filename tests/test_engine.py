@@ -6,7 +6,7 @@ import numpy as np
 
 from quantgames import _engine as eng
 from quantgames.accel import scc_decompose
-from quantgames.arena import Objective
+from quantgames.arena import Objective, Player, make_arena
 from quantgames.cli import random_arena
 
 POS, NEG = eng.POS, eng.NEG
@@ -91,7 +91,6 @@ def reference_view(ca, members):
 def assert_view_matches_reference(view, ca, members):
     idx, starts = reference_view(ca, members)
     assert view.members.tolist() == sorted(members)
-    assert view.edge_idx.tolist() == idx
     assert view.starts.tolist() == starts
     assert view.dst.tolist() == ca.dst[idx].tolist()
     assert view.wt.tolist() == ca.wt[idx].tolist()
@@ -133,3 +132,136 @@ def test_component_layout_views_are_slices_of_one_layout():
             assert_view_matches_reference(view, ca, members)
             for name in layout.VERTEX_FIELDS + layout.EDGE_FIELDS:
                 assert np.shares_memory(getattr(view, name), getattr(layout, name)), name
+            assert np.shares_memory(view.cols.cdst, layout.columns.cdst)
+            assert np.shares_memory(view.cols.cswt, layout.columns.cswt)
+
+
+def check_skewed_slice(rng, sl, n):
+    """``sl`` (weights ``[rows, E]`` or 1-D) against the per-edge reference,
+    with and without ``ytrans``."""
+    wt2 = sl.wt if sl.wt.ndim == 2 else sl.wt[None, :]
+    rows = len(wt2)
+    x2 = np.stack([random_vector(rng, n) for _ in range(rows)])
+    y2 = np.stack([random_vector(rng, n) for _ in range(rows)])
+    for cap in (False, True):
+        if sl.wt.ndim == 1:
+            got = [eng.sweep(sl, x2[0], y2[0] if cap else None)]
+        else:
+            got = eng.sweep(sl, x2, y2 if cap else None)
+        for r in range(rows):
+            assert got[r].tolist() == reference_sweep(
+                sl.dst, wt2[r], sl.starts, sl.is_max, x2[r], y2[r] if cap else None
+            )
+
+
+def test_skewed_slices_overflow_and_match_reference():
+    # Degree-1 and -2 members beside hubs of degree >= 1,000: the width is
+    # set by the short edge lists, so the hubs' edges spill into the
+    # overflow, which must reduce to the same values.
+    rng = random.Random(75)
+    for _ in range(12):
+        n = rng.randint(3, 40)
+        degrees = [rng.randint(1, 2) for _ in range(n)]
+        for hub in rng.sample(range(n), rng.randint(1, 2)):
+            degrees[hub] = rng.randint(1000, 1300)
+        dst = np.array([rng.randrange(n) for _ in range(sum(degrees))], dtype=np.int64)
+        starts = np.cumsum([0] + degrees[:-1]).astype(np.int64)
+        is_max = np.array([rng.random() < 0.5 for _ in range(n)])
+        rows = rng.randint(1, 3)
+        wt2 = np.array([[rng.randint(-20, 20) for _ in range(len(dst))] for _ in range(rows)],
+                       dtype=np.int64)
+        for wt in (wt2[0], wt2):
+            sl = eng.EdgeSlice(slice(None), dst, wt, starts, is_max)
+            assert sl.cols.overflow is not None
+            assert sl.cols.width <= 2 * len(dst) // n + 1
+            check_skewed_slice(rng, sl, n)
+
+
+def hub_blocks_arena(rng, blocks, size):
+    """Blocks of ``size`` vertices, each one strongly connected component
+    around a hub with an edge to every other vertex of its block; the rest
+    have one or two further edges, inside their block or to an earlier one."""
+    n = blocks * size
+    edges = set()
+    for b in range(blocks):
+        hub = b * size
+        for v in range(hub + 1, hub + size):
+            edges.add((hub, v))
+            edges.add((v, hub))
+            for _ in range(rng.randint(0, 1)):
+                edges.add((v, rng.randrange(0, hub + size)))
+    rows = sorted((s, d, rng.randint(-5, 5)) for s, d in edges)
+    owners = [rng.choice([Player.MAX, Player.MIN]) for _ in range(n)]
+    return make_arena([f"v{i}" for i in range(n)], owners, rows, [], Objective.TP)
+
+
+def test_layout_views_with_overflow_match_reference():
+    rng = random.Random(76)
+    arena = hub_blocks_arena(rng, 2, 1100)
+    ca = eng.CompiledArena(arena)
+    components = scc_decompose(arena).components
+    layout = eng.ComponentLayout(ca, components)
+    spilled = 0
+    for q, members in enumerate(components):
+        view = layout.view(q)
+        assert_view_matches_reference(view, ca, members)
+        spilled += view.cols.overflow is not None
+        x, y = random_vector(rng, ca.n), random_vector(rng, ca.n)
+        for ytrans in (None, y):
+            assert eng.sweep(view, x, ytrans).tolist() == reference_sweep(
+                view.dst, view.wt, view.starts, view.is_max, x, ytrans
+            )
+    assert spilled == 2
+    check_skewed_slice(rng, ca, ca.n)
+
+
+class ReduceatSpy:
+    """Stands in for ``np.maximum``, counting its ``reduceat`` calls."""
+
+    def __init__(self, ufunc):
+        self.ufunc = ufunc
+        self.reduceat_calls = 0
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+    def reduceat(self, *args, **kwargs):
+        self.reduceat_calls += 1
+        return self.ufunc.reduceat(*args, **kwargs)
+
+
+def test_star_columns_stay_within_twice_the_edges(monkeypatch):
+    # A star: the hub reaches every leaf, every leaf returns to the hub.
+    n = 20_000
+    leaves = np.arange(1, n, dtype=np.int64)
+    edges = np.concatenate((
+        np.stack((np.zeros(n - 1, dtype=np.int64), leaves, leaves % 7 - 3), axis=1),
+        np.stack((leaves, np.zeros(n - 1, dtype=np.int64), leaves % 5 - 2), axis=1),
+    ))
+    owners = [Player.MAX] + [Player.MIN, Player.MAX] * ((n - 1) // 2) + [Player.MIN]
+    arena = make_arena([f"v{i}" for i in range(n)], owners[:n], edges, [], Objective.TP)
+    ca = eng.CompiledArena(arena)
+    E = len(ca.dst)
+    layout = eng.ComponentLayout(ca, scc_decompose(arena).components)
+    for columns in (ca.cols, layout.columns):
+        for name in ("cdst", "csign", "cswt"):
+            assert getattr(columns, name).size <= 2 * E + n
+    assert ca.cols.overflow is not None and len(ca.cols.overflow.dst) <= E
+    rng = random.Random(77)
+    x = random_vector(rng, n)
+    assert eng.sweep(ca, x).tolist() == reference_sweep(ca.dst, ca.wt, ca.starts, ca.is_max, x, None)
+    # The leaves alone have bounded degree: their sweep is elementwise.
+    leaf_view = eng.ComponentView(ca, leaves.tolist())
+    spy = ReduceatSpy(np.maximum)
+    monkeypatch.setattr(np, "maximum", spy)
+    got = eng.sweep(leaf_view, x)
+    assert spy.reduceat_calls == 0
+    eng.sweep(ca, x)
+    assert spy.reduceat_calls == 1  # the hub's overflow
+    monkeypatch.undo()
+    assert got.tolist() == reference_sweep(
+        leaf_view.dst, leaf_view.wt, leaf_view.starts, leaf_view.is_max, x, None
+    )
