@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import array
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,28 +52,43 @@ Oracle = Callable[
 _POS, _NEG = int(eng.POS), int(eng.NEG)
 
 
+class Adjacency(NamedTuple):
+    """The arena's sorted edge array as int64 ``array.array``s, indexed as
+    fast as lists but 8 bytes an entry, not a list slot plus an int
+    object: vertex v's out-edges are entries ``ends[v]`` up to
+    ``ends[v + 1]`` of ``dst`` and ``wt``, ascending by destination."""
+
+    ends: array.array
+    dst: array.array
+    wt: array.array
+
+
+def _adjacency(arena: Arena) -> Adjacency:
+    src, dst, wt = arena.edge_array.T
+    ends = np.searchsorted(src, np.arange(arena.n + 1))
+    return Adjacency(*(array.array("q", a.astype(np.int64).tobytes()) for a in (ends, dst, wt)))
+
+
 @dataclass(frozen=True)
 class SccDecomposition:
     """Components in reverse topological order: dec(v) >= dec(v') on every
     edge, every index inhabited, each component's members sorted, and
-    component 0 the normalized target when one exists."""
+    component 0 the normalized target when one exists.  ``edges`` is the
+    adjacency the decomposition walked, which the path oracle walks too."""
 
     comp_of: Tuple[int, ...]
     components: Tuple[Tuple[int, ...], ...]
+    edges: Adjacency = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.components)
 
 
-def _tarjan_sccs(arena: Arena) -> List[Tuple[int, ...]]:
-    """Tarjan's algorithm over the sorted edge array: vertex v's
-    successors are ``dst[ends[v]:ends[v + 1]]``, in ascending order."""
-    n = arena.n
-    src, dst, _ = arena.edge_array.T
-    # int64 arrays of the standard library: indexed as fast as lists, but
-    # 8 bytes an entry, not a list slot plus an int object.
-    ends = array.array("q", np.searchsorted(src, np.arange(n + 1)).tobytes())
-    dst = array.array("q", dst.tobytes())
+def _tarjan_sccs(edges: Adjacency) -> List[Tuple[int, ...]]:
+    """Tarjan's algorithm over the adjacency: vertex v's successors are
+    ``dst[ends[v]:ends[v + 1]]``, in ascending order."""
+    ends, dst, _ = edges
+    n = len(ends) - 1
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -126,7 +141,8 @@ def scc_decompose(arena: Arena) -> SccDecomposition:
     The normalized target's component, a sink, moves to index 0.  The
     numbering depends only on the arena's vertex and edge order."""
     validate(arena)
-    sccs = _tarjan_sccs(arena)
+    edges = _adjacency(arena)
+    sccs = _tarjan_sccs(edges)
     if is_normalized_mcr(arena):
         (t,) = arena.targets
         sccs.remove((t,))
@@ -135,7 +151,7 @@ def scc_decompose(arena: Arena) -> SccDecomposition:
     for q, comp in enumerate(sccs):
         for v in comp:
             comp_of[v] = q
-    return SccDecomposition(tuple(comp_of), tuple(sccs))
+    return SccDecomposition(tuple(comp_of), tuple(sccs), edges)
 
 
 def no_clamp_oracle(
@@ -168,38 +184,40 @@ def simple_path_oracle(
     """
     members = dec.components[q]
     inside = set(members)
+    ends, dsts, wts = dec.edges
+    targets = arena.targets if arena.objective is Objective.MCR else frozenset()
     tables: List[Optional[np.ndarray]] = []
     work = 0
     for v in members:
         cands = {_NEG, _POS}
-        # Iterative DFS over simple paths from v through the component.
-        path_sum = {v: 0}
-        stack: List[Tuple[int, List[Tuple[int, int]]]] = [(v, list(arena.successors(v)))]
-        aborted = False
-        if arena.is_target(v) and arena.objective is Objective.MCR:
+        if v in targets:
             cands.add(0)
+        # Iterative DFS over simple paths from v through the component.  A
+        # frame is a vertex, its first edge and the end of the edges left,
+        # which are taken last first.
+        path_sum = {v: 0}
+        stack = [(v, ends[v], ends[v + 1])]
         while stack:
-            u, edges_left = stack[-1]
-            if not edges_left:
+            u, first, e = stack[-1]
+            if e == first:
                 stack.pop()
                 del path_sum[u]
                 continue
-            d, w = edges_left.pop()
+            e -= 1
+            stack[-1] = (u, first, e)
+            d = dsts[e]
             work += 1
-            s = path_sum[u] + w
+            s = path_sum[u] + wts[e]
             if d not in inside:
                 fv = finalized[d]
                 cands.add(_POS if fv >= _POS else _NEG if fv <= _NEG else s + int(fv))
-            elif arena.is_target(d) and arena.objective is Objective.MCR:
+            elif d in targets:
                 cands.add(s)
             elif d not in path_sum:
                 path_sum[d] = s
-                stack.append((d, list(arena.successors(d))))
+                stack.append((d, ends[d], ends[d + 1]))
             if len(cands) > cap or work > PATH_WORK_CAP:
-                aborted = True
-                break
-        if aborted:
-            return [None] * len(members)
+                return [None] * len(members)
         tables.append(np.array(sorted(cands), dtype=np.int64))
     return tables
 

@@ -107,10 +107,18 @@ def _scan_bulk(text: Union[str, bytes]):
     blank line, no indent and no parallel edge, every endpoint declared,
     no vertex named ``vertex`` or ``edge`` and every weight within int64.
     For those the result equals the line parser's.  A block's tokens are
-    sliced into columns only once they provably line up: each line's first
-    token is its directive, so with exactly one directive token per line,
-    all at every third (fourth) token, the lines start at tokens 0, 3, 6,
-    ... (0, 4, 8, ...) and each has three (four) tokens.
+    sliced into columns only once they provably line up.  The block must
+    hold three (four) tokens per line, each line starting with its
+    directive, and every token in column 0 (tokens 0, 3, 6, ... or 0, 4,
+    8, ...) must be a directive.  Column 0 holds one token per line, so
+    either every line starts there, and then each line has three (four)
+    tokens, or some line's directive lies in another column: in a name
+    column it would be a vertex named ``vertex`` or ``edge``, which is
+    refused up front (so on an edge line the name lookup raises
+    ``KeyError``); in the owner column the owner lookup raises
+    ``KeyError``; in the weight column ``int`` raises ``ValueError``.  Each
+    sends the file to the line parser, and no O(tokens) count of the
+    directives is needed.
     """
     if isinstance(text, str):
         if not text.isascii() or text.encode("ascii").translate(None, _CLEAN_BYTES):
@@ -151,11 +159,13 @@ def _scan_vertices(vblock: str, nv: int):
     if vblock.startswith("vertex target\n") or "\nvertex target\n" in vblock:
         return None
     toks = vblock.replace(" target\n", "+\n").split()
-    if len(toks) != 3 * nv or toks.count("vertex") != nv or toks[::3].count("vertex") != nv:
+    if len(toks) != 3 * nv or toks[::3].count("vertex") != nv:
         return None
     names = tuple(toks[1::3])
     index = dict(zip(names, range(nv)))
-    if len(index) != nv:
+    # No name may be a directive (see ``_scan_bulk``); a repeated name
+    # shrinks the index.
+    if len(index) != nv or "vertex" in index or "edge" in index:
         return None
     owner_toks = toks[2::3]
     try:
@@ -181,7 +191,7 @@ def _scan_edges(eblock: str, index: Dict[str, int]):
         start = end
         lines = chunk.count("\n") + (not chunk.endswith("\n"))
         toks = chunk.split()
-        if len(toks) != 4 * lines or toks.count("edge") != lines or toks[::4].count("edge") != lines:
+        if len(toks) != 4 * lines or toks[::4].count("edge") != lines:
             return None
         try:
             columns.append((

@@ -471,3 +471,20 @@ def test_plain_reachability_solve_builds_no_successor_tuples():
     assert arena._succ is None and norm._succ is None
     assert norm.successors(norm.n - 1) == ((norm.n - 1, 0),)
     assert norm._succ is not None
+
+
+def test_accelerated_solves_build_no_successor_tuples():
+    """The path oracle walks the decomposition's int64 adjacency, not the
+    arena-wide ``(dst, w)`` tuples of ``Arena.successors``."""
+    from quantgames.accel import solve_mcr_accelerated, solve_tp_accelerated
+    from quantgames.tp import solve_tp
+
+    arena = parse(MULTI_TARGET)
+    norm = normalize_target(arena)
+    assert solve_mcr_accelerated(norm).values["b"] == -1
+    game = parse(
+        "objective tp\nvertex a max\nvertex b min\nvertex c max\n"
+        "edge a b 1\nedge b a 2\nedge b c 0\nedge c c 1\n"
+    )
+    assert list(solve_tp_accelerated(game).values) == list(solve_tp(game).values)
+    assert arena._succ is None and norm._succ is None and game._succ is None
