@@ -12,9 +12,7 @@ stays strictly inside +-2**61 and every weight is far smaller than 2**61.
 Under the caps |V| <= 10**6 and |w| <= 10**9, finite solver values are
 bounded by |V|*W + W, about 10**15, and a sentinel plus a weight stays
 within 10**9 of the sentinel; 2**61 is about 2.3 * 10**18, so neither side
-can cross it, and ``POS + w`` cannot wrap past 2**63.  Callers whose sums
-grow beyond the solver bound (``mcr.mp_sign``) check their own bound
-against ``SNAP``.
+can cross it, and ``POS + w`` cannot wrap past 2**63.
 
 The kernel works over an *edge slice*: member vertices with their
 out-edges.  ``CompiledArena`` is the whole-arena slice, ``ComponentView``
@@ -28,6 +26,8 @@ the slice of one strongly connected component.  Contract:
   again, since min(a) = -max(-a).  The sign is folded into the weights
   when the slice is built, so a candidate costs one multiply and one add.
   Saturation survives the sign flip only because ``NEG == -POS``.
+  ``accel.cycle_sign_certificates`` runs it for a counted number of
+  rounds, where a fixpoint would not stop.
 - ``fixpoint`` sweeps until the members stop changing.  After each sweep a
   post-step touches the members only: values below ``cutoff`` drop to -inf
   (descending) or values above ``lift`` rise to +inf (ascending), fused
@@ -35,7 +35,9 @@ the slice of one strongly connected component.  Contract:
   tables clamp them.  The returned count includes the final sweep that
   confirms stabilization.  Members still changing after more than
   ``bound`` sweeps raise ``UnsoundOracleError`` when tables clamp,
-  ``AssertionError`` otherwise.
+  ``AssertionError`` otherwise.  From +inf with ``ytrans`` = 0 and the
+  cutoff, it is the stop-request fixpoint that ``mcr.mp_sign`` reads
+  mean-payoff signs from.
 - ``nested_fixpoint`` is the outer total-payoff loop (inner solve, lift,
   compare with the previous outer vector), counted and bounded the same
   way by ``outer_bound``, raising ``AssertionError``.  A pass touches the
@@ -71,9 +73,10 @@ once, sorted by component: vertices in the order of the concatenated
 components, each component's members sorted, and every vertex's edges
 after it.  The signs, the column form (one contiguous ``[D_q, k_q]``
 block per component, each with its own width), the overflow and the
-cycle-sign certificate's local indices are computed on that copy, so the
-view of one component is a set of basic slices of it, O(1) to build and
-sharing its memory.
+inside-edge flags with their local destinations (read by the cycle-sign
+certificate and by a view's in-edge index) are computed on that copy, so
+the view of one component is a set of basic slices of it, O(1) to build
+and sharing its memory.
 
 Frontier sweeps.  On one vector over a slice of at least
 ``FRONTIER_MIN_EDGES`` edges, ``fixpoint`` keeps a worklist of the
@@ -93,11 +96,13 @@ third of them dirty, runs in full too, which costs less then.  The
 dirty set comes from the slice's in-edge index, built on first use: from
 ``dst`` on a compiled arena, and from the ``inside`` edges on a
 component view, whose exit edges lead to finished vertices that no sweep
-of the view changes.  The floor is tested once per call.  It sits at the
-measured crossover: on seeded random reachability arenas the two loops
-cost the same at about 4,000 edges, and below it the frontier's extra
-numpy calls (20-30 us a sweep) cost more than the member updates
-they save.  ``sweep`` stays full, and so do weight-row batches.
+of the view changes.  The floor is tested once per call, and one loop
+serves both forms: a full sweep is a frontier sweep with every member
+dirty.  The floor sits at the measured crossover: on seeded random
+reachability arenas the two loops cost the same at about 4,000 edges,
+and below it the frontier's extra numpy calls (20-30 us a sweep) cost
+more than the member updates they save.  ``sweep`` stays full, and so do
+weight-row batches.
 
 Every operation broadcasts over a leading axis of weight rows: with ``wt``
 of shape ``[rows, E]``, vectors ``[rows, n]`` and ``cutoff``/``lift``
@@ -338,14 +343,15 @@ class ComponentLayout:
     vertex's edges follow in ``ca``'s order.  Per vertex: ``members``,
     ``is_max``, ``sign`` and ``starts`` (relative to the vertex's
     component).  Per edge: ``dst``, ``wt`` and, for the cycle-sign
-    certificate, ``inside`` (the edge stays in its component) with
-    ``local_src``/``local_dst``, the endpoints' positions within it
-    (``local_dst`` is meaningless off ``inside``).  The sweep's column
-    form is one block per component.
+    certificate and a view's in-edge index, ``inside`` (the edge stays in
+    its component) with ``local_dst``, the destination's position within
+    it (meaningless off ``inside``).  The sweep's column form is one block
+    per component.  Row q of ``bounds`` holds component q's vertex range
+    and edge range, then the arguments of its column form.
     """
 
     VERTEX_FIELDS = ("members", "is_max", "sign", "starts")
-    EDGE_FIELDS = ("dst", "wt", "inside", "local_src", "local_dst")
+    EDGE_FIELDS = ("dst", "wt", "inside", "local_dst")
 
     def __init__(self, ca: CompiledArena, components: Sequence[Sequence[int]]) -> None:
         sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
@@ -373,11 +379,9 @@ class ComponentLayout:
         self.dst = ca.dst[edge_idx]
         self.wt = ca.wt[edge_idx]
         self.inside = comp_of[self.dst] == np.repeat(comp, deg)
-        self.local_src = np.repeat(pos, deg)
         self.local_dst = local[self.dst]
         self.columns = _Columns(self.dst, self.wt, self.sign, deg, sizes)
-        # Per component: vertex range, edge range, then the column bounds.
-        self._bounds = np.concatenate(
+        self.bounds = np.concatenate(
             (np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:]), axis=1),
              self.columns.bounds),
             axis=1,
@@ -390,7 +394,7 @@ class ComponentLayout:
         return view
 
     def _fill(self, view: ComponentView, q: int) -> None:
-        v0, v1, e0, e1, *cols = self._bounds[q].tolist()
+        v0, v1, e0, e1, *cols = self.bounds[q].tolist()
         for name in self.VERTEX_FIELDS:
             setattr(view, name, getattr(self, name)[v0:v1])
         for name in self.EDGE_FIELDS:
@@ -410,8 +414,10 @@ class ComponentView(EdgeSlice):
     def inedges(self) -> InEdges:
         """From the edges inside the component: an exit edge leads to a
         finished vertex, which no sweep of the view changes."""
+        k = len(self.starts)
         inside = self.inside
-        return _in_edges(self.local_src[inside], self.local_dst[inside], len(self.starts))
+        src = np.repeat(np.arange(k), out_degrees(self))
+        return _in_edges(src[inside], self.local_dst[inside], k)
 
 
 def candidates(sl: EdgeSlice, cont: np.ndarray) -> np.ndarray:
@@ -514,13 +520,6 @@ def _settle(new: np.ndarray, cutoff, lift, tables) -> None:
         _clamp(new, tables, up=lift is not None)
 
 
-def _overrun(tables) -> Exception:
-    """The error of a ``fixpoint`` past its sweep bound."""
-    if tables is not None:
-        return UnsoundOracleError("component failed to stabilize")
-    return AssertionError("value iteration exceeded its sweep bound")
-
-
 def fixpoint(
     sl: EdgeSlice,
     x: np.ndarray,
@@ -537,46 +536,25 @@ def fixpoint(
     ``trace.append(x)`` after every sweep when given; the callee copies.
     Returns the sweep count.  One vector on a slice of at least
     ``FRONTIER_MIN_EDGES`` edges takes frontier sweeps, with the same
-    iterates.
+    iterates: after the first, a sweep recomputes only the members with
+    an edge into one that just changed, the *dirty* ones (``None``: all).
 
     ``ytrans`` is gathered into column form once, at the start of the
     call, so it must not change during the call (no caller changes it:
     the total-payoff pass caps ``y`` before solving, then reads it)."""
-    cols = sl.cols
+    cols, sign = sl.cols, sl.sign
     ycols = None if ytrans is None else _gather(cols, ytrans)
-    if x.ndim == 1 and len(sl.dst) >= FRONTIER_MIN_EDGES:
-        return _frontier_fixpoint(sl, x, bound, cutoff, lift, ycols, tables, trace)
-    m = _member_index(sl, x)
-    sweeps = 0
-    while True:
-        new = _reduce(cols, sl.sign, x, ycols)
-        _settle(new, cutoff, lift, tables)
-        sweeps += 1
-        stable = not np.count_nonzero(new != x[m])  # cheaper than .any() on small slices
-        x[m] = new
-        if trace is not None:
-            trace.append(x)
-        if stable:
-            return sweeps
-        if sweeps > bound:
-            raise _overrun(tables)
-
-
-def _frontier_fixpoint(sl: EdgeSlice, x: np.ndarray, bound: int, cutoff, lift, ycols,
-                       tables, trace) -> int:
-    """``fixpoint`` on one vector by frontier sweeps: the first sweep is
-    full; each later one recomputes only the *dirty* members, those with
-    an edge into a member that changed in the sweep before."""
-    cols, sign, into = sl.cols, sl.sign, sl.inedges
+    frontier = x.ndim == 1 and len(sl.dst) >= FRONTIER_MIN_EDGES
     k = len(sign)
     ids = sl.members if isinstance(sl.members, np.ndarray) else None  # None: positions are ids
-    dirty = None  # every member
+    m = _member_index(sl, x)
+    dirty = None
     sweeps = 0
     while True:
         if dirty is None:
             new = _reduce(cols, sign, x, ycols)
             _settle(new, cutoff, lift, tables)
-            at = sl.members
+            at = m
         else:
             sub, suby = _restrict(cols, ycols, dirty)
             new = _reduce(sub, sign[dirty], x, suby)
@@ -587,14 +565,17 @@ def _frontier_fixpoint(sl: EdgeSlice, x: np.ndarray, bound: int, cutoff, lift, y
         sweeps += 1
         if trace is not None:
             trace.append(x)
-        count = np.count_nonzero(moved)
+        count = np.count_nonzero(moved)  # cheaper than .any() on small slices
         if not count:
             return sweeps
         if sweeps > bound:
-            raise _overrun(tables)
+            if tables is not None:
+                raise UnsoundOracleError("component failed to stabilize")
+            raise AssertionError("value iteration exceeded its sweep bound")
         # Once an eighth of the members change, or a third are dirty, a full
         # sweep costs less than finding and taking the dirty ones.
-        if 8 * count < k:
+        if frontier and 8 * count < k:
+            into = sl.inedges
             changed = moved.nonzero()[0] if dirty is None else dirty[moved]
             dirty = _distinct(into.src[_ranges(into.starts[changed], into.starts[changed + 1])], k)
             if 3 * len(dirty) > k:

@@ -16,9 +16,11 @@ reads them.
 
 Both solvers copy the compiled edge arrays once into a
 ``ComponentLayout`` in component order; each component's view is then a
-set of slices of it, built in O(1), and the certificate reads the view's
-precomputed inside-edge flags and local indices.  So a solve costs time
-linear in |V| + |E| outside the sweeps.
+set of slices of it, built in O(1).  The total-payoff solver certifies
+every component before its component loop, in one batched run of kernel
+sweeps over the layout's inside edges (a Jacobi Bellman-Ford with two
+weight rows, one per sign).  So a solve costs time linear in |V| + |E|
+outside the sweeps.
 """
 
 from __future__ import annotations
@@ -222,41 +224,63 @@ def simple_path_oracle(
     return tables
 
 
-def _cycle_sign_certificate(view: eng.ComponentView) -> Optional[str]:
-    """'positive' / 'negative' when every cycle inside the view's members
-    has that strict sign (vacuously 'positive' when there is none), else
-    None.  Reads the view's own edges only."""
-    k = len(view.members)
-    inside = view.inside
-    edges = list(zip(
-        view.local_src[inside].tolist(), view.local_dst[inside].tolist(), view.wt[inside].tolist()
-    ))
-    if not edges:
-        return "positive"
+def cycle_sign_certificates(layout: eng.ComponentLayout) -> List[Optional[str]]:
+    """Per component of the layout: 'positive' / 'negative' when every
+    cycle inside it has that strict sign (vacuously 'positive'), else None.
 
-    def has_nonpositive(sign: int) -> bool:
-        # A cycle with sign*weight <= 0 exists iff the graph with weights
-        # sign*w*(k+1) - 1 has a negative cycle (k = member count).
-        dist = [0] * k
-        trans = [(a, b, sign * w * (k + 1) - 1) for a, b, w in edges]
-        for _ in range(k):
-            changed = False
-            for a, b, w in trans:
-                if dist[a] + w < dist[b]:
-                    dist[b] = dist[a] + w
-                    changed = True
-            if not changed:
-                return False
-        for a, b, w in trans:
-            if dist[a] + w < dist[b]:
-                return True
-        return False
+    A component of k members has a cycle with s * weight <= 0 (s = +-1)
+    exactly when the weights s * w * (k + 1) - 1 give it a negative cycle,
+    as a simple cycle has at most k edges.  One batched Jacobi Bellman-Ford
+    decides both signs: ``_engine.sweep`` rounds from x = 0 on an all-Min
+    slice of the inside edges, one weight row per sign, with a zero-weight
+    stay loop on every vertex, so x_j(v) is the least weight of a walk of
+    at most j edges from v.  Without a negative cycle, least walks are
+    simple paths, and no round after round k - 1 changes the component.
+    With one, no round leaves it unchanged: it reads only its own members,
+    and at a fixed point x(a) <= w'(a, b) + x(b) summed round the cycle
+    makes it non-negative.  So after max k + 1 rounds, or at a round that
+    changes nothing, a component has such a cycle exactly when one of its
+    members changed in the last round.
 
-    if not has_nonpositive(+1):
-        return "positive"
-    if not has_nonpositive(-1):
-        return "negative"
-    return None
+    Guard: a component with (k + 1) * ((k + 1) * W + 1) >= 2**61, W the
+    largest |weight|, gets None unswept and takes the generic nested
+    iteration.  The rest run at most K + 1 rounds, K their largest size,
+    each moving a value by at most (k + 1) * W + 1, so every iterate stays
+    in (-2**61, 0] and none settles on a sentinel.
+    """
+    v0, v1, e0, e1 = layout.bounds[:, :4].T
+    sizes = v1 - v0
+    W = int(np.abs(layout.wt).max(initial=0))
+    fits = (sizes + 1) * W + 1 <= (int(eng.SNAP) - 1) // (sizes + 1)
+    certs: List[Optional[str]] = [None] * len(sizes)
+    if not fits.any():
+        return certs
+    n = len(layout.members)
+    comp = np.repeat(np.arange(len(sizes)), e1 - e0)  # of each edge
+    keep = layout.inside & fits[comp]
+    src = np.repeat(np.arange(n), np.diff(layout.starts + np.repeat(e0, sizes), append=len(comp)))
+    stay = np.arange(n)
+    src = np.concatenate((src[keep], stay))
+    order = np.argsort(src, kind="stable")  # each vertex's stay loop after its edges
+    dst = np.concatenate(((layout.local_dst + v0[comp])[keep], stay))
+    scaled = layout.wt[keep] * (sizes + 1)[comp[keep]]
+    wt = np.zeros((2, len(src)), dtype=np.int64)  # the stay loops weigh 0
+    wt[:, :len(scaled)] = scaled - 1, -scaled - 1
+    sl = eng.EdgeSlice(
+        slice(None), dst[order], wt[:, order], np.searchsorted(src[order], stay),
+        np.zeros(n, dtype=bool),
+    )
+    x = np.zeros((2, n), dtype=np.int64)
+    for _ in range(int(sizes[fits].max()) + 1):
+        new = eng.sweep(sl, x)
+        moved = new != x
+        if not moved.any():
+            break
+        x = new
+    nonpositive, nonnegative = np.logical_or.reduceat(moved, v0, axis=1).tolist()
+    for q in np.flatnonzero(fits).tolist():
+        certs[q] = "positive" if not nonpositive[q] else "negative" if not nonnegative[q] else None
+    return certs
 
 
 def _clamping(
@@ -325,9 +349,10 @@ def solve_tp_accelerated(
     inner_bound = sweep_bound(n, ca.W) + 1
     outer_bound = k_bound(arena) + 1
     layout = eng.ComponentLayout(ca, dec.components)
+    certs = cycle_sign_certificates(layout)
     for q in range(len(dec)):
         view = layout.view(q)
-        certificate = _cycle_sign_certificate(view)
+        certificate = certs[q]
         inner = None
         if certificate is not None:
             tables = _clamping(oracle(arena, dec, q, x))

@@ -3,8 +3,10 @@
 The solver iterates the one-step optimality operator from above (Knaster-
 Tarski greatest fixed point), with an early drop to -inf once a vertex is
 provably improvable without bound.  Also home to the mean-payoff sign
-classifier and the mean-payoff-to-reachability reduction used to validate
-the -inf rule; the reduction is built on the input's int64 edge array.
+classifier, two runs of the kernel's stop-request fixpoint (on the arena
+and on its dual, with owners swapped and weights negated), and the
+mean-payoff-to-reachability reduction used to validate the -inf rule; the
+reduction is built on the input's int64 edge array.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from . import _engine as eng
 from .arena import (
     Arena,
     ArenaError,
-    CapExceededError,
     Objective,
     Player,
     ValueVector,
@@ -28,7 +29,6 @@ from .arena import (
     fresh_names,
     is_normalized_mcr,
     make_arena,
-    max_abs_weight,
     validate,
 )
 
@@ -129,41 +129,33 @@ class Sign(Enum):
     POSITIVE = 1
 
 
-MP_CAP = 10**14
-
-
 def mp_sign(arena: Arena) -> Dict[int, Sign]:
     """Sign of the mean-payoff value of every vertex (targets ignored).
 
-    Runs the finite-horizon optimal-sum recurrence for N = 4|V|^2 W + 1
-    steps; a nonzero mean payoff has magnitude >= 1/|V| while the horizon
-    error is below 1/(2|V|), so comparing 2|V| x_N(v) against +/-N decides
-    the sign exactly.  Each step is one ``_engine.sweep``; the sums stay
-    within N W, which must lie below the kernel's sentinel snap
-    ``_engine.SNAP`` (2**61) for the sweep to be the plain max/min
-    recurrence, so a larger N W raises ``CapExceededError`` up front.
+    Each side runs ``solve_tp``'s first inner pass: the stop-request
+    fixpoint x = op(min(x, 0)) from +inf, values below the cutoff
+    -(|V|-1)W dropping to -inf; the least-credit fixpoint of energy games
+    (Brim, Chaloupka, Doyen, Gentilini and Raskin, "Faster algorithms for
+    mean-payoff games", FMSD 2011).  If MP(v) >= 0, a memoryless Max
+    strategy closes only non-negative cycles, so every partial sum from v,
+    and every iterate from +inf, is at least the cutoff: v never drops.
+    If MP(v) < 0, v's total payoff is -inf, and ``solve_tp``'s outer
+    vector, which only climbs, holds -inf there after this first pass.  So
+    MP < 0 exactly where the run reaches -inf.  The dual slice (owners
+    swapped, weights negated) negates every mean payoff, so there reaching
+    -inf means MP > 0.
     """
     n = arena.n
-    W = max_abs_weight(arena)
-    if n * n * W > MP_CAP:
-        raise CapExceededError(f"|V|^2 W = {n * n * W} exceeds {MP_CAP}")
-    steps = 4 * n * n * W + 1
-    if steps * W >= int(eng.SNAP):
-        raise CapExceededError(f"mean-payoff sums up to {steps * W} reach 2**61")
     ca = eng.CompiledArena(arena)
-    x = np.zeros(n, dtype=np.int64)
-    for _ in range(steps):
-        x = eng.sweep(ca, x)
-    out: Dict[int, Sign] = {}
-    for v in range(n):
-        lhs = 2 * n * int(x[v])
-        if lhs > steps:
-            out[v] = Sign.POSITIVE
-        elif lhs < -steps:
-            out[v] = Sign.NEGATIVE
-        else:
-            out[v] = Sign.ZERO
-    return out
+    dual = eng.EdgeSlice(slice(None), ca.dst, -ca.wt, ca.starts, ~ca.is_max)
+    bound = sweep_bound(n, ca.W) + 1
+    drops = []
+    for sl in (ca, dual):
+        x = np.full(n, eng.POS, dtype=np.int64)
+        eng.fixpoint(sl, x, bound, cutoff=ca.cutoff, ytrans=np.zeros(n, dtype=np.int64))
+        drops.append(x <= eng.NEG)
+    neg, pos = drops
+    return {v: Sign(s) for v, s in enumerate(np.where(neg, -1, pos).tolist())}
 
 
 def make_bipartite(arena: Arena) -> Arena:

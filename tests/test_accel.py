@@ -6,7 +6,7 @@ import pytest
 
 from quantgames import _engine as eng
 from quantgames.accel import (
-    _cycle_sign_certificate,
+    cycle_sign_certificates,
     no_clamp_oracle,
     scc_decompose,
     simple_path_oracle,
@@ -279,6 +279,21 @@ def simple_cycle_sums(arena, members):
     return sums
 
 
+def certificates(arena):
+    """The batched certificates of every component of the arena."""
+    layout = eng.ComponentLayout(eng.CompiledArena(arena), scc_decompose(arena).components)
+    return cycle_sign_certificates(layout)
+
+
+def enumerated_certificate(arena, members):
+    sums = simple_cycle_sums(arena, members)
+    if all(s > 0 for s in sums):
+        return "positive"
+    if all(s < 0 for s in sums):
+        return "negative"
+    return None
+
+
 def test_cycle_sign_certificate_matches_cycle_enumeration():
     rng = random.Random(61)
     seen = set()
@@ -290,18 +305,49 @@ def test_cycle_sign_certificate_matches_cycle_enumeration():
             for d in rng.sample(range(n), rng.randint(1, min(3, n)))
         ]
         arena = make_arena([f"v{i}" for i in range(n)], [Player.MAX] * n, edges)
-        ca = eng.CompiledArena(arena)
-        for members in scc_decompose(arena).components:
-            sums = simple_cycle_sums(arena, members)
-            want = (
-                "positive" if all(s > 0 for s in sums)
-                else "negative" if all(s < 0 for s in sums)
-                else None
-            )
-            got = _cycle_sign_certificate(eng.ComponentView(ca, members))
-            assert got == want, (arena, members, sums)
-            seen.add(got)
+        components = scc_decompose(arena).components
+        want = [enumerated_certificate(arena, members) for members in components]
+        assert certificates(arena) == want, (arena, components)
+        seen.update(want)
     assert seen == {"positive", "negative", None}
+
+
+def test_small_negative_components_beside_a_large_positive_one():
+    # A 40-vertex positive ring, then a chain of one- and two-vertex
+    # components with negative and mixed cycles that lead into it: the
+    # batched run makes 41 rounds, and the small components keep changing
+    # in every one of them.
+    k = 40
+    edges = [(v, (v + 1) % k, 1) for v in range(k)]
+    want = {tuple(range(k)): "positive"}
+    v = k
+    for i in range(12):
+        if i % 3 == 2:  # two vertices, cycles of weight -2 and +1
+            edges += [(v, v + 1, -1), (v + 1, v, -1), (v, v, 1), (v + 1, v - 1, 0)]
+            want[v, v + 1] = None
+            v += 2
+        else:  # one vertex on a negative loop
+            edges += [(v, v, -(i + 1)), (v, v - 1, 5)]
+            want[(v,)] = "negative"
+            v += 1
+    arena = make_arena([f"v{i}" for i in range(v)], [Player.MIN] * v, edges)
+    components = scc_decompose(arena).components
+    assert dict(zip(components, certificates(arena))) == want
+    assert all(want[c] == enumerated_certificate(arena, c) for c in components)
+
+
+def test_certificate_guard_skips_components_past_the_snap(monkeypatch):
+    # (k+1)((k+1)W + 1) >= 2**61 for k = 50,000 and W = 10**9: no sweep.
+    k = 50_000
+    edges = [(v, (v + 1) % k, 10**9 if v % 2 else -(10**9)) for v in range(k)]
+    arena = make_arena([f"v{i}" for i in range(k)], [Player.MIN] * k, edges)
+    layout = eng.ComponentLayout(eng.CompiledArena(arena), [range(k)])
+
+    def no_sweep(*args):
+        raise AssertionError("the certificate swept a guarded component")
+
+    monkeypatch.setattr(eng, "sweep", no_sweep)
+    assert cycle_sign_certificates(layout) == [None]
 
 
 @pytest.mark.parametrize(
@@ -314,12 +360,7 @@ def test_oracle_is_asked_only_for_certified_components(arena):
         asked.append(q)
         return simple_path_oracle(arena, dec, q, finalized)
 
-    dec = scc_decompose(arena)
-    ca = eng.CompiledArena(arena)
-    certified = [
-        q for q in range(len(dec))
-        if _cycle_sign_certificate(eng.ComponentView(ca, dec.components[q])) is not None
-    ]
+    certified = [q for q, cert in enumerate(certificates(arena)) if cert is not None]
     result = solve_tp_accelerated(arena, recording_oracle)
     assert asked == certified
     assert list(result.values) == list(solve_tp(arena).values)

@@ -28,6 +28,9 @@ CASES = {
     "solve_tp inner sweeps": (
         tp, "sweep_bound", -1, AssertionError, lambda: tp.solve_tp(layered(2, 5)),
     ),
+    "mp_sign sweeps": (
+        mcr, "sweep_bound", -1, AssertionError, lambda: mcr.mp_sign(layered(2, 5)),
+    ),
     "solve_tp outer passes": (
         tp, "k_bound", -1, AssertionError, lambda: tp.solve_tp(layered(2, 5)),
     ),
@@ -75,8 +78,9 @@ def test_bound_is_enforced(case, monkeypatch):
 
 def test_accelerated_cases_reach_the_component_kind_they_name():
     def last_certificate(arena):
-        members = scc_decompose(arena).components[-1]
-        return accel._cycle_sign_certificate(eng.ComponentView(eng.CompiledArena(arena), members))
+        components = scc_decompose(arena).components
+        layout = eng.ComponentLayout(eng.CompiledArena(arena), components)
+        return accel.cycle_sign_certificates(layout)[-1]
 
     assert last_certificate(fig2a(5, Objective.TP)) == "negative"
     assert last_certificate(single_vertex(Player.MAX, 1)) == "positive"

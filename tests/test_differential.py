@@ -5,6 +5,10 @@ chains of strongly connected blocks whose internal cycles carry both signs
 (the generic nested iteration, and the negative-certificate re-solve from
 below), and a chain of zero-weight self-loops, where every component is
 generic and reads its finished successors through the stop-request cap.
+
+The +-inf sets of the accelerated total-payoff solves are also checked
+against ``classify_tp_infinities``, which reads them off mean-payoff
+signs: a different algorithm, with no outer loop and no oracle.
 """
 
 import random
@@ -16,8 +20,9 @@ from quantgames.accel import (
     solve_tp_accelerated,
 )
 from quantgames.arena import Objective, Player, make_arena, normalize_target
+from quantgames.extvalue import MINUS_INF, PLUS_INF
 from quantgames.mcr import solve_mcr
-from quantgames.tp import solve_tp
+from quantgames.tp import classify_tp_infinities, solve_tp
 
 
 def weight(rng: random.Random) -> int:
@@ -60,10 +65,15 @@ def zero_loop_chain(rng: random.Random, k: int):
     return make_arena([f"z{i}" for i in range(k)], owners, edges, [], Objective.TP)
 
 
-def test_tp_plain_and_accelerated_agree():
+def tp_arenas():
+    """Four TP block arenas and the zero-loop chain."""
     rng = random.Random(91)
     arenas = [block_arena(rng, Objective.TP) for _ in range(4)]
-    for arena in arenas + [zero_loop_chain(rng, 120)]:
+    return arenas + [zero_loop_chain(rng, 120)]
+
+
+def test_tp_plain_and_accelerated_agree():
+    for arena in tp_arenas():
         want = list(solve_tp(arena).values)
         for oracle in (no_clamp_oracle, simple_path_oracle):
             assert list(solve_tp_accelerated(arena, oracle).values) == want
@@ -76,3 +86,20 @@ def test_mcr_plain_and_accelerated_agree():
         want = list(solve_mcr(arena).values)
         for oracle in (no_clamp_oracle, simple_path_oracle):
             assert list(solve_mcr_accelerated(arena, oracle).values) == want
+
+
+def infinity_class(value) -> str:
+    return "+inf" if value is PLUS_INF else "-inf" if value is MINUS_INF else "finite"
+
+
+def test_tp_infinities_match_the_mean_payoff_classification():
+    rng = random.Random(93)
+    arenas = tp_arenas() + [block_arena(rng, Objective.TP) for _ in range(20)]
+    seen = set()
+    for arena in arenas:
+        want = classify_tp_infinities(arena)
+        seen.update(want.values())
+        for oracle in (no_clamp_oracle, simple_path_oracle):
+            values = solve_tp_accelerated(arena, oracle).values
+            assert {v: infinity_class(x) for v, x in enumerate(values)} == want
+    assert seen == {"+inf", "-inf", "finite"}

@@ -11,7 +11,6 @@ from quantgames import mcr as mcr_mod
 from quantgames import tp as tp_mod
 from quantgames.arena import (
     ArenaError,
-    CapExceededError,
     Objective,
     Player,
     ValueVector,
@@ -158,15 +157,12 @@ def test_mp_sign_trivial():
     assert mp_sign(single_vertex(Player.MIN, -2))[0] is Sign.NEGATIVE
 
 
-def test_mp_sign_refuses_sums_past_the_sentinel_snap(monkeypatch):
-    # N = 4 * 10**9 + 1 steps with W = 10**9: sums up to about 4 * 10**18,
-    # past 2**61, so the sweep's sentinel snap would be wrong.
-    def no_sweep(*args):
-        raise AssertionError("mp_sign started a sweep")
-
-    monkeypatch.setattr(eng, "sweep", no_sweep)
-    with pytest.raises(CapExceededError, match="2\\*\\*61"):
-        mp_sign(single_vertex(Player.MAX, 10**9))
+def test_mp_sign_takes_weights_up_to_the_cap():
+    # |V|^2 W far above 10**14: the stop-request fixpoint's iterates stay
+    # within (|V|-1)W + W of 0, so no weight bound applies beyond the cap.
+    assert mp_sign(single_vertex(Player.MAX, 10**9))[0] is Sign.POSITIVE
+    assert mp_sign(single_vertex(Player.MIN, -(10**9)))[0] is Sign.NEGATIVE
+    assert mp_sign(single_vertex(Player.MIN, 10**9))[0] is Sign.POSITIVE
 
 
 def test_mp_sign_fig1a_all_zero():

@@ -4,7 +4,9 @@ On seeded random arenas of 8-40 vertices the values must not change when
 (a) the game file's vertex and edge lines are shuffled (values compared by
 vertex name), or (b) ``make_bipartite`` puts a zero-weight relay of the
 opposite owner on every edge between two vertices of one owner (original
-vertices keep their indices).
+vertices keep their indices).  And (c) the mean-payoff sign of every
+vertex flips on the dual arena, with the owners swapped and the weights
+negated.
 
 Plain ``solve_tp`` can take seconds on these sizes, so the total-payoff
 arenas have out-degree at most 2, unit weights and a small count.
@@ -16,7 +18,7 @@ import pytest
 
 from quantgames.arena import Arena, Objective, Player, make_arena, normalize_target
 from quantgames.gamefile import parse, serialize
-from quantgames.mcr import make_bipartite, solve_mcr
+from quantgames.mcr import Sign, make_bipartite, mp_sign, solve_mcr
 from quantgames.tp import solve_tp
 
 # objective -> (arena count, max out-degree, max |weight|)
@@ -75,3 +77,28 @@ def test_values_ignore_zero_weight_relays(objective):
         relays += bip.n - arena.n
         assert values(bip)[: arena.n] == values(arena)
     assert relays > 0
+
+
+def test_mean_payoff_signs_flip_on_the_dual_arena():
+    rng = random.Random("metamorphic:dual")
+    flip = {Sign.POSITIVE: Sign.NEGATIVE, Sign.ZERO: Sign.ZERO, Sign.NEGATIVE: Sign.POSITIVE}
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        W = rng.choice((1, 3, 20))
+        owners = [rng.choice([Player.MAX, Player.MIN]) for _ in range(n)]
+        edges = [
+            (v, d, rng.randint(-W, W))
+            for v in range(n)
+            for d in rng.sample(range(n), rng.randint(1, min(3, n)))
+        ]
+        names = [f"v{i}" for i in range(n)]
+        arena = make_arena(names, owners, edges, [], Objective.TP)
+        dual = make_arena(
+            names, [o.opponent() for o in owners], [(s, d, -w) for s, d, w in edges],
+            [], Objective.TP,
+        )
+        signs = mp_sign(arena)
+        assert mp_sign(dual) == {v: flip[s] for v, s in signs.items()}
+        seen.update(signs.values())
+    assert seen == set(Sign)
