@@ -76,7 +76,9 @@ block per component, each with its own width), the overflow and the
 inside-edge flags with their local destinations (read by the cycle-sign
 certificate and by a view's in-edge index) are computed on that copy, so
 the view of one component is a set of basic slices of it, O(1) to build
-and sharing its memory.
+and sharing its memory.  A view takes its column form from the layout's
+blocks on first use, so a view that only sweeps in scalar form (below)
+never takes it.
 
 Frontier sweeps.  On one vector over a slice of at least
 ``FRONTIER_MIN_EDGES`` edges, ``fixpoint`` keeps a worklist of the
@@ -104,6 +106,32 @@ and below it the frontier's extra numpy calls (20-30 us a sweep) cost
 more than the member updates they save.  ``sweep`` stays full, and so do
 weight-row batches.
 
+Scalar sweeps.  A numpy sweep makes about fifteen array calls (take,
+minimum, sign multiply, add, maximum, sign multiply, snaps, compare,
+store, count), which cost about 6-14 us whatever the slice size (on one
+core of a 2-vCPU x86 VM, as are the times below), so on
+the one- and two-vertex components of a chain condensation that fixed
+cost is nearly all of a solve.  On one vector over a slice of at most
+``SCALAR_MAX_EDGES`` edges, and without a trace, ``fixpoint`` therefore
+runs its Jacobi sweeps on Python ints: it gathers the members' values
+once per call, folds each member's exit edges (whose destinations the
+call never writes) into one candidate, each continuation min(x, ytrans),
+sweeps lists and compares the old and new lists with ``==``, and writes
+the members back to ``x`` once, before it returns or raises.
+``nested_fixpoint`` keeps the outer vector's members as a list between
+passes on the same slices.  Python ints are exact, so a candidate on a
+sentinel continuation lands within a weight of the sentinel as in int64,
+and the same post-step follows in the same order: the cutoff or the lift
+fused with the snap at +-``SNAP``, then the clamp, by ``bisect`` on the
+tables as lists (``_clamp``, which the numpy loop shares).  So every
+iterate, sweep count, stop test and bound error equals the numpy loop's.
+A slice's lists (``EdgeSlice.scalar``) are built on first use and kept,
+so the two to four calls per component share them.  The floor sits at the
+measured crossover: on seeded random reachability arenas a scalar sweep
+costs 2.2-2.8 us at up to 11 edges against 6-7 us in numpy, and the two
+meet at about 48 edges, where a numpy sweep costs 7.5-8 us whatever the
+size.  ``sweep``, weight-row batches and traced solves stay in numpy.
+
 Every operation broadcasts over a leading axis of weight rows: with ``wt``
 of shape ``[rows, E]``, vectors ``[rows, n]`` and ``cutoff``/``lift``
 columns ``[rows, 1]``, one call solves every weight assignment of a graph.
@@ -111,6 +139,7 @@ columns ``[rows, 1]``, one call solves every weight assignment of a graph.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -125,6 +154,7 @@ from .extvalue import ExtValue, MINUS_INF, PLUS_INF
 POS = np.int64(2**62)
 NEG = np.int64(-(2**62))
 SNAP = np.int64(2**61)  # finite values stay strictly inside +-SNAP
+_POS, _NEG, _SNAP = int(POS), int(NEG), int(SNAP)  # for scalar sweeps
 
 _ROW0 = (Ellipsis, 0, slice(None))  # row 0 of a [..., D, k] column table
 _ROW1 = (Ellipsis, 1, slice(None))
@@ -159,6 +189,21 @@ class ColumnForm(NamedTuple):
     folds: tuple
     width: int
     overflow: Optional[Overflow]
+
+
+class ScalarForm(NamedTuple):
+    """What a scalar ``fixpoint`` reads of a small slice, as Python ints
+    and lists: the members' ``is_max`` flags, each member's ``edges`` to
+    members as (position within the slice, weight) pairs, and its exit
+    edges, to vertices outside the slice, as the position of their source
+    ``exit_src`` and their weight ``exit_wt``.  ``gather`` indexes a
+    vector at the members, then at the exit edges' destinations."""
+
+    is_max: list
+    edges: list
+    gather: np.ndarray
+    exit_src: list
+    exit_wt: list
 
 
 class InEdges(NamedTuple):
@@ -197,10 +242,33 @@ class EdgeSlice:
     @functools.cached_property
     def cols(self) -> ColumnForm:
         """Built on first use: a compiled arena solved one component at a
-        time never sweeps whole.  A layout sets its views' directly."""
+        time never sweeps whole.  A view takes its own from its layout."""
         deg = out_degrees(self)
         columns = _Columns(self.dst, self.wt, self.sign, deg, [len(deg)])
         return columns.form(*columns.bounds[0].tolist())
+
+    @functools.cached_property
+    def scalar(self) -> ScalarForm:
+        """Built on first use, by a scalar ``fixpoint`` or
+        ``nested_fixpoint`` only, and kept for the slice's later calls."""
+        k = len(self.starts)
+        ids = self.members.tolist() if isinstance(self.members, np.ndarray) else list(range(k))
+        position = dict(zip(ids, range(k)))
+        ends = self.starts.tolist() + [len(self.dst)]
+        dst, wt = self.dst.tolist(), self.wt.tolist()
+        edges = [[] for _ in range(k)]
+        exit_src, exit_wt = [], []
+        for i in range(k):
+            for e in range(ends[i], ends[i + 1]):
+                j = position.get(dst[e])
+                if j is None:
+                    ids.append(dst[e])
+                    exit_src.append(i)
+                    exit_wt.append(wt[e])
+                else:
+                    edges[i].append((j, wt[e]))
+        return ScalarForm(self.is_max.tolist(), edges, np.array(ids, dtype=np.int64),
+                          exit_src, exit_wt)
 
     @functools.cached_property
     def inedges(self) -> InEdges:
@@ -394,21 +462,29 @@ class ComponentLayout:
         return view
 
     def _fill(self, view: ComponentView, q: int) -> None:
-        v0, v1, e0, e1, *cols = self.bounds[q].tolist()
+        v0, v1, e0, e1, *form = self.bounds[q].tolist()
         for name in self.VERTEX_FIELDS:
             setattr(view, name, getattr(self, name)[v0:v1])
         for name in self.EDGE_FIELDS:
             setattr(view, name, getattr(self, name)[e0:e1])
-        view.cols = self.columns.form(*cols)
+        view.layout = self
+        view.form = form
 
 
 class ComponentView(EdgeSlice):
     """The slice of a set of members of ``ca``, such as one strongly
     connected component: the one view of a layout over that member set.
-    Carries the ``ComponentLayout`` fields, sliced to the component."""
+    Carries the ``ComponentLayout`` fields, sliced to the component, the
+    ``layout`` itself and the arguments of its column ``form``."""
 
     def __init__(self, ca: CompiledArena, members: Sequence[int]) -> None:
         ComponentLayout(ca, [members])._fill(self, 0)
+
+    @functools.cached_property
+    def cols(self) -> ColumnForm:
+        """Basic slices of the layout's column blocks, taken on first use:
+        a view that only sweeps in scalar form never takes them."""
+        return self.layout.columns.form(*self.form)
 
     @functools.cached_property
     def inedges(self) -> InEdges:
@@ -481,16 +557,17 @@ def sweep(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray] = None) -> 
     return new
 
 
-def _clamp(new: np.ndarray, tables: Sequence[Optional[np.ndarray]], up: bool) -> None:
+def _clamp(new: list, tables: Sequence[Optional[list]], up: bool) -> None:
     """Snap each member onto its sorted table: to the largest entry not
-    above it going down, the smallest not below it going up.  Tables always
+    above it going down, the smallest not below it going up.  Values and
+    tables are Python ints and lists, searched by ``bisect``; tables always
     hold both sentinels, so both searches stay in range."""
     for i, table in enumerate(tables):
         if table is not None:
             if up:
-                new[i] = table[table.searchsorted(new[i], side="left")]
+                new[i] = table[bisect.bisect_left(table, new[i])]
             else:
-                new[i] = table[table.searchsorted(new[i], side="right") - 1]
+                new[i] = table[bisect.bisect_right(table, new[i]) - 1]
 
 
 def _member_index(sl: EdgeSlice, x: np.ndarray):
@@ -503,11 +580,20 @@ def _member_index(sl: EdgeSlice, x: np.ndarray):
 # frontier's extra numpy calls cost more than the member updates they save
 # (see "Frontier sweeps" in the module docstring).
 FRONTIER_MIN_EDGES = 4096
+# One vector over a slice of at most this many edges sweeps on Python ints:
+# below about this size a numpy sweep's fixed call cost is more than the
+# Python loop over the edges (see "Scalar sweeps" in the module docstring).
+SCALAR_MAX_EDGES = 48
+
+
+def _scalar(sl: EdgeSlice, x: np.ndarray) -> bool:
+    return x.ndim == 1 and len(sl.dst) <= SCALAR_MAX_EDGES
 
 
 def _settle(new: np.ndarray, cutoff, lift, tables) -> None:
     """The post-step of a ``fixpoint`` sweep, on the members' reduced
-    values ``new``: the cutoff or lift, the sentinel snap, the clamp."""
+    values ``new``: the cutoff or lift, the sentinel snap, the clamp (on
+    the values as a list, since ``tables`` are lists)."""
     # cutoff and lift lie inside +-SNAP, so each also restores one
     # sentinel; one more masked copy restores the other.
     if lift is None:
@@ -517,7 +603,9 @@ def _settle(new: np.ndarray, cutoff, lift, tables) -> None:
         new[new > lift] = POS
         new[new <= -SNAP] = NEG
     if tables is not None:
-        _clamp(new, tables, up=lift is not None)
+        vals = new.tolist()
+        _clamp(vals, tables, up=lift is not None)
+        new[:] = vals
 
 
 def fixpoint(
@@ -538,10 +626,16 @@ def fixpoint(
     ``FRONTIER_MIN_EDGES`` edges takes frontier sweeps, with the same
     iterates: after the first, a sweep recomputes only the members with
     an edge into one that just changed, the *dirty* ones (``None``: all).
+    One vector on a slice of at most ``SCALAR_MAX_EDGES`` edges, untraced,
+    sweeps on Python ints, with the same iterates too.
 
     ``ytrans`` is gathered into column form once, at the start of the
     call, so it must not change during the call (no caller changes it:
     the total-payoff pass caps ``y`` before solving, then reads it)."""
+    if tables is not None:
+        tables = [None if t is None else t.tolist() for t in tables]
+    if trace is None and _scalar(sl, x):
+        return _scalar_fixpoint(sl, x, bound, cutoff, lift, ytrans, tables)
     cols, sign = sl.cols, sl.sign
     ycols = None if ytrans is None else _gather(cols, ytrans)
     frontier = x.ndim == 1 and len(sl.dst) >= FRONTIER_MIN_EDGES
@@ -582,6 +676,55 @@ def fixpoint(
                 dirty = None
         else:
             dirty = None
+
+
+def _scalar_fixpoint(sl, x, bound, cutoff, lift, ytrans, tables) -> int:
+    """``fixpoint`` on Python ints, for one vector over a small slice and
+    no trace, with the same iterates, count and bound errors.  The exit
+    edges read vertices that the call never writes, so each member's exit
+    candidates are folded into one, ``fixed``, once per call."""
+    is_max, edges, gather, exit_src, exit_wt = sl.scalar
+    k = len(is_max)
+    xs = x[gather].tolist()
+    caps = None if ytrans is None else ytrans[gather].tolist()
+    fixed = [None] * k
+    for e, (i, w) in enumerate(zip(exit_src, exit_wt), k):
+        c = xs[e] if caps is None or xs[e] < caps[e] else caps[e]
+        c += w
+        f = fixed[i]
+        if f is None or (c > f if is_max[i] else c < f):
+            fixed[i] = c
+    del xs[k:]
+    up = lift is not None
+    bar = int(lift if up else cutoff)
+    rows = list(zip(is_max, fixed, edges))
+    sweeps = 0
+    while True:
+        cont = xs if caps is None else [c if c < y else y for c, y in zip(xs, caps)]
+        new = []
+        for mx, v, es in rows:
+            for j, w in es:
+                c = cont[j] + w
+                if v is None or (c > v if mx else c < v):
+                    v = c
+            if up:
+                new.append(_POS if v > bar else _NEG if v <= -_SNAP else v)
+            else:
+                new.append(_NEG if v < bar else _POS if v >= _SNAP else v)
+        if tables is not None:
+            _clamp(new, tables, up)
+        sweeps += 1
+        if new == xs:
+            break
+        if sweeps > bound:
+            x[_member_index(sl, x)] = new
+            if tables is not None:
+                raise UnsoundOracleError("component failed to stabilize")
+            raise AssertionError("value iteration exceeded its sweep bound")
+        xs = new
+    if sweeps > 1:
+        x[_member_index(sl, x)] = xs
+    return sweeps
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -655,7 +798,9 @@ def nested_fixpoint(
     Successors outside the slice must be finished, with ``x`` equal to
     ``y`` there, as a previous call leaves them.  The cap is then a no-op
     outside the members, so the default pass caps ``y`` in place on the
-    members and reads it as the cap: O(slice) per pass, not O(n).
+    members and reads it as the cap: O(slice) per pass, not O(n).  On
+    the slices that sweep in scalar form, the passes keep the members'
+    outer values as a list.
     """
     m = _member_index(sl, x)
     if inner is None:
@@ -663,6 +808,8 @@ def nested_fixpoint(
             y[m] = np.maximum(y[m], 0)
             x[m] = POS
             return fixpoint(sl, x, inner_bound, cutoff=cutoff, ytrans=y)
+    if _scalar(sl, x):
+        return _scalar_nested(x, y, m, int(lift), outer_bound, inner)
     passes = sweeps = 0
     while True:
         prev = y[m].copy()
@@ -679,6 +826,25 @@ def nested_fixpoint(
             raise AssertionError("outer iteration exceeded its pass bound")
 
 
+def _scalar_nested(x, y, m, lift: int, outer_bound: int, inner) -> Tuple[int, int]:
+    """The passes of ``nested_fixpoint`` with the outer vector's members
+    kept as Python ints between them, for the slices that sweep in scalar
+    form."""
+    prev = y[m].tolist()
+    passes = sweeps = 0
+    while True:
+        sweeps += inner()
+        new = [_POS if v > lift else v for v in x[m].tolist()]
+        x[m] = new
+        y[m] = new
+        passes += 1
+        if new == prev:
+            return passes, sweeps
+        if passes > outer_bound:
+            raise AssertionError("outer iteration exceeded its pass bound")
+        prev = new
+
+
 def ext_of_raw(raw: int) -> ExtValue:
     if raw >= POS:
         return PLUS_INF
@@ -687,17 +853,20 @@ def ext_of_raw(raw: int) -> ExtValue:
     return int(raw)
 
 
-def raw_of_ext(v: ExtValue) -> int:
-    if v is PLUS_INF:
-        return int(POS)
-    if v is MINUS_INF:
-        return int(NEG)
-    return int(v)
+_RAW_OF_INF = {PLUS_INF: int(POS), MINUS_INF: int(NEG)}
 
 
 def to_array(values: Sequence[ExtValue]) -> np.ndarray:
-    return np.array([raw_of_ext(v) for v in values], dtype=np.int64)
+    """Extended values as raw int64: ints stay, the infinities become the
+    sentinels (one dict lookup per value, keyed by identity for them)."""
+    return np.fromiter(map(_RAW_OF_INF.get, values, values), dtype=np.int64, count=len(values))
 
 
 def from_array(arena: Arena, x: np.ndarray) -> ValueVector:
-    return ValueVector(arena, [ext_of_raw(raw) for raw in x.tolist()])
+    """The raw vector ``x`` as extended values: the list of its ints, with
+    the infinities written at the sentinel positions."""
+    values = x.tolist()
+    for at, inf in ((x >= POS, PLUS_INF), (x <= NEG, MINUS_INF)):
+        for i in np.flatnonzero(at).tolist():
+            values[i] = inf
+    return ValueVector(arena, values)

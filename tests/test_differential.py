@@ -8,10 +8,12 @@ generic and reads its finished successors through the stop-request cap.
 
 The +-inf sets of the accelerated total-payoff solves are also checked
 against ``classify_tp_infinities``, which reads them off mean-payoff
-signs: a different algorithm, with no outer loop and no oracle.
+signs: a different algorithm, with no outer loop and no oracle, also on
+block arenas of 300 to 1,000 vertices.
 """
 
 import random
+from typing import Optional
 
 from quantgames.accel import (
     no_clamp_oracle,
@@ -29,13 +31,14 @@ def weight(rng: random.Random) -> int:
     return rng.choice((-1, 0, 0, 1))
 
 
-def block_arena(rng: random.Random, objective: Objective):
-    """30-150 vertices in blocks of 1-5, each block a ring plus chords, and
-    a few exits from each block to earlier ones.  Weights in -1..1, half of
-    them 0, give cycles of both signs and many finite values.  Small blocks
-    and W = 1 keep the plain total-payoff solve affordable: its sweeps grow
-    with the square of |V| W times the cycle length."""
-    n = rng.randint(30, 150)
+def block_arena(rng: random.Random, objective: Objective, n: Optional[int] = None):
+    """``n`` vertices (by default 30-150) in blocks of 1-5, each block a
+    ring plus chords, and a few exits from each block to earlier ones.
+    Weights in -1..1, half of them 0, give cycles of both signs and many
+    finite values.  Small blocks and W = 1 keep the plain total-payoff solve
+    affordable: its sweeps grow with the square of |V| W times the cycle
+    length."""
+    n = rng.randint(30, 150) if n is None else n
     edges = {}
     lo = 0
     while lo < n:
@@ -95,6 +98,10 @@ def infinity_class(value) -> str:
 def test_tp_infinities_match_the_mean_payoff_classification():
     rng = random.Random(93)
     arenas = tp_arenas() + [block_arena(rng, Objective.TP) for _ in range(20)]
+    # Larger ones, whose generic components make up to about 160,000
+    # inner sweeps a solve.
+    rng = random.Random(94)
+    arenas += [block_arena(rng, Objective.TP, n) for n in (300, 600, 1000)]
     seen = set()
     for arena in arenas:
         want = classify_tp_infinities(arena)

@@ -32,6 +32,14 @@ from test_differential import block_arena, zero_loop_chain
 
 FULL, FRONTIER = 10**18, 0
 
+
+@pytest.fixture(autouse=True)
+def numpy_sweeps(monkeypatch):
+    """Every slice sweeps in numpy here, in full or on the frontier; the
+    scalar form of small slices is checked in tests/test_scalar.py."""
+    monkeypatch.setattr(eng, "SCALAR_MAX_EDGES", 0)
+
+
 MCR_SOLVERS = {
     "plain": lambda a: solve_mcr(a, with_trace=True),
     "scc": lambda a: solve_mcr_accelerated(a, no_clamp_oracle),
