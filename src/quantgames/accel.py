@@ -330,11 +330,19 @@ def solve_tp_accelerated(
 
     Components whose internal cycles all share a strict sign are solved by
     one clamped reachability-style pass (staying inside forever is then
-    worth +inf or -inf, so values coincide with the exit-path game); a
-    second outer pass confirms stabilization.  On a 'negative' certificate
-    a +inf result can only be an artifact of starting from above, so such
-    components are re-solved from below with upward clamping.  Everything
-    else runs the plain nested iteration restricted to the component.
+    worth +inf or -inf, so values coincide with the exit-path game).  On a
+    'negative' certificate a +inf result can only be an artifact of
+    starting from above, so such components are re-solved from below with
+    upward clamping.  Everything else runs the plain nested iteration
+    restricted to the component.
+
+    The counts are those of the nested iteration's outer loop around the
+    pass: one pass when the lifted result is all -inf, the outer vector's
+    start on the component, else a second that repeats the first and
+    confirms it.  That pass reads neither the outer vector nor any value
+    the first one changed, so it would take the same sweeps to the same
+    values; it is counted in ``k_e``/``k_i`` and held to the pass bound,
+    but not run.
     """
     if arena.objective is not Objective.TP:
         raise ArenaError("solve_tp_accelerated expects a TP arena")
@@ -353,14 +361,22 @@ def solve_tp_accelerated(
     for q in range(len(dec)):
         view = layout.view(q)
         certificate = certs[q]
-        inner = None
-        if certificate is not None:
+        if certificate is None:
+            outer, sweeps = eng.nested_fixpoint(
+                view, x, y, cutoff=ca.cutoff, lift=lift_at,
+                inner_bound=inner_bound, outer_bound=outer_bound,
+            )
+        else:
             tables = _clamping(oracle(arena, dec, q, x))
-            inner = _signed_pass(ca, view, x, tables, certificate)
-        outer, sweeps = eng.nested_fixpoint(
-            view, x, y, cutoff=ca.cutoff, lift=lift_at,
-            inner_bound=inner_bound, outer_bound=outer_bound, inner=inner,
-        )
+            sweeps = _signed_pass(ca, view, x, tables, certificate, inner_bound)
+            m = view.members
+            new = [_POS if v > lift_at else v for v in x[m].tolist()]
+            outer = 1 if new == y[m].tolist() else 2
+            x[m] = new
+            y[m] = new
+            if outer == 2 and outer_bound < 1:  # as nested_fixpoint after pass 1
+                raise AssertionError("outer iteration exceeded its pass bound")
+            sweeps *= outer
         stats.outer_iterations += outer
         stats.inner_iterations += sweeps
     stats.sweeps = stats.inner_iterations
@@ -374,20 +390,17 @@ def _signed_pass(
     x: np.ndarray,
     tables: Optional[List[Optional[np.ndarray]]],
     certificate: str,
-) -> Callable[[], int]:
-    """Inner pass for a certified component: the clamped reachability-style
-    iteration from above, without stop requests."""
+    bound: int,
+) -> int:
+    """The clamped reachability-style pass of a certified component, from
+    above and without stop requests, solving ``x`` on its members; returns
+    the sweep count."""
     marr = view.members
-    bound = sweep_bound(ca.n, ca.W) + 1
-
-    def solve() -> int:
-        x[marr] = eng.POS
-        sweeps = eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
-        if certificate == "negative" and np.count_nonzero(x[marr] >= eng.POS):
-            # Starting from above can strand vertices at +inf; approach the
-            # same fixed point from below instead.
-            x[marr] = eng.NEG
-            sweeps += eng.fixpoint(view, x, bound, lift=(ca.n - 1) * ca.W, tables=tables)
-        return sweeps
-
-    return solve
+    x[marr] = eng.POS
+    sweeps = eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
+    if certificate == "negative" and np.count_nonzero(x[marr] >= eng.POS):
+        # Starting from above can strand vertices at +inf; approach the
+        # same fixed point from below instead.
+        x[marr] = eng.NEG
+        sweeps += eng.fixpoint(view, x, bound, lift=(ca.n - 1) * ca.W, tables=tables)
+    return sweeps

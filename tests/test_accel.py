@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from quantgames import _engine as eng
+from quantgames import _engine as eng, accel
 from quantgames.accel import (
+    UnsoundOracleError,
     cycle_sign_certificates,
     no_clamp_oracle,
     scc_decompose,
@@ -23,10 +24,11 @@ from quantgames.arena import (
 )
 from quantgames.cli import random_arena
 from quantgames.extvalue import MINUS_INF, PLUS_INF
-from quantgames.mcr import solve_mcr
+from quantgames.mcr import SolveStats, solve_mcr
 from quantgames.tp import solve_tp
 
-from conftest import MIXED, fig2a, layered
+from conftest import MIXED, fig2a, layered, single_vertex
+from test_frontier import skewed_arena
 
 
 def test_scc_layered():
@@ -393,3 +395,194 @@ def test_tp_accelerated_reads_the_edge_list_a_fixed_number_of_times():
     # A whole-arena scan per component makes the solve quadratic; the count
     # must not grow with the number of components (41 and 161 here).
     assert edge_list_reads(layered(20, 5)) == edge_list_reads(layered(80, 5))
+
+
+def two_pass_reference(arena, seen=None):
+    """The accelerated TP solve as the outer loop around every certified
+    component's clamped pass: the pass runs again until it leaves the outer
+    vector unchanged, so a component costs two passes unless its lifted
+    result is the start, all -inf.  Returns the per-component (passes,
+    sweeps) and the values, or the error type.  ``seen`` collects what the
+    certified components reached."""
+    seen = set() if seen is None else seen
+    dec = scc_decompose(arena)
+    ca = eng.CompiledArena(arena)
+    lift_at = (arena.n - 1) * ca.W
+    x = np.full(arena.n, eng.POS, dtype=np.int64)
+    y = np.full(arena.n, eng.NEG, dtype=np.int64)
+    inner_bound = accel.sweep_bound(arena.n, ca.W) + 1
+    outer_bound = accel.k_bound(arena) + 1
+    layout = eng.ComponentLayout(ca, dec.components)
+    counts = []
+    try:
+        for q, cert in enumerate(cycle_sign_certificates(layout)):
+            view = layout.view(q)
+            if cert is None:
+                counts.append(eng.nested_fixpoint(
+                    view, x, y, cutoff=ca.cutoff, lift=lift_at,
+                    inner_bound=inner_bound, outer_bound=outer_bound,
+                ))
+                continue
+            seen.add(cert)
+            tables = accel._clamping(simple_path_oracle(arena, dec, q, x))
+            m = view.members
+            passes = sweeps = 0
+            while True:
+                prev = y[m].copy()
+                x[m] = eng.POS
+                sweeps += eng.fixpoint(view, x, inner_bound, cutoff=ca.cutoff, tables=tables)
+                if cert == "negative" and (x[m] >= eng.POS).any():
+                    seen.add("from below")
+                    x[m] = eng.NEG
+                    sweeps += eng.fixpoint(view, x, inner_bound, lift=lift_at, tables=tables)
+                new = x[m]
+                new[new > lift_at] = eng.POS
+                x[m] = new
+                y[m] = new
+                passes += 1
+                if np.array_equal(new, prev):
+                    break
+                if passes > outer_bound:
+                    raise AssertionError("outer iteration exceeded its pass bound")
+            seen.add(f"outer {passes}")
+            counts.append((passes, sweeps))
+    except (AssertionError, UnsoundOracleError) as exc:
+        return type(exc)
+    return counts, eng.from_array(arena, y).values
+
+
+class ComponentCounts(SolveStats):
+    """SolveStats that keeps each component's additions to the counts as
+    (passes, sweeps) in ``steps``: the solve adds to the outer count, then
+    to the inner one."""
+
+    def __init__(self, *args, **kwargs):
+        object.__setattr__(self, "steps", [])
+        super().__init__(*args, **kwargs)
+
+    def __setattr__(self, name, value):
+        if name == "outer_iterations" and value:
+            self.steps.append((value - self.outer_iterations,))
+        elif name == "inner_iterations" and value:
+            self.steps[-1] += (value - self.inner_iterations,)
+        super().__setattr__(name, value)
+
+
+def one_pass_run(arena, monkeypatch):
+    """``solve_tp_accelerated`` as the reference reports it."""
+    monkeypatch.setattr(accel, "SolveStats", ComponentCounts)
+    try:
+        res = solve_tp_accelerated(arena)
+    except (AssertionError, UnsoundOracleError) as exc:
+        return type(exc)
+    return res.stats.steps, res.values.values
+
+
+def one_pass_corpus():
+    rng = random.Random(71)
+    arenas = [single_vertex(Player.MIN, -1), single_vertex(Player.MAX, 1), MIXED,
+              fig2a(5, Objective.TP), layered(6, 4)]
+    arenas += [random_arena(rng, 6, 3, Objective.TP) for _ in range(60)]
+    arenas += [skewed_arena(rng, rng.randint(2, 30), rng.choice((1, 3)), Objective.TP)
+               for _ in range(30)]
+    return arenas
+
+
+def test_one_pass_matches_the_two_pass_loop(monkeypatch):
+    """A certified component's clamped pass runs once; its counts, values
+    and bound errors are those of the loop that ran it twice."""
+    seen = set()
+    for arena in one_pass_corpus():
+        want = two_pass_reference(arena, seen)
+        assert one_pass_run(arena, monkeypatch) == want, arena
+    assert {"positive", "negative", "from below", "outer 1", "outer 2"} <= seen
+
+
+@pytest.mark.parametrize("name, small", [("k_bound", -1), ("sweep_bound", -1), ("sweep_bound", 0)])
+def test_one_pass_bound_errors_match_the_two_pass_loop(monkeypatch, name, small):
+    monkeypatch.setattr(accel, name, lambda *args: small)
+    errors = set()
+    for arena in one_pass_corpus():
+        want = two_pass_reference(arena)
+        assert one_pass_run(arena, monkeypatch) == want, arena
+        errors.add(want if isinstance(want, type) else None)
+    assert AssertionError in errors and None in errors
+
+
+def test_certified_components_run_one_pass(monkeypatch):
+    """layered(500, 50) has 1,000 certified components, none re-solved
+    from below, and the target's zero loop, which takes two nested passes:
+    the two-pass loop made 2,002 fixpoint calls, the solve makes 1,002."""
+    calls = []
+    fixpoint = eng.fixpoint
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "fixpoint", counting)
+    arena = layered(500, 50)
+    res = solve_tp_accelerated(arena)
+    assert (res.stats.outer_iterations, res.stats.inner_iterations) == (4 * 500 + 2, 14 * 500 + 4)
+    assert len(calls) == 1002
+    calls.clear()
+    assert two_pass_reference(arena)[1] == res.values.values
+    assert len(calls) == 2002
+
+
+def scalar_reference(view):
+    """The scalar form built from the view's own arrays alone."""
+    k = len(view.starts)
+    ids = view.members.tolist()
+    position = dict(zip(ids, range(k)))
+    ends = view.starts.tolist() + [len(view.dst)]
+    dst, wt = view.dst.tolist(), view.wt.tolist()
+    edges = [[] for _ in range(k)]
+    exit_src, exit_wt = [], []
+    for i in range(k):
+        for e in range(ends[i], ends[i + 1]):
+            j = position.get(dst[e])
+            if j is None:
+                ids.append(dst[e])
+                exit_src.append(i)
+                exit_wt.append(wt[e])
+            else:
+                edges[i].append((j, wt[e]))
+    return eng.ScalarForm(view.is_max.tolist(), edges, np.array(ids, dtype=np.int64),
+                          exit_src, exit_wt)
+
+
+def assert_same_form(got, want):
+    assert got.is_max == want.is_max
+    assert got.edges == want.edges
+    assert got.gather.dtype == np.int64 and got.gather.tolist() == want.gather.tolist()
+    assert got.exit_src == want.exit_src
+    assert got.exit_wt == want.exit_wt
+
+
+def test_layout_scalar_forms_match_each_views_own():
+    """A layout builds its small components' scalar forms a run at a time;
+    each equals the form of that view's own arrays, whatever order the
+    views take them in, and a second view of a component gets it again.
+    The layout holds the untaken forms of one run only, none of them of a
+    component above the floor."""
+    rng = random.Random(72)
+    arenas = [layered(200, 50)]
+    arenas += [skewed_arena(rng, rng.randint(1, 60), rng.choice((1, 5)),
+                            rng.choice((Objective.MCR, Objective.TP))) for _ in range(100)]
+    taken = 0
+    for arena in arenas:
+        layout = eng.ComponentLayout(eng.CompiledArena(arena), scc_decompose(arena).components)
+        order = list(range(len(layout.bounds)))
+        if rng.random() < 0.5:
+            rng.shuffle(order)
+        for q in order + order[:3]:
+            view = layout.view(q)
+            if len(view.dst) <= eng.SCALAR_MAX_EDGES:
+                assert_same_form(view.scalar, scalar_reference(view))
+                taken += 1
+                held = list(layout._scalar)
+                assert q not in held and len(held) < layout.SCALAR_RUN
+                assert all(layout.bounds[c, 3] - layout.bounds[c, 2] <= eng.SCALAR_MAX_EDGES
+                           for c in held)
+    assert taken > 1000
