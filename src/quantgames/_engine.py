@@ -110,18 +110,19 @@ weight-row batches.
 Scalar sweeps.  A numpy sweep makes about fifteen array calls (take,
 minimum, sign multiply, add, maximum, sign multiply, snaps, compare,
 store, count), which cost about 6-14 us whatever the slice size (on one
-core of a 2-vCPU x86 VM, as are the times below), so on
-the one- and two-vertex components of a chain condensation that fixed
-cost is nearly all of a solve.  On one vector over a slice of at most
+core of a 2-vCPU x86 VM, as are the times below), so on the one- and
+two-vertex components of a chain condensation that fixed cost is nearly
+all of a solve.  On one vector over a slice of at most
 ``SCALAR_MAX_EDGES`` edges, and without a trace, ``fixpoint`` therefore
 runs its Jacobi sweeps on Python ints: it gathers the members' values
 once per call, folds each member's exit edges (whose destinations the
 call never writes) into one candidate, each continuation min(x, ytrans),
 sweeps lists and compares the old and new lists with ``==``, and writes
-the members back to ``x`` once, before it returns or raises.
-``nested_fixpoint`` keeps the outer vector's members as a list between
-passes on the same slices.  Python ints are exact, so a candidate on a
-sentinel continuation lands within a weight of the sentinel as in int64,
+the members back to ``x`` once, before it returns or raises.  Only
+``fixpoint`` sweeps on Python ints; ``nested_fixpoint``'s passes call it,
+so a small slice's inner sweeps take this form inside the numpy outer
+loop.  Python ints are exact, so a candidate on a sentinel continuation
+lands within a weight of the sentinel as in int64,
 and the same post-step follows in the same order: the cutoff or the lift
 fused with the snap at +-``SNAP``, then the clamp, by ``bisect`` on the
 tables as lists (``_clamp``, which the numpy loop shares).  So every
@@ -260,8 +261,8 @@ class EdgeSlice:
 
     @functools.cached_property
     def scalar(self) -> ScalarForm:
-        """Built on first use, by a scalar ``fixpoint`` or
-        ``nested_fixpoint`` only, and kept for the slice's later calls.
+        """Built on first use, by a scalar ``fixpoint`` only, and kept
+        for the slice's later calls.
         Every vertex is a member here, at its own position, so no edge
         leaves the slice; a view overrides this."""
         ends = self.starts.tolist() + [len(self.dst)]
@@ -530,14 +531,12 @@ class ComponentLayout:
 
 
 class ComponentView(EdgeSlice):
-    """The slice of a set of members of ``ca``, such as one strongly
-    connected component: the one view of a layout over that member set.
-    Carries the ``ComponentLayout`` fields, sliced to the component, the
-    ``layout`` itself, the component's index ``q`` in it and the arguments
-    of its column ``form``."""
-
-    def __init__(self, ca: CompiledArena, members: Sequence[int]) -> None:
-        ComponentLayout(ca, [members])._fill(self, 0)
+    """The slice of one component of a ``ComponentLayout``, such as a
+    strongly connected component; ``ComponentLayout(ca, [members]).view(0)``
+    is the slice of any member set.  Carries the ``ComponentLayout``
+    fields, sliced to the component, the ``layout`` itself, the
+    component's index ``q`` in it and the arguments of its column
+    ``form``."""
 
     @functools.cached_property
     def cols(self) -> ColumnForm:
@@ -650,10 +649,6 @@ FRONTIER_MIN_EDGES = 4096
 SCALAR_MAX_EDGES = 48
 
 
-def _scalar(sl: EdgeSlice, x: np.ndarray) -> bool:
-    return x.ndim == 1 and len(sl.dst) <= SCALAR_MAX_EDGES
-
-
 def _settle(new: np.ndarray, cutoff, lift, tables) -> None:
     """The post-step of a ``fixpoint`` sweep, on the members' reduced
     values ``new``: the cutoff or lift, the sentinel snap, the clamp (on
@@ -698,7 +693,7 @@ def fixpoint(
     the total-payoff pass caps ``y`` before solving, then reads it)."""
     if tables is not None:
         tables = [None if t is None else t.tolist() for t in tables]
-    if trace is None and _scalar(sl, x):
+    if trace is None and x.ndim == 1 and len(sl.dst) <= SCALAR_MAX_EDGES:
         return _scalar_fixpoint(sl, x, bound, cutoff, lift, ytrans, tables)
     cols, sign = sl.cols, sl.sign
     ycols = None if ytrans is None else _gather(cols, ytrans)
@@ -860,23 +855,15 @@ def nested_fixpoint(
     Successors outside the slice must be finished, with ``x`` equal to
     ``y`` there, as a previous call leaves them.  The cap is then a no-op
     outside the members, so a pass caps ``y`` in place on the members and
-    reads it as the cap: O(slice) per pass, not O(n).  On the slices that
-    sweep in scalar form, the passes keep the members' outer values as a
-    list.
+    reads it as the cap: O(slice) per pass, not O(n).
     """
     m = _member_index(sl, x)
-
-    def inner() -> int:
-        y[m] = np.maximum(y[m], 0)
-        x[m] = POS
-        return fixpoint(sl, x, inner_bound, cutoff=cutoff, ytrans=y)
-
-    if _scalar(sl, x):
-        return _scalar_nested(x, y, m, int(lift), outer_bound, inner)
     passes = sweeps = 0
     while True:
         prev = y[m].copy()
-        sweeps += inner()
+        y[m] = np.maximum(prev, 0)
+        x[m] = POS
+        sweeps += fixpoint(sl, x, inner_bound, cutoff=cutoff, ytrans=y)
         new = x[m]
         new[new > lift] = POS
         x[m] = new
@@ -887,25 +874,6 @@ def nested_fixpoint(
             return passes, sweeps
         if passes > outer_bound:
             raise AssertionError("outer iteration exceeded its pass bound")
-
-
-def _scalar_nested(x, y, m, lift: int, outer_bound: int, inner) -> Tuple[int, int]:
-    """The passes of ``nested_fixpoint`` with the outer vector's members
-    kept as Python ints between them, for the slices that sweep in scalar
-    form."""
-    prev = y[m].tolist()
-    passes = sweeps = 0
-    while True:
-        sweeps += inner()
-        new = [_POS if v > lift else v for v in x[m].tolist()]
-        x[m] = new
-        y[m] = new
-        passes += 1
-        if new == prev:
-            return passes, sweeps
-        if passes > outer_bound:
-            raise AssertionError("outer iteration exceeded its pass bound")
-        prev = new
 
 
 def ext_of_raw(raw: int) -> ExtValue:

@@ -177,7 +177,8 @@ def simple_path_oracle(
     the sum alone when the path ends in an in-component target).  Both
     sentinels are always included.  If any vertex would exceed ``cap``
     candidates, or the enumeration itself grows too large, the whole
-    component degrades to no-clamp.
+    component degrades to no-clamp, before any walk when the walks would
+    pass ``PATH_WORK_CAP`` for sure (``_walks_pass_work_cap``).
 
     ``finalized`` is normally the solver's raw vector, but a list of
     extended values (ints, ``PLUS_INF``, ``MINUS_INF``) works too: exit
@@ -188,6 +189,10 @@ def simple_path_oracle(
     inside = set(members)
     ends, dsts, wts = dec.edges
     targets = arena.targets if arena.objective is Objective.MCR else frozenset()
+    # k times the arena's edge count bounds k * E_C, so most components
+    # skip the sum.
+    if len(members) * len(dsts) > PATH_WORK_CAP and _walks_pass_work_cap(members, ends, targets):
+        return [None] * len(members)
     tables: List[Optional[np.ndarray]] = []
     work = 0
     for v in members:
@@ -222,6 +227,16 @@ def simple_path_oracle(
                 return [None] * len(members)
         tables.append(np.array(sorted(cands), dtype=np.int64))
     return tables
+
+
+def _walks_pass_work_cap(members, ends, targets) -> bool:
+    """Whether the walks of ``simple_path_oracle`` over a component would
+    pass ``PATH_WORK_CAP`` for sure: with no target among its k members,
+    each member's walk reaches all of the component and examines every one
+    of its E_C out-edges, so they make at least k * E_C steps."""
+    return targets.isdisjoint(members) and (
+        len(members) * sum(ends[v + 1] - ends[v] for v in members) > PATH_WORK_CAP
+    )
 
 
 def cycle_sign_certificates(layout: eng.ComponentLayout) -> List[Optional[str]]:

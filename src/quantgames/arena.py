@@ -375,15 +375,23 @@ def normalize_target(arena: Arena) -> Arena:
     straight to the fresh target for free: the payoff is sealed at the
     first target visit, so leaving them their old moves would hand the
     owner new (value-changing) options.  Canonical inputs are returned
-    unchanged.  The rewiring works on the sorted edge array: the targets'
-    rows are dropped and each forwarding row is inserted where they were,
-    so the rows stay sorted.
+    unchanged.  Any other input gains a vertex, so it may have at most
+    ``vertex_cap() - 1`` vertices; that is checked before anything is
+    built (``CapExceededError``).  The rewiring works on the sorted edge
+    array: the targets' rows are dropped and each forwarding row is
+    inserted where they were, so the rows stay sorted.
     """
     if arena.objective is not Objective.MCR:
         raise ArenaError("normalize_target expects an MCR arena")
     validate(arena)
     if is_normalized_mcr(arena):
         return arena
+    cap = vertex_cap()
+    if arena.n + 1 > cap:
+        raise CapExceededError(
+            f"{arena.n} vertices and a fresh target exceed the cap {cap}: an MCR game "
+            f"that needs a fresh target may have at most {cap - 1} vertices"
+        )
     t = arena.n
     names = arena.names + tuple(fresh_names(arena.names, ["t"]))
     owners = arena.owners + (Player.MAX,)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from quantgames.arena import Arena, Objective, Player, make_arena
@@ -64,3 +66,16 @@ MIXED = make_arena(
     [],
     Objective.TP,
 )
+
+
+def skewed_arena(rng: random.Random, n: int, wmax: int, objective: Objective) -> Arena:
+    """Mostly one or two out-edges, and a few vertices with up to six, so
+    that some slices spill edges past their column width."""
+    edges = []
+    for v in range(n):
+        deg = rng.choice((1, 1, 1, 2, 2, 3)) if rng.random() < 0.9 else rng.randint(4, 6)
+        for d in rng.sample(range(n), min(deg, n)):
+            edges.append((v, d, rng.randint(-wmax, wmax)))
+    owners = [rng.choice([Player.MAX, Player.MIN]) for _ in range(n)]
+    targets = rng.sample(range(n), rng.randint(1, min(3, n))) if objective is Objective.MCR else []
+    return make_arena([f"v{i}" for i in range(n)], owners, edges, targets, objective)

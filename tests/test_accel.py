@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -27,8 +28,7 @@ from quantgames.extvalue import MINUS_INF, PLUS_INF
 from quantgames.mcr import SolveStats, solve_mcr
 from quantgames.tp import solve_tp
 
-from conftest import MIXED, fig2a, layered, single_vertex
-from test_frontier import skewed_arena
+from conftest import MIXED, fig2a, layered, single_vertex, skewed_arena
 
 
 def test_scc_layered():
@@ -227,6 +227,67 @@ def test_simple_path_oracle_cap_degrades():
     dec = scc_decompose(arena)
     sets = simple_path_oracle(arena, dec, 1, [0] * arena.n, cap=1)
     assert sets == [None, None]
+
+
+def test_path_work_shortcut_matches_the_walk(monkeypatch):
+    """A component of k members with E_C out-edges and no target among
+    them degrades before any walk when k * E_C > ``PATH_WORK_CAP``; the
+    walks give the same tables, or degrade too, at every cut cap.  The
+    corpus holds MCR arenas with targets inside larger components, where
+    the walks stop at the targets and the shortcut must not fire."""
+    rng = random.Random(56)
+    arenas = []
+    for i in range(160):
+        objective = (Objective.MCR, Objective.TP)[i % 2]
+        arena = skewed_arena(rng, rng.randint(2, 40), rng.choice((1, 3, 20)), objective)
+        arenas.append(normalize_target(arena) if i % 4 == 0 else arena)
+    shortcut = accel._walks_pass_work_cap
+    fired = []
+
+    def counted(*args):
+        fired.append(shortcut(*args))
+        return fired[-1]
+
+    queries = degraded = shortcuts = blocked = 0
+    for cap in (20, 200, 2_000, 200_000):
+        monkeypatch.setattr(accel, "PATH_WORK_CAP", cap)
+        for arena in arenas:
+            dec = scc_decompose(arena)
+            finalized = eng.to_array(
+                [rng.choice((PLUS_INF, MINUS_INF, rng.randint(-50, 50))) for _ in range(arena.n)]
+            )
+            for q, members in enumerate(dec.components):
+                monkeypatch.setattr(accel, "_walks_pass_work_cap", counted)
+                got = simple_path_oracle(arena, dec, q, finalized)
+                monkeypatch.setattr(accel, "_walks_pass_work_cap", lambda *args: False)
+                want = simple_path_oracle(arena, dec, q, finalized)  # the walks alone
+                assert [t if t is None else t.tolist() for t in got] == [
+                    t if t is None else t.tolist() for t in want]
+                queries += 1
+                degraded += want[0] is None
+                work = len(members) * sum(
+                    dec.edges.ends[v + 1] - dec.edges.ends[v] for v in members)
+                if work > cap:
+                    if arena.targets.isdisjoint(members) or arena.objective is Objective.TP:
+                        shortcuts += 1
+                    else:
+                        blocked += 1
+    # 5,576 queries: 334 degraded walks, 203 shortcuts, 50 blocked by a target.
+    assert queries > 5_000 and degraded > 300 and shortcuts > 200 and blocked > 40
+    assert sum(fired) == shortcuts  # the shortcut fires on exactly those components
+    # When it fires, no walk starts: a walk would index ``ends``.
+    monkeypatch.setattr(accel, "_walks_pass_work_cap", lambda *args: True)
+    monkeypatch.setattr(accel, "PATH_WORK_CAP", 0)
+
+    class Untouchable(list):
+        def __getitem__(self, i):
+            raise AssertionError("walked")
+
+    dec = scc_decompose(arenas[1])
+    blind = dataclasses.replace(dec, edges=dec.edges._replace(ends=Untouchable()))
+    for q, members in enumerate(dec.components):
+        zeros = np.zeros(arenas[1].n, dtype=np.int64)
+        assert simple_path_oracle(arenas[1], blind, q, zeros) == [None] * len(members)
 
 
 def test_degraded_components_never_reach_the_clamp(monkeypatch):

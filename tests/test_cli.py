@@ -193,6 +193,28 @@ def test_vertex_cap_env(tmp_path, monkeypatch):
     assert "exceed the cap 4" in out.stderr
 
 
+def test_vertex_cap_counts_the_fresh_target(tmp_path, monkeypatch):
+    # An MCR file whose target has a move of its own needs a fresh target,
+    # so at the cap it is refused before the solve; a normalized one
+    # (its one target with only a 0 self loop) solves at the cap.
+    header = "objective mcr\nvertex v1 max\nvertex v2 min\nvertex v3 max target\n"
+    edges = "edge v1 v2 -1\nedge v1 v3 -3\nedge v2 v1 0\nedge v2 v3 0\nedge v3 v3 0\n"
+    normalized = tmp_path / "normalized.qg"
+    normalized.write_text(header + edges)
+    unnormalized = tmp_path / "unnormalized.qg"
+    unnormalized.write_text(header + edges + "edge v3 v1 2\n")
+    monkeypatch.setenv("QG_MAX_VERTICES", "3")
+    out = _run(["solve", str(unnormalized)])
+    assert out.returncode == 2
+    assert "exceed the cap 3" in out.stderr
+    assert "may have at most 2 vertices" in out.stderr
+    out = _run(["solve", str(normalized)])
+    assert out.returncode == 0
+    assert "v1  -3" in out.stdout
+    monkeypatch.setenv("QG_MAX_VERTICES", "4")
+    assert _run(["solve", str(unnormalized)]).returncode == 0
+
+
 def test_trace_rejected_for_tp(tmp_path):
     path = _gen(tmp_path, "fig1a")
     out = _run(["solve", path, "--trace", str(tmp_path / "t.tsv")])

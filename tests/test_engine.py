@@ -1,4 +1,5 @@
-"""The value-iteration kernel against independent per-edge references."""
+"""The value-iteration kernel against independent per-edge references
+(``kernel_reference.sweep`` for the sweep itself)."""
 
 import random
 
@@ -9,23 +10,9 @@ from quantgames.accel import scc_decompose
 from quantgames.arena import Objective, Player, make_arena
 from quantgames.cli import random_arena
 
+import kernel_reference as ref
+
 POS, NEG = eng.POS, eng.NEG
-
-
-def reference_sweep(dst, wt, starts, is_max, x, ytrans):
-    """Per-member max (Max) or min (Min) over the member's edges, one edge
-    at a time, with the sentinels absorbing any weight."""
-    out = []
-    for i in range(len(starts)):
-        end = starts[i + 1] if i + 1 < len(starts) else len(dst)
-        cands = []
-        for e in range(starts[i], end):
-            c = int(x[dst[e]])
-            if ytrans is not None:
-                c = min(c, int(ytrans[dst[e]]))
-            cands.append(int(POS) if c >= POS else int(NEG) if c <= NEG else int(wt[e]) + c)
-        out.append(max(cands) if is_max[i] else min(cands))
-    return out
 
 
 def random_vector(rng, n, vmax=30):
@@ -57,14 +44,10 @@ def check_sweeps_against_reference(seed, wmax, vmax):
         batch = eng.EdgeSlice(slice(None), dst, wt2, starts, is_max)
         for cap in (False, True):
             got = eng.sweep(one, x2[0], y2[0] if cap else None)
-            assert got.tolist() == reference_sweep(
-                dst, wt2[0], starts, is_max, x2[0], y2[0] if cap else None
-            )
+            assert got.tolist() == ref.sweep(one, x2[0], y2[0] if cap else None)
             got2 = eng.sweep(batch, x2, y2 if cap else None)
             for r in range(rows):
-                assert got2[r].tolist() == reference_sweep(
-                    dst, wt2[r], starts, is_max, x2[r], y2[r] if cap else None
-                )
+                assert got2[r].tolist() == ref.sweep(batch, x2[r], y2[r] if cap else None, row=r)
 
 
 def test_sweep_matches_two_reduction_reference():
@@ -108,13 +91,11 @@ def test_component_view_slices_and_sweeps_its_members():
     for _ in range(150):
         ca = eng.CompiledArena(random_arena(rng, 8, 5, Objective.TP))
         members = rng.sample(range(ca.n), rng.randint(1, ca.n))
-        view = eng.ComponentView(ca, members)
+        view = eng.ComponentLayout(ca, [members]).view(0)
         assert_view_matches_reference(view, ca, members)
         x, y = random_vector(rng, ca.n), random_vector(rng, ca.n)
         for ytrans in (None, y):
-            assert eng.sweep(view, x, ytrans).tolist() == reference_sweep(
-                view.dst, view.wt, view.starts, view.is_max, x, ytrans
-            )
+            assert eng.sweep(view, x, ytrans).tolist() == ref.sweep(view, x, ytrans)
 
 
 def test_component_layout_views_are_slices_of_one_layout():
@@ -147,8 +128,8 @@ def check_skewed_slice(rng, sl, n):
         else:
             got = eng.sweep(sl, x2, y2 if cap else None)
         for r in range(rows):
-            assert got[r].tolist() == reference_sweep(
-                sl.dst, wt2[r], sl.starts, sl.is_max, x2[r], y2[r] if cap else None
+            assert got[r].tolist() == ref.sweep(
+                sl, x2[r], y2[r] if cap else None, row=r if sl.wt.ndim == 2 else None
             )
 
 
@@ -206,9 +187,7 @@ def test_layout_views_with_overflow_match_reference():
         spilled += view.cols.overflow is not None
         x, y = random_vector(rng, ca.n), random_vector(rng, ca.n)
         for ytrans in (None, y):
-            assert eng.sweep(view, x, ytrans).tolist() == reference_sweep(
-                view.dst, view.wt, view.starts, view.is_max, x, ytrans
-            )
+            assert eng.sweep(view, x, ytrans).tolist() == ref.sweep(view, x, ytrans)
     assert spilled == 2
     check_skewed_slice(rng, ca, ca.n)
 
@@ -250,9 +229,9 @@ def test_star_columns_stay_within_twice_the_edges(monkeypatch):
     assert ca.cols.overflow is not None and len(ca.cols.overflow.dst) <= E
     rng = random.Random(77)
     x = random_vector(rng, n)
-    assert eng.sweep(ca, x).tolist() == reference_sweep(ca.dst, ca.wt, ca.starts, ca.is_max, x, None)
+    assert eng.sweep(ca, x).tolist() == ref.sweep(ca, x)
     # The leaves alone have bounded degree: their sweep is elementwise.
-    leaf_view = eng.ComponentView(ca, leaves.tolist())
+    leaf_view = eng.ComponentLayout(ca, [leaves.tolist()]).view(0)
     spy = ReduceatSpy(np.maximum)
     monkeypatch.setattr(np, "maximum", spy)
     got = eng.sweep(leaf_view, x)
@@ -260,6 +239,4 @@ def test_star_columns_stay_within_twice_the_edges(monkeypatch):
     eng.sweep(ca, x)
     assert spy.reduceat_calls == 1  # the hub's overflow
     monkeypatch.undo()
-    assert got.tolist() == reference_sweep(
-        leaf_view.dst, leaf_view.wt, leaf_view.starts, leaf_view.is_max, x, None
-    )
+    assert got.tolist() == ref.sweep(leaf_view, x)
