@@ -15,11 +15,12 @@ the counts, the error type and, where the form records one, the trace.
 They run on whole arenas and component views, on one vector and on
 weight rows (row by row), with ``cutoff`` or ``lift``, ``ytrans`` with
 both sentinels, oracle tables that clamp and bounds that cut a call
-short.  Solver cases require the same values, counts, traces and bound
-errors from all three forms.
+short.  The solver cases, which require the same values, counts, traces
+and bound errors from all three forms, are in ``tests/test_frontier.py``
+(the small corpora) and ``tests/test_scalar.py`` (weights at the cap);
+their helpers are here.
 """
 
-import functools
 import random
 from types import SimpleNamespace
 
@@ -34,13 +35,12 @@ from quantgames.accel import (
     solve_mcr_accelerated,
     solve_tp_accelerated,
 )
-from quantgames.arena import Objective, Player, make_arena, normalize_target
+from quantgames.arena import Objective, Player, make_arena
 from quantgames.mcr import mp_sign, solve_mcr
 from quantgames.tp import solve_tp
 
 import kernel_reference as ref
-from conftest import layered, skewed_arena
-from test_differential import block_arena, zero_loop_chain
+from conftest import skewed_arena
 
 NEVER = 10**18
 FORMS = {
@@ -288,7 +288,8 @@ def test_nested_fixpoint_weight_rows_match_reference(form):
 
 
 # ---------------------------------------------------------------------------
-# Solver cases: the same outcome from every form.
+# Solver helpers: tests/test_frontier.py and tests/test_scalar.py require the
+# same outcome from every form.
 
 
 MCR_SOLVERS = {
@@ -341,48 +342,9 @@ def assert_form_blind(monkeypatch, solvers, arenas):
                 raise AssertionError((name, arena.n)) from None
 
 
-def test_mcr_solvers_are_form_blind(monkeypatch):
-    rng = random.Random(7)
-    arenas = [normalize_target(skewed_arena(rng, rng.randint(1, 40), rng.choice((1, 3, 20)),
-                                            Objective.MCR)) for _ in range(60)]
-    rng = random.Random(92)  # the corpus of tests/test_differential.py
-    arenas += [normalize_target(block_arena(rng, Objective.MCR)) for _ in range(30)]
-    rng = random.Random(21)
-    arenas += [normalize_target(big_weight_arena(rng, rng.randint(2, 30), Objective.MCR))
-               for _ in range(30)]
-    assert_form_blind(monkeypatch, MCR_SOLVERS, arenas)
-
-
-def test_tp_solvers_and_signs_are_form_blind(monkeypatch):
-    rng = random.Random(8)
-    arenas = [skewed_arena(rng, rng.randint(1, 9), rng.choice((1, 2)), Objective.TP)
-              for _ in range(40)]
-    rng = random.Random(91)  # the corpus of tests/test_differential.py
-    blocks = [block_arena(rng, Objective.TP) for _ in range(4)]
-    arenas += [zero_loop_chain(rng, 120)] + [a for a in blocks if a.n <= 100]
-    rng = random.Random(22)
-    arenas += [big_weight_arena(rng, rng.randint(2, 8), Objective.TP) for _ in range(20)]
-    assert_form_blind(monkeypatch, {**TP_SOLVERS, **SIGN_SOLVERS}, arenas)
-    # Plain solve_tp makes 88k and 260k sweeps (2 and 7 s) on the two
-    # block arenas above 100 vertices, so only the accelerated solvers
-    # see those.
-    accelerated = {k: TP_SOLVERS[k] for k in ("scc", "scc+paths")}
-    assert_form_blind(monkeypatch, {**accelerated, **SIGN_SOLVERS},
-                      [a for a in blocks if a.n > 100])
-
-
-@pytest.mark.parametrize("module, name", [
-    (mcr, "sweep_bound"), (tp, "sweep_bound"), (tp, "k_bound"),
-    (accel, "sweep_bound"), (accel, "k_bound"),
-])
-def test_bound_errors_are_form_blind(monkeypatch, module, name):
-    """A bound cut to a few sweeps or passes fails the same way in every
-    form, or passes in every one."""
-    rng = random.Random(9)
-    cases = [(normalize_target(skewed_arena(rng, 30, 20, Objective.MCR)), MCR_SOLVERS)
-             for _ in range(4)]
-    cases += [(skewed_arena(rng, 9, 2, Objective.TP), TP_SOLVERS) for _ in range(4)]
-    cases += [(big_weight_arena(rng, 6, Objective.TP), TP_SOLVERS) for _ in range(2)]
+def assert_bound_errors_form_blind(monkeypatch, module, name, cases):
+    """With ``module.name`` cut to a few sweeps or passes, each solve fails
+    the same way in every form, or passes in every one; some fail."""
     errors = set()
     for small in (-1, 0, 3, 10):
         monkeypatch.setattr(module, name, lambda *args, small=small: small)
@@ -391,63 +353,3 @@ def test_bound_errors_are_form_blind(monkeypatch, module, name):
                 got = across_forms(monkeypatch, lambda: outcome(solve, arena))
                 errors.add(got if isinstance(got, type) else None)
     assert AssertionError in errors
-
-
-def test_oracle_bound_errors_are_form_blind(monkeypatch):
-    """Tables that cannot hold the values make a clamped component fail
-    to stabilize: ``UnsoundOracleError`` in every form, at the same bound."""
-    def bad_oracle(arena, dec, q, finalized):
-        k = len(dec.components[q])
-        return [np.array([eng.NEG, -1, 1, eng.POS], dtype=np.int64)] * k
-
-    rng = random.Random(11)
-    arenas = [normalize_target(skewed_arena(rng, 12, 5, Objective.MCR)) for _ in range(8)]
-    solve = functools.partial(solve_mcr_accelerated, oracle=bad_oracle)
-    seen = set()
-    for arena in arenas:
-        for small in (-1, 0, 3, 10):
-            monkeypatch.setattr(accel, "sweep_bound", lambda *args, small=small: small)
-            got = across_forms(monkeypatch, lambda: outcome(solve, arena))
-            seen.add(got if isinstance(got, type) else None)
-    assert UnsoundOracleError in seen
-
-
-# ---------------------------------------------------------------------------
-# The default floors.
-
-
-def random_mcr_arena(seed: int, n: int):
-    """A seeded random reachability arena: out-degree 1-3, weights 0..20,
-    about 1% targets."""
-    rng = random.Random(seed)
-    owners = [Player.MAX if rng.random() < 0.5 else Player.MIN for _ in range(n)]
-    targets = [0] + [v for v in range(1, n) if rng.random() < 0.01]
-    edges = [(v, d, rng.randint(0, 20)) for v in range(n)
-             for d in rng.sample(range(n), rng.randint(1, 3))]
-    return normalize_target(
-        make_arena([f"v{i}" for i in range(n)], owners, edges, targets, Objective.MCR)
-    )
-
-
-def test_default_floor_trace_matches_full_sweeps(monkeypatch):
-    arena = random_mcr_arena(1, 20_000)
-    assert len(arena.edge_array) >= eng.FRONTIER_MIN_EDGES
-    front = solve_mcr(arena, with_trace=True)
-    monkeypatch.setattr(eng, "FRONTIER_MIN_EDGES", NEVER)
-    full = solve_mcr(arena, with_trace=True)
-    assert front.stats.sweeps == full.stats.sweeps > 10
-    assert np.array_equal(front.trace.raw, full.trace.raw)
-    assert list(front.values) == list(full.values)
-
-
-def test_default_floor_is_scalar_on_small_components(monkeypatch):
-    """At the default floor the layered table's components sweep in scalar
-    form and never take their column form, and the counts stay frozen."""
-    taken = []
-    form = eng.ComponentView.cols.func
-    monkeypatch.setattr(eng.ComponentView, "cols", property(lambda v: taken.append(1) or form(v)))
-    res = solve_tp_accelerated(layered(10, 7))
-    assert (res.stats.outer_iterations, res.stats.inner_iterations) == (4 * 10 + 2, 14 * 10 + 4)
-    assert taken == []
-    assert solve_tp_accelerated(layered(10, 7), no_clamp_oracle).values == solve_tp(
-        layered(10, 7)).values
