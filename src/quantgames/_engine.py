@@ -115,34 +115,37 @@ two-vertex components of a chain condensation that fixed cost is nearly
 all of a solve.  On one vector over a slice of at most
 ``SCALAR_MAX_EDGES`` edges, and without a trace, ``fixpoint`` therefore
 runs its Jacobi sweeps on Python ints: it gathers the members' values
-once per call, folds each member's exit edges (whose destinations the
-call never writes) into one candidate, each continuation min(x, ytrans),
-sweeps lists and compares the old and new lists with ``==``, and writes
-the members back to ``x`` once, before it returns or raises.  Only
-``fixpoint`` sweeps on Python ints; ``nested_fixpoint``'s passes call it,
-so a small slice's inner sweeps take this form inside the numpy outer
-loop.  Python ints are exact, so a candidate on a sentinel continuation
-lands within a weight of the sentinel as in int64,
-and the same post-step follows in the same order: the cutoff or the lift
-fused with the snap at +-``SNAP``, then the clamp, by ``bisect`` on the
-tables as lists (``_clamp``, which the numpy loop shares).  So every
-iterate, sweep count, stop test and bound error equals the numpy loop's.
-A slice's lists (its ``scalar`` form) are taken on first use and kept for
-its later calls.  A component view takes them from its layout, which
-builds the forms of a run of up to ``ComponentLayout.SCALAR_RUN``
-consecutive small components in one pass: one ``tolist`` per layout
-field and one Python loop over their edges, where building each view's
-lists from its own slices cost about 6.5 us a component in numpy calls.
-The layout drops a form when its view takes it, and the rest of a run
-when it builds the next, so it never holds the lists of more than one
-run.  On a 20,000-vertex random reachability game with 4,372 one-vertex
-components, runs of up to 4,096 components, which hold nearly all of
-them at once, raised the peak memory of the process around the solve by
-about 2 MB (3.5%) over runs of 64.  The floor sits at the
-measured crossover: on seeded random reachability arenas a scalar sweep
-costs 2.2-2.8 us at up to 11 edges against 6-7 us in numpy, and the two
-meet at about 48 edges, where a numpy sweep costs 7.5-8 us whatever the
-size.  ``sweep``, weight-row batches and traced solves stay in numpy.
+once per call, and ``scalar_sweeps``, the one scalar loop, folds each
+member's exit edges (whose destinations the call never writes) into one
+candidate, each continuation min(x, ytrans), sweeps lists and compares
+the old and new lists with ``==``; the members go back to ``x`` once,
+before the call returns or raises.  ``nested_fixpoint``'s passes call
+``fixpoint``, so a small slice's inner sweeps take this form inside the
+numpy outer loop.  The accelerated solvers run ``scalar_sweeps`` on a
+small component's scalar form with no view at all: one gather, the
+loop, one store (``accel._list_pass``).  Python ints are exact, so a
+candidate on a sentinel continuation lands within a weight of the
+sentinel as in int64, and the same post-step follows in the same order:
+the cutoff or the lift fused with the snap at +-``SNAP``, then the clamp,
+by ``bisect`` on the tables as lists (``_clamp``, which the numpy loop
+shares).  So every iterate, sweep count, stop test and bound error
+equals the numpy loop's.  A slice's lists (its ``scalar`` form) are
+taken on first use and kept for its later calls.  A component view, or a
+list pass, takes them from the layout, which builds the forms of a run
+of up to ``ComponentLayout.SCALAR_RUN`` consecutive small components in
+one pass: one ``tolist`` per layout field and one Python loop over their
+edges, where building each view's lists from its own slices cost about
+6.5 us a component in numpy calls.  The layout drops a form when it is
+taken, and the rest of a run when it builds the next, so it never holds
+the lists of more than one run.  On a 20,000-vertex random reachability
+game with 4,372 one-vertex components, runs of up to 4,096 components,
+which hold nearly all of them at once, raised the peak memory of the
+process around the solve by about 2 MB (3.5%) over runs of 64.  The
+floor sits at the measured crossover: on seeded random reachability
+arenas a scalar sweep costs 2.2-2.8 us at up to 11 edges against 6-7 us
+in numpy, and the two meet at about 48 edges, where a numpy sweep costs
+7.5-8 us whatever the size.  ``sweep``, weight-row batches and traced
+solves stay in numpy.
 
 Every operation broadcasts over a leading axis of weight rows: with ``wt``
 of shape ``[rows, E]``, vectors ``[rows, n]`` and ``cutoff``/``lift``
@@ -480,8 +483,8 @@ class ComponentLayout:
         """Component q's scalar form, handed over once.  It is built with
         those of the components after q, up to ``SCALAR_RUN`` of them and
         up to the first with more than ``SCALAR_MAX_EDGES`` edges; the
-        layout keeps the others until their views take them or the next
-        run replaces them."""
+        layout keeps the others until they are taken or the next run
+        replaces them."""
         form = self._scalar.pop(q, None)
         if form is None:
             self._scalar = self._scalar_run(q)
@@ -691,10 +694,10 @@ def fixpoint(
     ``ytrans`` is gathered into column form once, at the start of the
     call, so it must not change during the call (no caller changes it:
     the total-payoff pass caps ``y`` before solving, then reads it)."""
-    if tables is not None:
-        tables = [None if t is None else t.tolist() for t in tables]
     if trace is None and x.ndim == 1 and len(sl.dst) <= SCALAR_MAX_EDGES:
         return _scalar_fixpoint(sl, x, bound, cutoff, lift, ytrans, tables)
+    if tables is not None:
+        tables = [None if t is None else t.tolist() for t in tables]
     cols, sign = sl.cols, sl.sign
     ycols = None if ytrans is None else _gather(cols, ytrans)
     frontier = x.ndim == 1 and len(sl.dst) >= FRONTIER_MIN_EDGES
@@ -739,13 +742,32 @@ def fixpoint(
 
 def _scalar_fixpoint(sl, x, bound, cutoff, lift, ytrans, tables) -> int:
     """``fixpoint`` on Python ints, for one vector over a small slice and
-    no trace, with the same iterates, count and bound errors.  The exit
-    edges read vertices that the call never writes, so each member's exit
-    candidates are folded into one, ``fixed``, once per call."""
-    is_max, edges, gather, exit_src, exit_wt = sl.scalar
+    no trace: one gather, ``scalar_sweeps``, one store when a member
+    changed."""
+    form = sl.scalar
+    at = _member_index(sl, x)
+    caps = None if ytrans is None else ytrans[form.gather].tolist()
+    sweeps, new = scalar_sweeps(form, x[form.gather].tolist(), bound, x, at,
+                                cutoff=cutoff, lift=lift, caps=caps, tables=tables)
+    if sweeps > 1:
+        x[at] = new
+    return sweeps
+
+
+def scalar_sweeps(form: ScalarForm, xs: list, bound: int, x: np.ndarray, at, *,
+                  cutoff=None, lift=None, caps=None, tables=None) -> Tuple[int, list]:
+    """The scalar sweep loop, from ``xs``, a vector at ``form.gather``
+    (the members' start values, then the exits'), with ``caps`` the
+    ``ytrans`` there or None and ``tables`` as ``fixpoint`` takes them.
+    Returns the sweep count and the members' last values, with the
+    iterates, count and bound errors of the numpy loop; it writes ``x``
+    only before it raises, the members' values at ``at``.  Exit edges
+    read vertices that no sweep writes, so each member's exit candidates
+    are folded into one, ``fixed``, once per call."""
+    is_max, edges, _, exit_src, exit_wt = form
     k = len(is_max)
-    xs = x[gather].tolist()
-    caps = None if ytrans is None else ytrans[gather].tolist()
+    if tables is not None:
+        tables = [None if t is None else t.tolist() for t in tables]
     fixed = [None] * k
     for e, (i, w) in enumerate(zip(exit_src, exit_wt), k):
         c = xs[e] if caps is None or xs[e] < caps[e] else caps[e]
@@ -753,7 +775,7 @@ def _scalar_fixpoint(sl, x, bound, cutoff, lift, ytrans, tables) -> int:
         f = fixed[i]
         if f is None or (c > f if is_max[i] else c < f):
             fixed[i] = c
-    del xs[k:]
+    xs = xs[:k]
     up = lift is not None
     bar = int(lift if up else cutoff)
     rows = list(zip(is_max, fixed, edges))
@@ -774,16 +796,13 @@ def _scalar_fixpoint(sl, x, bound, cutoff, lift, ytrans, tables) -> int:
             _clamp(new, tables, up)
         sweeps += 1
         if new == xs:
-            break
+            return sweeps, xs
         if sweeps > bound:
-            x[_member_index(sl, x)] = new
+            x[at] = new
             if tables is not None:
                 raise UnsoundOracleError("component failed to stabilize")
             raise AssertionError("value iteration exceeded its sweep bound")
         xs = new
-    if sweeps > 1:
-        x[_member_index(sl, x)] = xs
-    return sweeps
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -16,11 +16,16 @@ reads them.
 
 Both solvers copy the compiled edge arrays once into a
 ``ComponentLayout`` in component order; each component's view is then a
-set of slices of it, built in O(1).  The total-payoff solver certifies
-every component before its component loop, in one batched run of kernel
-sweeps over the layout's inside edges (a Jacobi Bellman-Ford with two
-weight rows, one per sign).  So a solve costs time linear in |V| + |E|
-outside the sweeps.
+set of slices of it, built in O(1).  A component of at most
+``_engine.SCALAR_MAX_EDGES`` edges that takes a single pass (any
+reachability component, a certified total-payoff one) gets no view: its
+pass runs on the layout's scalar form (``_list_pass``): one gather of
+its members and exits from the value vector, the sweeps on Python lists,
+and one store into each vector the solver keeps.  The total-payoff
+solver certifies every component before its component loop, in one
+batched run of kernel sweeps over the layout's inside edges (a Jacobi
+Bellman-Ford with two weight rows, one per sign).  So a solve costs time
+linear in |V| + |E| outside the sweeps.
 """
 
 from __future__ import annotations
@@ -315,7 +320,9 @@ def solve_mcr_accelerated(
     """Per-component reachability solve with candidate clamping.
 
     Identical output to the plain solver; stats count one outer unit per
-    component loop and every restricted sweep as an inner iteration.
+    component loop and every restricted sweep as an inner iteration.  A
+    component of at most ``_engine.SCALAR_MAX_EDGES`` edges is solved by
+    ``_list_pass``, a larger one by ``fixpoint`` on its view.
     """
     if not is_normalized_mcr(arena):
         raise ArenaError("solve_mcr_accelerated expects a normalized MCR arena")
@@ -326,13 +333,18 @@ def solve_mcr_accelerated(
     x = np.full(arena.n, eng.POS, dtype=np.int64)
     x[t] = 0
     layout = eng.ComponentLayout(ca, dec.components)
+    edges = _edge_counts(layout)
     stats = SolveStats()
     bound = sweep_bound(arena.n, ca.W) + 1
     for q in range(1, len(dec)):
         tables = _clamping(oracle(arena, dec, q, x))
-        view = layout.view(q)
         stats.outer_iterations += 1
-        stats.inner_iterations += eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
+        if edges[q] <= eng.SCALAR_MAX_EDGES:
+            sweeps, new, m = _list_pass(layout.scalar_form(q), x, tables, bound, ca.cutoff)
+            x[m] = new
+        else:
+            sweeps = eng.fixpoint(layout.view(q), x, bound, cutoff=ca.cutoff, tables=tables)
+        stats.inner_iterations += sweeps
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
     return McrResult(eng.from_array(arena, x), stats)
@@ -348,16 +360,23 @@ def solve_tp_accelerated(
     worth +inf or -inf, so values coincide with the exit-path game).  On a
     'negative' certificate a +inf result can only be an artifact of
     starting from above, so such components are re-solved from below with
-    upward clamping.  Everything else runs the plain nested iteration
-    restricted to the component.
+    upward clamping.  Values above (n-1)W are then lifted to +inf.
+    Everything else runs the plain nested iteration restricted to the
+    component.
+
+    A certified component of at most ``_engine.SCALAR_MAX_EDGES`` edges
+    runs that pass on its layout's scalar form (``_list_pass``): one
+    gather of its members and exits from ``x``, the sweeps on lists, and
+    one store of the lifted values into ``x`` and one into ``y``, with no
+    view.  A larger one runs it on its view (``_view_pass``).
 
     The counts are those of the nested iteration's outer loop around the
-    pass: one pass when the lifted result is all -inf, the outer vector's
-    start on the component, else a second that repeats the first and
-    confirms it.  That pass reads neither the outer vector nor any value
-    the first one changed, so it would take the same sweeps to the same
-    values; it is counted in ``k_e``/``k_i`` and held to the pass bound,
-    but not run.
+    pass: one pass when the lifted result is all -inf, which is where the
+    outer vector starts on a component not yet solved, else a second that
+    repeats the first and confirms it.  That pass reads neither the outer
+    vector nor any value the first one changed, so it would take the same
+    sweeps to the same values; it is counted in ``k_e``/``k_i`` and held to
+    the pass bound, but not run.
     """
     if arena.objective is not Objective.TP:
         raise ArenaError("solve_tp_accelerated expects a TP arena")
@@ -372,21 +391,26 @@ def solve_tp_accelerated(
     inner_bound = sweep_bound(n, ca.W) + 1
     outer_bound = k_bound(arena) + 1
     layout = eng.ComponentLayout(ca, dec.components)
+    edges = _edge_counts(layout)
     certs = cycle_sign_certificates(layout)
     for q in range(len(dec)):
-        view = layout.view(q)
         certificate = certs[q]
         if certificate is None:
             outer, sweeps = eng.nested_fixpoint(
-                view, x, y, cutoff=ca.cutoff, lift=lift_at,
+                layout.view(q), x, y, cutoff=ca.cutoff, lift=lift_at,
                 inner_bound=inner_bound, outer_bound=outer_bound,
             )
         else:
             tables = _clamping(oracle(arena, dec, q, x))
-            sweeps = _signed_pass(ca, view, x, tables, certificate, inner_bound)
-            m = view.members
-            new = [_POS if v > lift_at else v for v in x[m].tolist()]
-            outer = 1 if new == y[m].tolist() else 2
+            resolve = lift_at if certificate == "negative" else None
+            if edges[q] <= eng.SCALAR_MAX_EDGES:
+                sweeps, new, m = _list_pass(
+                    layout.scalar_form(q), x, tables, inner_bound, ca.cutoff, resolve)
+            else:
+                sweeps, new, m = _view_pass(
+                    layout.view(q), x, tables, inner_bound, ca.cutoff, resolve)
+            new = [_POS if v > lift_at else v for v in new]
+            outer = 1 if max(new) == _NEG else 2
             x[m] = new
             y[m] = new
             if outer == 2 and outer_bound < 1:  # as nested_fixpoint after pass 1
@@ -399,23 +423,54 @@ def solve_tp_accelerated(
     return TpResult(eng.from_array(arena, y), stats)
 
 
-def _signed_pass(
-    ca: eng.CompiledArena,
+def _edge_counts(layout: eng.ComponentLayout) -> List[int]:
+    """The edge count of each component of the layout."""
+    return (layout.bounds[:, 3] - layout.bounds[:, 2]).tolist()
+
+
+def _list_pass(
+    form: eng.ScalarForm,
+    x: np.ndarray,
+    tables: Optional[List[Optional[np.ndarray]]],
+    bound: int,
+    cutoff: int,
+    resolve: Optional[int] = None,
+) -> Tuple[int, list, np.ndarray]:
+    """The clamped pass of a small component, from above and without stop
+    requests, on its scalar form: one gather of its members and exits from
+    ``x``, whose members still hold their start, +inf, as on every
+    component not yet solved; the descent with ``cutoff``; and, given the
+    lift ``resolve`` (a 'negative' certificate), the ascent from -inf when
+    a member stays at +inf.  Returns the sweep count, the members' values
+    and the members, which the caller stores; ``x`` is written only before
+    a bound error."""
+    k = len(form.is_max)
+    m = form.gather[:k]
+    xs = x[form.gather].tolist()
+    sweeps, new = eng.scalar_sweeps(form, xs, bound, x, m, cutoff=cutoff, tables=tables)
+    if resolve is not None and _POS in new:
+        # Starting from above can strand vertices at +inf; approach the
+        # same fixed point from below instead.
+        xs[:k] = [_NEG] * k
+        more, new = eng.scalar_sweeps(form, xs, bound, x, m, lift=resolve, tables=tables)
+        sweeps += more
+    return sweeps, new, m
+
+
+def _view_pass(
     view: eng.ComponentView,
     x: np.ndarray,
     tables: Optional[List[Optional[np.ndarray]]],
-    certificate: str,
     bound: int,
-) -> int:
-    """The clamped reachability-style pass of a certified component, from
-    above and without stop requests, solving ``x`` on its members; returns
-    the sweep count."""
-    marr = view.members
-    x[marr] = eng.POS
-    sweeps = eng.fixpoint(view, x, bound, cutoff=ca.cutoff, tables=tables)
-    if certificate == "negative" and np.count_nonzero(x[marr] >= eng.POS):
-        # Starting from above can strand vertices at +inf; approach the
-        # same fixed point from below instead.
-        x[marr] = eng.NEG
-        sweeps += eng.fixpoint(view, x, bound, lift=(ca.n - 1) * ca.W, tables=tables)
-    return sweeps
+    cutoff: int,
+    resolve: Optional[int] = None,
+) -> Tuple[int, list, np.ndarray]:
+    """``_list_pass`` on the component's view, through ``fixpoint``, which
+    solves ``x`` on its members."""
+    m = view.members
+    x[m] = eng.POS
+    sweeps = eng.fixpoint(view, x, bound, cutoff=cutoff, tables=tables)
+    if resolve is not None and np.count_nonzero(x[m] >= eng.POS):
+        x[m] = eng.NEG
+        sweeps += eng.fixpoint(view, x, bound, lift=resolve, tables=tables)
+    return sweeps, x[m].tolist(), m

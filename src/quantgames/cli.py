@@ -68,9 +68,10 @@ def _solve_dispatch(arena: Arena, accel: str):
 
 
 def _print_values(values: ValueVector) -> None:
+    """One line per vertex, its name padded to the longest, in one write:
+    ``str`` of an infinity is ``+inf``/``-inf``, as ``to_json`` gives."""
     width = max(len(n) for n in values.arena.names)
-    for name, v in values.items():
-        print(f"{name:<{width}}  {to_json(v)}")
+    sys.stdout.write("".join([f"{name:<{width}}  {v}\n" for name, v in values.items()]))
 
 
 def _print_stats(stats: SolveStats) -> None:

@@ -530,13 +530,24 @@ class ComponentCounts(SolveStats):
 
 
 def one_pass_run(arena, monkeypatch):
-    """``solve_tp_accelerated`` as the reference reports it."""
+    """``solve_tp_accelerated`` as the reference reports it.  Small
+    certified components take the list pass; the solve again with
+    ``SCALAR_MAX_EDGES`` = 0, where every component takes the view pass,
+    must report the same."""
     monkeypatch.setattr(accel, "SolveStats", ComponentCounts)
-    try:
-        res = solve_tp_accelerated(arena)
-    except (AssertionError, UnsoundOracleError) as exc:
-        return type(exc)
-    return res.stats.steps, res.values.values
+
+    def run():
+        try:
+            res = solve_tp_accelerated(arena)
+        except (AssertionError, UnsoundOracleError) as exc:
+            return type(exc)
+        return res.stats.steps, res.values.values
+
+    got = run()
+    with monkeypatch.context() as view_pass:
+        view_pass.setattr(eng, "SCALAR_MAX_EDGES", 0)
+        assert run() == got, arena
+    return got
 
 
 def one_pass_corpus():
@@ -573,22 +584,25 @@ def test_one_pass_bound_errors_match_the_two_pass_loop(monkeypatch, name, small)
 def test_certified_components_run_one_pass(monkeypatch):
     """layered(500, 50) has 1,000 certified components, none re-solved
     from below, and the target's zero loop, which takes two nested passes:
-    the two-pass loop made 2,002 fixpoint calls, the solve makes 1,002."""
+    the two-pass loop made 2,002 fixpoint calls; the solve runs the
+    certified-pass entry 1,000 times and fixpoint twice, 1,002 passes."""
     calls = []
-    fixpoint = eng.fixpoint
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fixpoint(*args, **kwargs)
+    def counting(run):
+        def counted(*args, **kwargs):
+            calls.append(run.__name__)
+            return run(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(eng, "fixpoint", counting)
+    monkeypatch.setattr(eng, "fixpoint", counting(eng.fixpoint))
+    monkeypatch.setattr(accel, "_list_pass", counting(accel._list_pass))
     arena = layered(500, 50)
     res = solve_tp_accelerated(arena)
     assert (res.stats.outer_iterations, res.stats.inner_iterations) == (4 * 500 + 2, 14 * 500 + 4)
-    assert len(calls) == 1002
+    assert (calls.count("_list_pass"), len(calls)) == (1000, 1002)
     calls.clear()
     assert two_pass_reference(arena)[1] == res.values.values
-    assert len(calls) == 2002
+    assert (calls.count("fixpoint"), len(calls)) == (2002, 2002)
 
 
 def scalar_reference(view):

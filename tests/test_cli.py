@@ -306,6 +306,23 @@ def test_trace_writer_matches_the_per_element_formula(monkeypatch):
             assert fh.getvalue() == _trace_by_element(matrix)
 
 
+def test_value_listing_matches_the_per_line_form(capsys):
+    from quantgames import cli
+    from quantgames.arena import ValueVector, make_arena, Player
+    from quantgames.extvalue import MINUS_INF, PLUS_INF, to_json
+
+    names = ["a", "long_name", "mid", "t", "x" * 12]
+    arena = make_arena(names, [Player.MAX] * 5, [(v, v, 0) for v in range(5)])
+    values = ValueVector(arena, [PLUS_INF, -7, MINUS_INF, 0, 10**15])
+    width = max(map(len, names))
+    for name, v in values.items():
+        print(f"{name:<{width}}  {to_json(v)}")
+    want = capsys.readouterr().out
+    cli._print_values(values)
+    assert capsys.readouterr().out == want
+    assert "+inf\n" in want and "-inf\n" in want
+
+
 def test_strategy_notes_a_dropped_decision_table(tmp_path, capsys):
     # fig2a's rewind machine has 2W + 4 states; the table is written up
     # to 4,096 states.

@@ -6,8 +6,9 @@ the members with an edge into one that just changed (``frontier``, on one
 vector over a slice of at least ``FRONTIER_MIN_EDGES`` edges); and sweeps
 of Python ints (``scalar``, on one vector over a slice of at most
 ``SCALAR_MAX_EDGES`` edges, untraced).  ``nested_fixpoint``'s passes call
-``fixpoint``, so they take the same forms.  The ``form`` fixture forces
-one form on every slice by moving both floors.
+``fixpoint``, so they take the same forms, and the accelerated solvers'
+list pass follows the scalar floor.  The ``form`` fixture forces one form
+on every slice by moving both floors.
 
 Kernel cases compare ``fixpoint`` and ``nested_fixpoint`` in each form
 with the per-edge reference of ``kernel_reference``: the final vectors,

@@ -64,21 +64,25 @@ def test_bound_errors_ignore_the_floor(monkeypatch, module, name):
 
 def test_oracle_bound_errors_ignore_the_floor(monkeypatch):
     """Tables that cannot hold the values make a clamped component fail
-    to stabilize: ``UnsoundOracleError`` in every form, at the same bound."""
+    to stabilize: ``UnsoundOracleError`` in every form, at the same bound,
+    in both accelerated solvers; the scalar form sends their small
+    components through the list pass, the numpy forms through views."""
     def bad_oracle(arena, dec, q, finalized):
         k = len(dec.components[q])
         return [np.array([eng.NEG, -1, 1, eng.POS], dtype=np.int64)] * k
 
     rng = random.Random(11)
-    arenas = [normalize_target(skewed_arena(rng, 12, 5, Objective.MCR)) for _ in range(8)]
-    solve = functools.partial(solve_mcr_accelerated, oracle=bad_oracle)
-    seen = set()
-    for arena in arenas:
+    cases = [(normalize_target(skewed_arena(rng, 12, 5, Objective.MCR)), solve_mcr_accelerated)
+             for _ in range(8)]
+    cases += [(skewed_arena(rng, 12, 5, Objective.TP), solve_tp_accelerated) for _ in range(8)]
+    seen = {solve_mcr_accelerated: set(), solve_tp_accelerated: set()}
+    for arena, solver in cases:
+        solve = functools.partial(solver, oracle=bad_oracle)
         for small in (-1, 0, 3, 10):
             monkeypatch.setattr(accel, "sweep_bound", lambda *args, small=small: small)
             got = across_forms(monkeypatch, lambda: outcome(solve, arena))
-            seen.add(got if isinstance(got, type) else None)
-    assert UnsoundOracleError in seen
+            seen[solver].add(got if isinstance(got, type) else None)
+    assert all(UnsoundOracleError in errors for errors in seen.values())
 
 
 def test_default_floor_is_scalar_on_small_components(monkeypatch):
