@@ -185,6 +185,10 @@ def simple_path_oracle(
     component degrades to no-clamp, before any walk when the walks would
     pass ``PATH_WORK_CAP`` for sure (``_walks_pass_work_cap``).
 
+    A trivial component, one vertex without a self-loop, gets no table
+    and no walk (``_trivial``): its first sweep reads only finished exits,
+    so it lands on an exit candidate, which the clamp would keep.
+
     ``finalized`` is normally the solver's raw vector, but a list of
     extended values (ints, ``PLUS_INF``, ``MINUS_INF``) works too: exit
     values are only compared with the sentinels, and the infinities order
@@ -198,6 +202,8 @@ def simple_path_oracle(
     # skip the sum.
     if len(members) * len(dsts) > PATH_WORK_CAP and _walks_pass_work_cap(members, ends, targets):
         return [None] * len(members)
+    if _trivial(members, ends, dsts):
+        return [None]
     tables: List[Optional[np.ndarray]] = []
     work = 0
     for v in members:
@@ -242,6 +248,14 @@ def _walks_pass_work_cap(members, ends, targets) -> bool:
     return targets.isdisjoint(members) and (
         len(members) * sum(ends[v + 1] - ends[v] for v in members) > PATH_WORK_CAP
     )
+
+
+def _trivial(members, ends, dsts) -> bool:
+    """Whether a component is one vertex without a self-loop."""
+    if len(members) != 1:
+        return False
+    (v,) = members
+    return v not in dsts[ends[v]:ends[v + 1]]
 
 
 def cycle_sign_certificates(layout: eng.ComponentLayout) -> List[Optional[str]]:

@@ -11,19 +11,23 @@ arena; ``serialize`` emits a canonical byte form with ``parse(serialize(a))``
 isomorphic to ``a``.
 
 ``parse`` has two paths that end in the same arena construction.  A clean
-file is read in bulk (``_scan_bulk``): the text is split once into a
-vertex block and an edge block, each block into tokens, names map to
-indices through one dict, weights are read with ``int`` into an int64
-column, and one sort on ``src * n + dst`` orders the edges and finds
-parallel ones; the arena stores that ``[E, 3]`` array and builds no edge
-tuples.  Clean means: only ``[A-Za-z0-9_-]``, spaces and newlines; the
-objective line first, then every vertex line, then every edge line; no
-blank or indented line; no vertex named ``vertex`` or ``edge``; every
-endpoint declared, no name declared twice, no parallel edge and every
-weight within int64.  Any other file (a comment, a tab, CRLF line ends, a
-bad token, ...) goes to the line parser (``_scan_lines``), which splits
-each line with ``str.split``.  It is the reference and the only path that
-raises ``GameSyntaxError``, ``UndeclaredVertexError`` and
+file is read in bulk (``_scan_bulk``) as byte arrays, after the structural
+index of Langdale and Lemire ("Parsing gigabytes of JSON per second",
+VLDB J. 2019): one vectorized pass over each block finds every separator
+(space or newline), and the work is done on token spans, not on one
+Python object per token.  Names become zero-padded ``'<u8'`` words and map
+to indices by a sort and ``searchsorted``, weights are read by Horner's
+rule over the token bytes, and one sort on ``src * n + dst`` orders the
+edges and finds parallel ones; the arena stores that ``[E, 3]`` array and
+builds no edge tuples.  Clean means: only ``[A-Za-z0-9_-]``, spaces and
+newlines; the objective line first, then every vertex line, then every
+edge line; tokens one space apart, with no blank, indented or
+space-ended line; every endpoint declared, no name declared twice, no
+parallel edge, and every weight an optional ``-`` and at most 18 digits
+with single ``_`` between digits.  Any other file (a comment, a tab, CRLF
+line ends, a bad token, ...) goes to the line parser (``_scan_lines``),
+which splits each line with ``str.split``.  It is the reference and the
+only path that raises ``GameSyntaxError``, ``UndeclaredVertexError`` and
 ``DuplicateVertexError`` or warns of merged parallel edges; token columns
 are computed only on its error path.
 """
@@ -92,124 +96,254 @@ def parse(text: Union[str, bytes]) -> Arena:
 
 
 # Every byte a clean file may hold.  Anything else (a comment, a tab, a
-# carriage return, non-ASCII text) sends the file to the line parser.
+# carriage return, a zero byte, non-ASCII text) sends the file to the line
+# parser.  The space and the newline are the only ones up to the space.
 _CLEAN_BYTES = (string.ascii_letters + string.digits + "_- \n").encode("ascii")
-# Owner tokens once " target\n" is rewritten to "+\n".
-_OWNER_TOKENS = {"max": Player.MAX, "min": Player.MIN, "max+": Player.MAX, "min+": Player.MIN}
+# An owner token and the byte after it, read as one little-endian word
+# once " target\n" is rewritten to "+\n": "max" or "min", then the newline
+# or the "+" (a "+" occurs only there, so the word proves the token).
+_MAX, _MIN = (int.from_bytes(s, "little") for s in (b"max", b"min"))
+_PLAYERS = np.array([Player.MIN, Player.MAX], dtype=object)
+# A weight read in bulk has at most 18 digits, so it fits int64 unchecked;
+# with a sign and an "_" between each two digits it spans at most 36 bytes.
+_DIGITS = 18
+_WEIGHT_LEN = 2 * _DIGITS
+# The kind of each byte of a weight row: 0 the zero padding after the
+# token, 1 a digit, 2 "-", 3 "_", 4 anything else.  ``int`` reads a token
+# whose first byte is a digit or "-" (``_FIRST``) and each next byte one
+# that the byte before allows (``_PAIR``, at 5 * before + next): a digit
+# after a digit, "-" or "_"; an "_" or the padding after a digit; the
+# padding after the padding.
+_KIND = np.full(256, 4, np.uint8)
+_KIND[0], _KIND[ord("-")], _KIND[ord("_")] = 0, 2, 3
+_KIND[ord("0"):ord("9") + 1] = 1
+_FIRST = np.isin(np.arange(5), (1, 2))
+_PAIR = np.isin(np.arange(25), (5 + 1, 10 + 1, 15 + 1, 5 + 3, 5 + 0, 0))
+# Horner's rule multiplies by _SCALE[kind] and adds _DIGIT[byte].
+_SCALE = np.array([1, 10, 1, 1, 1], np.uint8)
+_DIGIT = np.zeros(256, np.uint8)
+_DIGIT[ord("0"):ord("9") + 1] = range(10)
+# The low k bytes of a word, k = 0..8 (taken with k clipped to that range).
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# The separators of a vertex line, once " target\n" is "+\n", and of an edge line.
+_VERTEX_LINE, _EDGE_LINE = (np.frombuffer(s, np.uint8) for s in (b"  \n", b"   \n"))
+# Name key rows may take at most this many bytes per byte of the block
+# they are read from: a few long names among many short ones send the file
+# to the line parser rather than pad every row to the longest.
+_KEY_SPREAD = 4
+# The multiplier that folds several name words into one sort key.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _scan_bulk(text: Union[str, bytes]):
     """The parts of an arena read from a clean file in bulk, or None when
     the file needs the line parser.
 
-    A clean file holds only ``[A-Za-z0-9_-]``, spaces and newlines: the
-    objective line, then the vertex lines, then the edge lines, with no
-    blank line, no indent and no parallel edge, every endpoint declared,
-    no vertex named ``vertex`` or ``edge`` and every weight within int64.
-    For those the result equals the line parser's.  A block's tokens are
-    sliced into columns only once they provably line up.  The block must
-    hold three (four) tokens per line, each line starting with its
-    directive, and every token in column 0 (tokens 0, 3, 6, ... or 0, 4,
-    8, ...) must be a directive.  Column 0 holds one token per line, so
-    either every line starts there, and then each line has three (four)
-    tokens, or some line's directive lies in another column: in a name
-    column it would be a vertex named ``vertex`` or ``edge``, which is
-    refused up front (so on an edge line the name lookup raises
-    ``KeyError``); in the owner column the owner lookup raises
-    ``KeyError``; in the weight column ``int`` raises ``ValueError``.  Each
-    sends the file to the line parser, and no O(tokens) count of the
-    directives is needed.
+    Clean is defined in the module docstring; for a clean file the result
+    equals the line parser's, and every check below proves a part of it.
+
+    Alignment.  The separator index of a block is the positions of its
+    spaces and newlines, the only clean bytes up to the space, found in
+    one vectorized pass.  A block of L lines must hold 3L of them (vertex
+    lines, once ``" target\\n"`` is ``"+\\n"``) or 4L (edge lines),
+    every third (fourth) a newline.  It holds exactly L newlines, so then
+    each line holds exactly three (four) tokens, and each token is the
+    span between two separators; an empty one is refused.  One substring
+    count per block (per chunk of the edge block) proves that every line
+    starts with its directive.
+
+    Names.  A name becomes ceil(Lmax/8) ``'<u8'`` words, zero after its
+    last byte, Lmax the longest declared name.  The padding is injective,
+    since a clean file holds no zero byte.  The sort key of a name is its
+    word, or a hash of its words.  An endpoint's key picks one declared
+    name by ``searchsorted``, and the endpoint is taken for that name only
+    if every word is equal, so a hash is never trusted alone.  A repeated
+    key (a name declared twice, or two colliding hashes), an endpoint
+    longer than Lmax or one whose words differ sends the file to the line
+    parser.  So does a file whose name rows would outgrow their block
+    ``_KEY_SPREAD`` times over, which keeps the memory linear in the file.
+
+    Weights follow ``int``'s grammar byte by byte (``_weights``); a token
+    of more than 18 digits goes to the line parser, so no value overflows.
+
+    Returns no name index: ``Arena.index`` builds one on first use.
     """
     if isinstance(text, str):
-        if not text.isascii() or text.encode("ascii").translate(None, _CLEAN_BYTES):
+        if not text.isascii():
             return None
-    elif text.translate(None, _CLEAN_BYTES):
+        text = text.encode("ascii")
+    if text.translate(None, _CLEAN_BYTES):
         return None
-    else:
-        text = text.decode("ascii")
-    head, _, rest = text.partition("\n")
-    if head not in ("objective mcr", "objective tp") or not rest.startswith("vertex "):
+    nl = text.find(b"\n")
+    if nl < 0 or text[:nl] not in (b"objective mcr", b"objective tp"):
         return None
-    k = rest.find("\nedge ") + 1
+    k = text.find(b"\nedge ", nl) + 1
     if k == 0:
         return None
-    vblock, eblock = rest[:k], rest[k:]
-    del text, rest
-    nv = vblock.count("\n")
-    ne = eblock.count("\n") + (not eblock.endswith("\n"))
-    # Every line starts with its directive, so no line is blank, indented
-    # or of another kind, and no vertex line follows an edge line.
-    if vblock.count("\nvertex ") != nv - 1 or eblock.count("\nedge ") != ne - 1:
-        return None
-    vertices = _scan_vertices(vblock, nv)
+    vertices = _scan_vertices(text[nl + 1:k].replace(b" target\n", b"+\n"))
     if vertices is None:
         return None
-    names, owners, targets, index = vertices
-    edges = _scan_edges(eblock, index)
+    names, owners, targets, table = vertices
+    edges = _scan_edges(text, k, table)
     if edges is None:
         return None
-    return names, owners, edges, targets, Objective(head[len("objective "):]), index
+    return names, owners, edges, targets, Objective(text[len("objective "):nl].decode())
 
 
-def _scan_vertices(vblock: str, nv: int):
-    """Names, owners, targets and name index of the vertex block's ``nv``
-    lines, or None."""
-    # " target\n" becomes "+\n" so that every vertex line has three tokens;
-    # on a line "vertex target" that would glue "+" to the directive.
-    if vblock.startswith("vertex target\n") or "\nvertex target\n" in vblock:
+def _separators(raw: np.ndarray, pattern: np.ndarray):
+    """The positions of the spaces and newlines of a block, one row per
+    line, or None unless each line holds them in ``pattern``: spaces, then
+    its newline."""
+    sep = np.flatnonzero(raw <= ord(" "))
+    if len(sep) % len(pattern):
         return None
-    toks = vblock.replace(" target\n", "+\n").split()
-    if len(toks) != 3 * nv or toks[::3].count("vertex") != nv:
-        return None
-    names = tuple(toks[1::3])
-    index = dict(zip(names, range(nv)))
-    # No name may be a directive (see ``_scan_bulk``); a repeated name
-    # shrinks the index.
-    if len(index) != nv or "vertex" in index or "edge" in index:
-        return None
-    owner_toks = toks[2::3]
-    try:
-        owners = tuple(map(_OWNER_TOKENS.__getitem__, owner_toks))
-    except KeyError:
-        return None
-    is_target = np.fromiter(map(len, owner_toks), np.int64, nv) == len("max+")
-    return names, owners, frozenset(np.flatnonzero(is_target).tolist()), index
+    sep = sep.reshape(-1, len(pattern))
+    return sep if (raw[sep] == pattern).all() else None
 
 
-# Characters of the edge block split at a time, so that the token lists
-# stay small (about 2 MB) next to the arrays they fill.
+def _directives(block: bytes, directive: bytes, lines: int) -> bool:
+    """Whether each of the block's ``lines`` lines, all ending in a
+    newline, starts with ``directive``."""
+    return block.startswith(directive) and block.count(b"\n" + directive) == lines - 1
+
+
+def _words(block: bytes, starts: np.ndarray, lens: np.ndarray, count: int) -> np.ndarray:
+    """The tokens of ``block`` at ``starts`` of ``lens`` bytes, as
+    ``count`` little-endian ``'<u8'`` words each, zero after the token."""
+    # Element i of ``at`` is the 8 bytes from byte i of the block.
+    at = np.ndarray((len(block) + 8 * count - 7,), "<u8", block + bytes(8 * count), 0, (1,))
+    offsets = 8 * np.arange(count)
+    words = at[starts[..., None] + offsets]
+    words &= _MASKS.take(lens[..., None] - offsets, mode="clip")
+    return words
+
+
+def _fold(words: np.ndarray) -> np.ndarray:
+    """One sort key per row of name words: the word itself, or a hash of
+    several that a match must confirm word by word."""
+    key = words[..., 0]
+    for i in range(1, words.shape[-1]):
+        key = key * _MIX + words[..., i]
+    return key
+
+
+def _scan_vertices(vblock: bytes):
+    """Names, owners, targets and the name table of the vertex block,
+    with ``" target\\n"`` rewritten to ``"+\\n"``, or None."""
+    sep = _separators(np.frombuffer(vblock, np.uint8), _VERTEX_LINE)
+    # Every line starts with "vertex ": a line "vertex target" became
+    # "vertex+" and fails here.
+    if sep is None or not _directives(vblock, b"vertex ", len(sep)):
+        return None
+    lens = sep[:, 1] - sep[:, 0] - 1
+    count = -(-int(lens.max()) // 8)
+    if lens.min() < 1 or len(lens) * 8 * count > _KEY_SPREAD * len(vblock):
+        return None
+    # Each name, and the owner token with the byte after it.
+    both = _words(vblock, sep[:, :2] + 1, np.column_stack((lens, np.full_like(lens, 4))), count)
+    owner = both[:, 1, 0]
+    low, last = owner & 0xFFFFFF, owner >> 24
+    is_max, is_target = low == _MAX, last == ord("+")
+    if not ((is_max | (low == _MIN)) & (is_target | (last == ord("\n")))).all():
+        return None
+    words = both[:, 0]
+    key = _fold(words)
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():  # a name declared twice, or a hash collision
+        return None
+    table = key, order, words[order]
+    # The name bytes, each name ended by a newline, in one decode and split.
+    joined = np.zeros((len(lens), 8 * count + 1), np.uint8)
+    joined[:, :-1] = words.view(np.uint8)
+    joined[np.arange(len(lens)), lens] = ord("\n")
+    names = tuple(joined[joined != 0].tobytes().decode("ascii").split())
+    owners = tuple(_PLAYERS[is_max.view(np.uint8)].tolist())
+    return names, owners, frozenset(np.flatnonzero(is_target).tolist()), table
+
+
+# Bytes of the edge block read at a time, cut at a line end, so that the
+# temporary arrays stay small (a few MB) next to the arrays they fill.
 _EDGE_CHUNK = 1 << 18
 
 
-def _scan_edges(eblock: str, index: Dict[str, int]):
-    """The edge block's rows sorted by (src, dst), or None."""
+def _scan_edges(text: bytes, start: int, table):
+    """The rows of the edge block ``text[start:]`` sorted by (src, dst),
+    or None."""
+    count = table[2].shape[1]
     columns = []
-    start = 0
-    while start < len(eblock):
-        end = eblock.find("\n", start + _EDGE_CHUNK) + 1 or len(eblock)
-        chunk = eblock[start:end]
+    while start < len(text):
+        end = text.find(b"\n", start + _EDGE_CHUNK) + 1 or len(text)
+        chunk = text[start:end]
         start = end
-        lines = chunk.count("\n") + (not chunk.endswith("\n"))
-        toks = chunk.split()
-        if len(toks) != 4 * lines or toks[::4].count("edge") != lines:
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"
+        sep = _separators(np.frombuffer(chunk, np.uint8), _EDGE_LINE)
+        if sep is None or not _directives(chunk, b"edge ", len(sep)):
             return None
-        try:
-            columns.append((
-                np.fromiter(map(index.__getitem__, toks[1::4]), np.int64, lines),
-                np.fromiter(map(index.__getitem__, toks[2::4]), np.int64, lines),
-                # int() keeps the line parser's rules (signs, ``1_000``); a
-                # weight beyond int64 raises OverflowError.
-                np.fromiter(map(int, toks[3::4]), np.int64, lines),
-            ))
-        except (KeyError, ValueError, OverflowError):
+        starts = sep[:, :3] + 1
+        lens = sep[:, 1:] - starts
+        src_len, dst_len, wt_len = (int(col.max()) for col in lens.T)
+        if (
+            lens.min() < 1 or max(src_len, dst_len) > 8 * count or wt_len > _WEIGHT_LEN
+            or 16 * len(sep) * count > _KEY_SPREAD * len(chunk)
+        ):
             return None
-    src, dst, wt = (np.concatenate(col) for col in zip(*columns))
-    key = src * len(index) + dst
+        # Whole words, so each weight row ends in at least one zero byte.
+        words = _words(chunk, starts, lens, max(count, wt_len // 8 + 1))
+        ids = _lookup(words[:, :2, :count], table)
+        wt = _weights(words[:, 2].view(np.uint8)[:, :wt_len + 1])
+        if ids is None or wt is None:
+            return None
+        columns.append(np.column_stack((ids, wt)))
+    rows = np.concatenate(columns)
+    key = rows[:, 0] * len(table[0]) + rows[:, 1]
     order = np.argsort(key)
     key = key[order]
     if (key[1:] == key[:-1]).any():
         return None
-    return np.column_stack((src[order], dst[order], wt[order]))
+    return rows[order]
+
+
+def _lookup(found: np.ndarray, table):
+    """The ``[E, 2]`` vertex ids of the endpoints' ``[E, 2, W]`` name
+    words, or None unless each is a declared name.  ``table`` holds the
+    declared names' keys sorted, their ids in that order and their words
+    in that order.  The endpoints are looked up in key order too, so that
+    the table is read in order: about twice as fast as random lookups."""
+    keys, order, words = table
+    found = found.reshape(-1, words.shape[1])
+    key = _fold(found)
+    by_key = np.argsort(key)
+    at = np.searchsorted(keys, key[by_key])
+    if not (words.take(at, axis=0, mode="clip") == found[by_key]).all():
+        return None
+    ids = np.empty(len(key), np.int64)
+    ids[by_key] = order.take(at, mode="clip")
+    return ids.reshape(-1, 2)
+
+
+def _weights(rows: np.ndarray):
+    """The weight tokens, as rows of bytes that end in a zero byte, read as
+    ``int`` reads them; or None when one has more than 18 digits or ``int``
+    would refuse it: an optional ``-``, then digits with single ``_``
+    between two digits."""
+    width = rows.shape[1] - 1
+    kind = _KIND.take(rows)
+    # That grammar is: the first byte a digit or "-", and each next pair
+    # of bytes one that it allows, the last pair a digit and the padding.
+    if not (_FIRST.take(kind[:, 0]).all() and _PAIR.take(kind[:, :-1] * 5 + kind[:, 1:]).all()):
+        return None
+    if width > _DIGITS and ((kind == 1).sum(1) > _DIGITS).any():
+        return None
+    # Horner's rule over the token positions, passing over "-" and "_".
+    scale, digit = _SCALE.take(kind), _DIGIT.take(rows)
+    value = np.zeros(len(rows), np.int64)
+    for j in range(width):
+        value *= scale[:, j]
+        value += digit[:, j]
+    np.negative(value, out=value, where=kind[:, 0] == 2)
+    return value
 
 
 def _scan_lines(text: str):

@@ -661,3 +661,55 @@ def test_layout_scalar_forms_match_each_views_own():
                 assert all(layout.bounds[c, 3] - layout.bounds[c, 2] <= eng.SCALAR_MAX_EDGES
                            for c in held)
     assert taken > 1000
+
+
+def forward_arena(rng, n, objective):
+    """Mostly edges to later vertices, so that most components are one
+    vertex without a self-loop; a few self-loops and back edges make the
+    rest, and the last vertex loops on itself."""
+    edges = []
+    for v in range(n):
+        for d in rng.sample(range(v + 1, n), min(n - 1 - v, rng.randint(1, 3))):
+            edges.append((v, d, rng.randint(-9, 9)))
+        if v == n - 1 or rng.random() < 0.1:
+            edges.append((v, v, rng.randint(-9, 9)))
+        if v > 0 and rng.random() < 0.05:
+            edges.append((v, rng.randrange(v), rng.randint(-9, 9)))
+    owners = [rng.choice([Player.MAX, Player.MIN]) for _ in range(n)]
+    targets = rng.sample(range(n), 3) if objective is Objective.MCR else []
+    return make_arena([f"v{i}" for i in range(n)], owners, edges, targets, objective)
+
+
+def test_trivial_components_get_no_tables(monkeypatch):
+    """The path oracle gives a one-vertex component without a self-loop
+    no table and no walk.  Each solve equals the one with the walked
+    tables, forced through a wrapper oracle: values, each component's
+    (passes, sweeps) and so k_e/k_i."""
+    monkeypatch.setattr(accel, "SolveStats", ComponentCounts)
+
+    def walked(arena, dec, q, finalized):
+        with monkeypatch.context() as walk:
+            walk.setattr(accel, "_trivial", lambda *args: False)
+            return simple_path_oracle(arena, dec, q, finalized)
+
+    rng = random.Random(3018)
+    trivial = 0
+    for i in range(40):
+        objective = (Objective.MCR, Objective.TP)[i % 2]
+        arena = forward_arena(rng, rng.randint(5, 120), objective)
+        if objective is Objective.MCR:
+            arena, solve = normalize_target(arena), solve_mcr_accelerated
+        else:
+            solve = solve_tp_accelerated
+        dec = scc_decompose(arena)
+        for q, members in enumerate(dec.components):
+            if accel._trivial(members, *dec.edges[:2]):
+                trivial += 1
+                assert simple_path_oracle(arena, dec, q, np.zeros(arena.n, np.int64)) == [None]
+                assert walked(arena, dec, q, np.zeros(arena.n, np.int64))[0] is not None
+        got, want = solve(arena), solve(arena, walked)
+        assert got.values == want.values
+        assert got.stats.steps == want.stats.steps
+        assert (got.stats.outer_iterations, got.stats.inner_iterations) == (
+            want.stats.outer_iterations, want.stats.inner_iterations)
+    assert trivial > 1_000

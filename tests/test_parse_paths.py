@@ -236,3 +236,147 @@ def test_bulk_parse_keeps_its_name_index():
     assert arena.index("a") == 1 and arena.index("b") == 0
     with pytest.raises(KeyError, match="no vertex named 'c'"):
         arena.index("c")
+
+
+# The bulk path keys each name by zero-padded 8-byte words and reads the
+# weights byte by byte.  The files below sit at the edges of both.
+
+_ALPHABET = string.ascii_letters + string.digits + "_"
+
+
+def _long_names(rng, n):
+    """``n`` distinct names of 9-40 bytes, most of them sharing their
+    first 8 or 16 bytes with others."""
+    stems = ["".join(rng.choice(_ALPHABET) for _ in range(16)) for _ in range(3)]
+    names = set()
+    while len(names) < n:
+        stem = rng.choice(stems)[: rng.choice((0, 8, 16))]
+        size = rng.randint(max(1, 9 - len(stem)), 40 - len(stem))
+        names.add(stem + "".join(rng.choice(_ALPHABET) for _ in range(size)))
+    names = sorted(names)
+    rng.shuffle(names)
+    return names
+
+
+def named_file(rng, names, weight=_weight):
+    """A clean MCR file on ``names``: one to three successors each, the
+    first vertex a target, weights drawn by ``weight(rng)``."""
+    n = len(names)
+    lines = ["objective mcr"]
+    for v, name in enumerate(names):
+        lines.append(f"vertex {name} {rng.choice(['min', 'max'])}" + (" target" if v == 0 else ""))
+    for v, name in enumerate(names):
+        for d in rng.sample(range(n), rng.randint(1, min(3, n))):
+            lines.append(f"edge {name} {names[d]} {weight(rng)}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_line_parsers_outcome(text):
+    """``parse`` ends as the line parser ends, from ``str`` and ``bytes``."""
+    want, want_warnings = outcome(lambda: line_parse(text))
+    for form in (text, text.encode("ascii")):
+        got, got_warnings = outcome(lambda: parse(form))
+        assert got_warnings == want_warnings
+        if isinstance(want, Arena):
+            assert_same_arena(got, want)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_long_names_that_share_prefixes_take_the_bulk_path(chunk, monkeypatch):
+    """Names of 9-40 bytes are keys of two to five words, hashed into one
+    sort key; names that share their first 8 or 16 bytes differ only in a
+    later word.  With ``chunk`` 1 the edge block is cut at every line."""
+    if chunk is not None:
+        monkeypatch.setattr(gamefile, "_EDGE_CHUNK", chunk)
+    rng = random.Random(4018)
+    shared = 0
+    for n in (1, 2, 7, 60, 400):
+        names = _long_names(rng, n)
+        shared += sum(a[:8] == b[:8] for a, b in zip(names, names[1:]))
+        text = named_file(rng, names)
+        assert gamefile._scan_bulk(text) is not None
+        assert_line_parsers_outcome(text)
+    assert shared > 20
+
+
+@pytest.mark.parametrize("edit", ["add", "remove"])
+def test_an_endpoint_one_byte_off_a_declared_name_ends_as_the_line_parser(edit):
+    """An endpoint that is a declared name with one byte added or removed
+    is undeclared (or another declared name), across the word boundaries
+    at 8 and 16 bytes and past the longest name."""
+    rng = random.Random(edit)
+    for names in (
+        ["abcdefgh", "abcdefg", "a", "abcdefghijklmnop"],
+        _long_names(rng, 30),
+        [f"v{i}" for i in range(12)],
+    ):
+        for _ in range(12):
+            text = named_file(rng, names)
+            lines = text.split("\n")
+            k = rng.choice([i for i, line in enumerate(lines) if line.startswith("edge ")])
+            _, src, dst, w = lines[k].split()
+            src = src + rng.choice(_ALPHABET) if edit == "add" else src[:-1] or "x"
+            lines[k] = f"edge {src} {dst} {w}"
+            changed = "\n".join(lines)
+            if src not in names:
+                assert gamefile._scan_bulk(changed) is None
+            assert_line_parsers_outcome(changed)
+
+
+@pytest.mark.parametrize(
+    "weight, bulk",
+    [
+        ("-0", True), ("007", True), ("1_000", True), ("-1_000_000", True), ("0_0", True),
+        ("1__0", False), ("_1", False), ("1_", False), ("-", False), ("--1", False),
+        ("-_1", False), ("1-", False), ("0x1", False),
+    ],
+)
+def test_weights_follow_int(weight, bulk):
+    """Weights the bulk path reads with ``int``'s rules, and ones ``int``
+    refuses, which only the line parser may report."""
+    rng = random.Random(weight)
+    names = _long_names(rng, 5) + ["a", "b"]
+    text = named_file(rng, names, lambda r: r.choice([weight, str(r.randint(-9, 9))]))
+    assert (gamefile._scan_bulk(text) is not None) == bulk
+    assert_line_parsers_outcome(text)
+
+
+_DIGIT_CASES = [
+    "9" * 17, "9" * 18, "-" + "9" * 18, "999_999_999_999_999_999", "1" + "0" * 18,
+    str(2**63 - 1), str(2**63), str(2**63 + 1), str(-(2**63)), str(-(2**63) - 1),
+    "1" + "0" * 19, "-" + "9" * 20, "0" * 19 + "5", "1_000_000_000_000_000_000",
+]
+
+
+@pytest.mark.parametrize("weight", _DIGIT_CASES)
+def test_weights_of_18_to_20_digits_end_as_the_line_parser(weight):
+    """Up to 18 digits the bulk path reads the weight, and ``validate``
+    refuses it past the weight cap; from 19 digits on, int64's range
+    included, the line parser reads it."""
+    text = f"objective tp\nvertex a max\nvertex b min\nedge a b {weight}\nedge b a 1\n"
+    digits = sum(c.isdigit() for c in weight)
+    assert (gamefile._scan_bulk(text) is not None) == (digits <= 18)
+    assert_line_parsers_outcome(text)
+    if digits <= 18:  # the value the bulk path read, before validation
+        assert gamefile._scan_bulk(text)[2][0, 2] == int(weight)
+
+
+def test_colliding_keys_are_checked_word_by_word(monkeypatch):
+    """With a zero multiplier the sort key of a two-word name is its last
+    word alone, so names that differ only in their first word collide.
+    Two declared names that collide, or an undeclared endpoint that
+    collides with a declared name, send the file to the line parser."""
+    monkeypatch.setattr(gamefile, "_MIX", np.uint64(0))
+    head = "objective tp\nvertex aaaaaaaa_tail max\n"
+    cases = {
+        "declared": head + "vertex bbbbbbbb_tail min\nedge aaaaaaaa_tail bbbbbbbb_tail 1\n"
+        "edge bbbbbbbb_tail aaaaaaaa_tail 2\n",
+        "undeclared": head + "edge aaaaaaaa_tail cccccccc_tail 1\n",
+        "distinct": head + "vertex bbbbbbbb_tall min\nedge aaaaaaaa_tail bbbbbbbb_tall 1\n"
+        "edge bbbbbbbb_tall aaaaaaaa_tail 2\n",
+    }
+    for case, text in cases.items():
+        assert (gamefile._scan_bulk(text) is None) == (case != "distinct")
+        assert_line_parsers_outcome(text)
