@@ -114,16 +114,19 @@ core of a 2-vCPU x86 VM, as are the times below), so on the one- and
 two-vertex components of a chain condensation that fixed cost is nearly
 all of a solve.  On one vector over a slice of at most
 ``SCALAR_MAX_EDGES`` edges, and without a trace, ``fixpoint`` therefore
-runs its Jacobi sweeps on Python ints: it gathers the members' values
-once per call, and ``scalar_sweeps``, the one scalar loop, folds each
-member's exit edges (whose destinations the call never writes) into one
-candidate, each continuation min(x, ytrans), sweeps lists and compares
-the old and new lists with ``==``; the members go back to ``x`` once,
-before the call returns or raises.  ``nested_fixpoint``'s passes call
-``fixpoint``, so a small slice's inner sweeps take this form inside the
-numpy outer loop.  The accelerated solvers run ``scalar_sweeps`` on a
-small component's scalar form with no view at all: one gather, the
-loop, one store (``accel._list_pass``).  Python ints are exact, so a
+runs its Jacobi sweeps on Python ints, by ``scalar_sweeps``, the one
+scalar loop, which takes ``fixpoint``'s arguments with the slice's
+scalar form in place of the slice.  It gathers the members' and exits'
+values once per call, folds each member's exit edges (whose
+destinations the call never writes) into one candidate, each
+continuation min(x, ytrans), sweeps lists and compares the old and new
+lists with ``==``; it returns the members' values, which ``fixpoint``
+stores into ``x`` once, and writes them itself only before it raises.
+``nested_fixpoint``'s passes call ``fixpoint``, so a small slice's inner
+sweeps take this form inside the numpy outer loop.  The accelerated
+solvers call ``scalar_sweeps`` on a small component's scalar form with
+no view at all, and store its values themselves
+(``accel._component_pass``).  Python ints are exact, so a
 candidate on a sentinel continuation lands within a weight of the
 sentinel as in int64, and the same post-step follows in the same order:
 the cutoff or the lift fused with the snap at +-``SNAP``, then the clamp,
@@ -131,7 +134,7 @@ by ``bisect`` on the tables as lists (``_clamp``, which the numpy loop
 shares).  So every iterate, sweep count, stop test and bound error
 equals the numpy loop's.  A slice's lists (its ``scalar`` form) are
 taken on first use and kept for its later calls.  A component view, or a
-list pass, takes them from the layout, which builds the forms of a run
+component pass, takes them from the layout, which builds the forms of a run
 of up to ``ComponentLayout.SCALAR_RUN`` consecutive small components in
 one pass: one ``tolist`` per layout field and one Python loop over their
 edges, where building each view's lists from its own slices cost about
@@ -695,7 +698,11 @@ def fixpoint(
     call, so it must not change during the call (no caller changes it:
     the total-payoff pass caps ``y`` before solving, then reads it)."""
     if trace is None and x.ndim == 1 and len(sl.dst) <= SCALAR_MAX_EDGES:
-        return _scalar_fixpoint(sl, x, bound, cutoff, lift, ytrans, tables)
+        sweeps, new = scalar_sweeps(sl.scalar, x, bound, cutoff=cutoff, lift=lift,
+                                    ytrans=ytrans, tables=tables)
+        if sweeps > 1:
+            x[sl.members] = new
+        return sweeps
     if tables is not None:
         tables = [None if t is None else t.tolist() for t in tables]
     cols, sign = sl.cols, sl.sign
@@ -740,32 +747,19 @@ def fixpoint(
             dirty = None
 
 
-def _scalar_fixpoint(sl, x, bound, cutoff, lift, ytrans, tables) -> int:
-    """``fixpoint`` on Python ints, for one vector over a small slice and
-    no trace: one gather, ``scalar_sweeps``, one store when a member
-    changed."""
-    form = sl.scalar
-    at = _member_index(sl, x)
-    caps = None if ytrans is None else ytrans[form.gather].tolist()
-    sweeps, new = scalar_sweeps(form, x[form.gather].tolist(), bound, x, at,
-                                cutoff=cutoff, lift=lift, caps=caps, tables=tables)
-    if sweeps > 1:
-        x[at] = new
-    return sweeps
-
-
-def scalar_sweeps(form: ScalarForm, xs: list, bound: int, x: np.ndarray, at, *,
-                  cutoff=None, lift=None, caps=None, tables=None) -> Tuple[int, list]:
-    """The scalar sweep loop, from ``xs``, a vector at ``form.gather``
-    (the members' start values, then the exits'), with ``caps`` the
-    ``ytrans`` there or None and ``tables`` as ``fixpoint`` takes them.
-    Returns the sweep count and the members' last values, with the
-    iterates, count and bound errors of the numpy loop; it writes ``x``
-    only before it raises, the members' values at ``at``.  Exit edges
-    read vertices that no sweep writes, so each member's exit candidates
-    are folded into one, ``fixed``, once per call."""
-    is_max, edges, _, exit_src, exit_wt = form
+def scalar_sweeps(form: ScalarForm, x: np.ndarray, bound: int, *, cutoff=None, lift=None,
+                  ytrans: Optional[np.ndarray] = None, tables=None) -> Tuple[int, list]:
+    """The scalar sweep loop over ``form``, with ``fixpoint``'s arguments:
+    one gather of ``x`` (and ``ytrans``) at ``form.gather``, the members
+    then the exits.  Returns the sweep count and the members' last values,
+    with the iterates, count and bound errors of the numpy loop; it writes
+    ``x`` only before it raises, the members' values.  Exit edges read
+    vertices that no sweep writes, so each member's exit candidates are
+    folded into one, ``fixed``, once per call."""
+    is_max, edges, gather, exit_src, exit_wt = form
     k = len(is_max)
+    xs = x[gather].tolist()
+    caps = None if ytrans is None else ytrans[gather].tolist()
     if tables is not None:
         tables = [None if t is None else t.tolist() for t in tables]
     fixed = [None] * k
@@ -798,7 +792,7 @@ def scalar_sweeps(form: ScalarForm, xs: list, bound: int, x: np.ndarray, at, *,
         if new == xs:
             return sweeps, xs
         if sweeps > bound:
-            x[at] = new
+            x[gather[:k]] = new
             if tables is not None:
                 raise UnsoundOracleError("component failed to stabilize")
             raise AssertionError("value iteration exceeded its sweep bound")
@@ -893,14 +887,6 @@ def nested_fixpoint(
             return passes, sweeps
         if passes > outer_bound:
             raise AssertionError("outer iteration exceeded its pass bound")
-
-
-def ext_of_raw(raw: int) -> ExtValue:
-    if raw >= POS:
-        return PLUS_INF
-    if raw <= NEG:
-        return MINUS_INF
-    return int(raw)
 
 
 _RAW_OF_INF = {PLUS_INF: int(POS), MINUS_INF: int(NEG)}

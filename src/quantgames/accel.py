@@ -16,16 +16,17 @@ reads them.
 
 Both solvers copy the compiled edge arrays once into a
 ``ComponentLayout`` in component order; each component's view is then a
-set of slices of it, built in O(1).  A component of at most
-``_engine.SCALAR_MAX_EDGES`` edges that takes a single pass (any
-reachability component, a certified total-payoff one) gets no view: its
-pass runs on the layout's scalar form (``_list_pass``): one gather of
-its members and exits from the value vector, the sweeps on Python lists,
-and one store into each vector the solver keeps.  The total-payoff
-solver certifies every component before its component loop, in one
-batched run of kernel sweeps over the layout's inside edges (a Jacobi
-Bellman-Ford with two weight rows, one per sign).  So a solve costs time
-linear in |V| + |E| outside the sweeps.
+set of slices of it, built in O(1).  A component that takes a single
+pass (any reachability component, a certified total-payoff one) runs it
+through ``_component_pass``, which both solvers call.  One of at most
+``_engine.SCALAR_MAX_EDGES`` edges gets no view: its pass runs on the
+layout's scalar form, one gather of its members and exits from the value
+vector and the sweeps on Python lists, and the solver stores the result
+once into each vector it keeps.  The total-payoff solver certifies every
+component before its component loop, in one batched run of kernel sweeps
+over the layout's inside edges (a Jacobi Bellman-Ford with two weight
+rows, one per sign).  So a solve costs time linear in |V| + |E| outside
+the sweeps.
 """
 
 from __future__ import annotations
@@ -334,9 +335,9 @@ def solve_mcr_accelerated(
     """Per-component reachability solve with candidate clamping.
 
     Identical output to the plain solver; stats count one outer unit per
-    component loop and every restricted sweep as an inner iteration.  A
-    component of at most ``_engine.SCALAR_MAX_EDGES`` edges is solved by
-    ``_list_pass``, a larger one by ``fixpoint`` on its view.
+    component loop and every restricted sweep as an inner iteration.  Each
+    component takes one ``_component_pass``: on its scalar form when it
+    has at most ``_engine.SCALAR_MAX_EDGES`` edges, else on its view.
     """
     if not is_normalized_mcr(arena):
         raise ArenaError("solve_mcr_accelerated expects a normalized MCR arena")
@@ -347,17 +348,14 @@ def solve_mcr_accelerated(
     x = np.full(arena.n, eng.POS, dtype=np.int64)
     x[t] = 0
     layout = eng.ComponentLayout(ca, dec.components)
-    edges = _edge_counts(layout)
+    edges = (layout.bounds[:, 3] - layout.bounds[:, 2]).tolist()
     stats = SolveStats()
     bound = sweep_bound(arena.n, ca.W) + 1
     for q in range(1, len(dec)):
         tables = _clamping(oracle(arena, dec, q, x))
         stats.outer_iterations += 1
-        if edges[q] <= eng.SCALAR_MAX_EDGES:
-            sweeps, new, m = _list_pass(layout.scalar_form(q), x, tables, bound, ca.cutoff)
-            x[m] = new
-        else:
-            sweeps = eng.fixpoint(layout.view(q), x, bound, cutoff=ca.cutoff, tables=tables)
+        sweeps, new, m = _component_pass(layout, q, edges[q], x, tables, bound, ca.cutoff)
+        x[m] = new
         stats.inner_iterations += sweeps
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
@@ -378,11 +376,10 @@ def solve_tp_accelerated(
     Everything else runs the plain nested iteration restricted to the
     component.
 
-    A certified component of at most ``_engine.SCALAR_MAX_EDGES`` edges
-    runs that pass on its layout's scalar form (``_list_pass``): one
-    gather of its members and exits from ``x``, the sweeps on lists, and
-    one store of the lifted values into ``x`` and one into ``y``, with no
-    view.  A larger one runs it on its view (``_view_pass``).
+    A certified component runs that pass as ``_component_pass``, on its
+    layout's scalar form with no view when it has at most
+    ``_engine.SCALAR_MAX_EDGES`` edges, else on its view; the lifted
+    values then go into ``x`` and ``y`` in one store each.
 
     The counts are those of the nested iteration's outer loop around the
     pass: one pass when the lifted result is all -inf, which is where the
@@ -405,7 +402,7 @@ def solve_tp_accelerated(
     inner_bound = sweep_bound(n, ca.W) + 1
     outer_bound = k_bound(arena) + 1
     layout = eng.ComponentLayout(ca, dec.components)
-    edges = _edge_counts(layout)
+    edges = (layout.bounds[:, 3] - layout.bounds[:, 2]).tolist()
     certs = cycle_sign_certificates(layout)
     for q in range(len(dec)):
         certificate = certs[q]
@@ -417,12 +414,8 @@ def solve_tp_accelerated(
         else:
             tables = _clamping(oracle(arena, dec, q, x))
             resolve = lift_at if certificate == "negative" else None
-            if edges[q] <= eng.SCALAR_MAX_EDGES:
-                sweeps, new, m = _list_pass(
-                    layout.scalar_form(q), x, tables, inner_bound, ca.cutoff, resolve)
-            else:
-                sweeps, new, m = _view_pass(
-                    layout.view(q), x, tables, inner_bound, ca.cutoff, resolve)
+            sweeps, new, m = _component_pass(
+                layout, q, edges[q], x, tables, inner_bound, ca.cutoff, resolve)
             new = [_POS if v > lift_at else v for v in new]
             outer = 1 if max(new) == _NEG else 2
             x[m] = new
@@ -437,54 +430,41 @@ def solve_tp_accelerated(
     return TpResult(eng.from_array(arena, y), stats)
 
 
-def _edge_counts(layout: eng.ComponentLayout) -> List[int]:
-    """The edge count of each component of the layout."""
-    return (layout.bounds[:, 3] - layout.bounds[:, 2]).tolist()
-
-
-def _list_pass(
-    form: eng.ScalarForm,
+def _component_pass(
+    layout: eng.ComponentLayout,
+    q: int,
+    edges: int,
     x: np.ndarray,
     tables: Optional[List[Optional[np.ndarray]]],
     bound: int,
     cutoff: int,
     resolve: Optional[int] = None,
 ) -> Tuple[int, list, np.ndarray]:
-    """The clamped pass of a small component, from above and without stop
-    requests, on its scalar form: one gather of its members and exits from
-    ``x``, whose members still hold their start, +inf, as on every
-    component not yet solved; the descent with ``cutoff``; and, given the
-    lift ``resolve`` (a 'negative' certificate), the ascent from -inf when
-    a member stays at +inf.  Returns the sweep count, the members' values
-    and the members, which the caller stores; ``x`` is written only before
-    a bound error."""
-    k = len(form.is_max)
-    m = form.gather[:k]
-    xs = x[form.gather].tolist()
-    sweeps, new = eng.scalar_sweeps(form, xs, bound, x, m, cutoff=cutoff, tables=tables)
+    """The clamped pass of component q, of ``edges`` edges, from above and
+    without stop requests: the descent with ``cutoff`` from ``x``, whose
+    members still hold their start, +inf, as on every component not yet
+    solved; and, given the lift ``resolve`` (a 'negative' certificate),
+    the ascent from -inf when a member stays at +inf.  A component of at
+    most ``_engine.SCALAR_MAX_EDGES`` edges sweeps its layout's scalar form
+    with no view (one gather of its members and exits, the sweeps on
+    lists), a larger one its view through ``fixpoint``, which also writes
+    ``x``.  Returns the sweep count, the members' values and the members,
+    which the caller stores."""
+    if edges <= eng.SCALAR_MAX_EDGES:
+        sl = layout.scalar_form(q)
+        m = sl.gather[:len(sl.is_max)]
+        run = eng.scalar_sweeps
+    else:
+        sl = layout.view(q)
+        m = sl.members
+
+        def run(*args, **kwargs):  # returns what scalar_sweeps returns
+            return eng.fixpoint(*args, **kwargs), x[m].tolist()
+    sweeps, new = run(sl, x, bound, cutoff=cutoff, tables=tables)
     if resolve is not None and _POS in new:
         # Starting from above can strand vertices at +inf; approach the
         # same fixed point from below instead.
-        xs[:k] = [_NEG] * k
-        more, new = eng.scalar_sweeps(form, xs, bound, x, m, lift=resolve, tables=tables)
+        x[m] = eng.NEG
+        more, new = run(sl, x, bound, lift=resolve, tables=tables)
         sweeps += more
     return sweeps, new, m
-
-
-def _view_pass(
-    view: eng.ComponentView,
-    x: np.ndarray,
-    tables: Optional[List[Optional[np.ndarray]]],
-    bound: int,
-    cutoff: int,
-    resolve: Optional[int] = None,
-) -> Tuple[int, list, np.ndarray]:
-    """``_list_pass`` on the component's view, through ``fixpoint``, which
-    solves ``x`` on its members."""
-    m = view.members
-    x[m] = eng.POS
-    sweeps = eng.fixpoint(view, x, bound, cutoff=cutoff, tables=tables)
-    if resolve is not None and np.count_nonzero(x[m] >= eng.POS):
-        x[m] = eng.NEG
-        sweeps += eng.fixpoint(view, x, bound, lift=resolve, tables=tables)
-    return sweeps, x[m].tolist(), m

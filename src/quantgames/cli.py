@@ -13,7 +13,7 @@ import functools
 import hashlib
 import random
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -118,9 +118,9 @@ def write_trace(fh, raw: np.ndarray) -> None:
     sentinels' digits are then replaced, the negative one first since its
     digits contain the positive one's.  Values are clipped to the
     sentinels first, and a finite value lies strictly inside +-2**61, so
-    its digits never spell a sentinel: the text is the one each value's
-    ``to_json(ext_of_raw(r))`` gives.  A block holds about
-    ``TRACE_BLOCK_VALUES`` values.
+    its digits never spell a sentinel: each value reads as ``to_json``
+    writes it, an int or ``-inf``/``+inf`` at or beyond a sentinel.  A
+    block holds about ``TRACE_BLOCK_VALUES`` values.
     """
     pos, neg = str(int(eng.POS)), str(int(eng.NEG))
     rows = max(1, TRACE_BLOCK_VALUES // raw.shape[1])
@@ -130,40 +130,49 @@ def write_trace(fh, raw: np.ndarray) -> None:
         fh.write(text.replace(neg, "-inf").replace(pos, "+inf"))
 
 
-def cmd_strategy(args) -> int:
-    arena = _load(args.file)
-    docs: Dict[str, bytes] = {}
+def _strategies(arena: Arena, player: str):
+    """Solve ``arena`` and extract the optimal strategies of ``player``
+    ('max', 'min' or 'both').  Returns the solved game (the normalized
+    arena for reachability), its values and the strategies by label, in
+    the order ``qg strategy`` prints them: 'max', then 'min', or
+    'min_sigma1' and 'min_sigma2' when a value is -inf, and for
+    reachability 'min_moore', the rewind Moore machine."""
+    tools = {}
     if arena.objective is Objective.MCR:
-        norm = normalize_target(arena)
-        res = solve_mcr(norm, with_trace=True)
-        if args.player in ("max", "both"):
-            docs["max"] = strategy_json(extract_max_memoryless(norm, res.values), norm)
-        if args.player in ("min", "both"):
-            sigma1, sigma2, sigma_star = extract_min_mcr(norm, res)
+        game = normalize_target(arena)
+        res = solve_mcr(game, with_trace=True)
+        if player in ("max", "both"):
+            tools["max"] = extract_max_memoryless(game, res.values)
+        if player in ("min", "both"):
+            sigma1, sigma2, sigma_star = extract_min_mcr(game, res)
             if all(v is not MINUS_INF for v in res.values):
-                sw = make_switching(sigma1, sigma2, res.values, norm)
-                docs["min"] = strategy_json(sw, norm)
+                tools["min"] = make_switching(sigma1, sigma2, res.values, game)
             else:
-                docs["min_sigma1"] = strategy_json(sigma1, norm)
-                docs["min_sigma2"] = strategy_json(sigma2, norm)
-            if sigma_star.size > DECISION_TABLE_CAP:
-                sys.stderr.write(
-                    f"note: min_moore: the Moore machine has {sigma_star.size} states, above "
-                    f"the cap of {DECISION_TABLE_CAP}; its decision table is left out\n"
-                )
-            docs["min_moore"] = strategy_json(sigma_star, norm)
+                tools["min_sigma1"], tools["min_sigma2"] = sigma1, sigma2
+            tools["min_moore"] = sigma_star
     else:
+        game = arena
         res = solve_tp(arena)
-        if args.player in ("max", "both"):
-            docs["max"] = strategy_json(extract_max_tp(arena, res.values), arena)
-        if args.player in ("min", "both"):
+        if player in ("max", "both"):
+            tools["max"] = extract_max_tp(arena, res.values)
+        if player in ("min", "both"):
             gy = build_game_Y(arena, res.values)
-            gy_res = solve_mcr(gy, with_trace=True)
-            gy_sigma1, _, _ = extract_min_mcr(gy, gy_res)
-            docs["min"] = strategy_json(project_tp_min(arena, gy_sigma1), arena)
-    for label, blob in docs.items():
+            gy_sigma1, _, _ = extract_min_mcr(gy, solve_mcr(gy, with_trace=True))
+            tools["min"] = project_tp_min(arena, gy_sigma1)
+    return game, res.values, tools
+
+
+def cmd_strategy(args) -> int:
+    game, _, tools = _strategies(_load(args.file), args.player)
+    moore = tools.get("min_moore")
+    if moore is not None and moore.size > DECISION_TABLE_CAP:
+        sys.stderr.write(
+            f"note: min_moore: the Moore machine has {moore.size} states, above "
+            f"the cap of {DECISION_TABLE_CAP}; its decision table is left out\n"
+        )
+    for label, tool in tools.items():
         sys.stdout.write(f"--- {label} ---\n")
-        sys.stdout.buffer.write(blob)
+        sys.stdout.buffer.write(strategy_json(tool, game))
     return 0
 
 
@@ -325,30 +334,9 @@ def cmd_bench(args) -> int:
 def cmd_play(args) -> int:
     arena = _load(args.file)
     human = Player.MAX if args.side == "max" else Player.MIN
-    if arena.objective is Objective.MCR:
-        norm = normalize_target(arena)
-        res = solve_mcr(norm, with_trace=True)
-        if human is Player.MAX:
-            sigma1, sigma2, _ = extract_min_mcr(norm, res)
-            if all(v is not MINUS_INF for v in res.values):
-                tool = make_switching(sigma1, sigma2, res.values, norm)
-            else:
-                tool = sigma1
-        else:
-            tool = extract_max_memoryless(norm, res.values)
-        game = norm
-        values = res.values
-    else:
-        res = solve_tp(arena)
-        if human is Player.MAX:
-            gy = build_game_Y(arena, res.values)
-            gy_res = solve_mcr(gy, with_trace=True)
-            gy_sigma1, _, _ = extract_min_mcr(gy, gy_res)
-            tool = project_tp_min(arena, gy_sigma1)
-        else:
-            tool = extract_max_tp(arena, res.values)
-        game = arena
-        values = res.values
+    side = "min" if human is Player.MAX else "max"  # the tool's
+    game, values, tools = _strategies(arena, side)
+    tool = tools[side] if side in tools else tools["min_sigma1"]
     machine = _as_moore(tool)
     try:
         v = game.index(args.start) if args.start else 0

@@ -29,6 +29,7 @@ from quantgames.mcr import SolveStats, solve_mcr
 from quantgames.tp import solve_tp
 
 from conftest import MIXED, fig2a, layered, single_vertex, skewed_arena
+from test_differential import block_arena
 
 
 def test_scc_layered():
@@ -595,11 +596,11 @@ def test_certified_components_run_one_pass(monkeypatch):
         return counted
 
     monkeypatch.setattr(eng, "fixpoint", counting(eng.fixpoint))
-    monkeypatch.setattr(accel, "_list_pass", counting(accel._list_pass))
+    monkeypatch.setattr(accel, "_component_pass", counting(accel._component_pass))
     arena = layered(500, 50)
     res = solve_tp_accelerated(arena)
     assert (res.stats.outer_iterations, res.stats.inner_iterations) == (4 * 500 + 2, 14 * 500 + 4)
-    assert (calls.count("_list_pass"), len(calls)) == (1000, 1002)
+    assert (calls.count("_component_pass"), len(calls)) == (1000, 1002)
     calls.clear()
     assert two_pass_reference(arena)[1] == res.values.values
     assert (calls.count("fixpoint"), len(calls)) == (2002, 2002)
@@ -713,3 +714,88 @@ def test_trivial_components_get_no_tables(monkeypatch):
         assert (got.stats.outer_iterations, got.stats.inner_iterations) == (
             want.stats.outer_iterations, want.stats.inner_iterations)
     assert trivial > 1_000
+
+
+def branch_run(arena, solve, oracle, floor, monkeypatch):
+    """``solve(arena, oracle)`` with ``SCALAR_MAX_EDGES`` at ``floor``,
+    through a wrapper of ``accel._component_pass`` that requires the +inf
+    start in ``x`` at the component's members on entry.  Returns what each
+    component's pass or nested iteration returned or raised, in order,
+    then each component's counts and the values (none after an error);
+    and the steps, each 'nested', 'list' or 'view', a pass followed by
+    'from below' when it re-solved."""
+    monkeypatch.setattr(eng, "SCALAR_MAX_EDGES", floor)
+    monkeypatch.setattr(accel, "SolveStats", ComponentCounts)
+    returns, steps = [], []
+
+    def component(run, step):
+        def call(*args, **kwargs):
+            steps.append(step(*args))
+            try:
+                got = run(*args, **kwargs)
+            except (AssertionError, UnsoundOracleError) as exc:
+                returns.append(type(exc))
+                raise
+            returns.append([v.tolist() if isinstance(v, np.ndarray) else v for v in got])
+            return got
+        return call
+
+    def lifting(run):  # in these solves only a re-solve from below lifts
+        def call(*args, **kwargs):
+            if kwargs.get("lift") is not None:
+                steps.append("from below")
+            return run(*args, **kwargs)
+        return call
+
+    def entered(layout, q, edges, x, *args):
+        v0, v1 = layout.bounds[q, :2].tolist()
+        if not (x[layout.members[v0:v1]] == eng.POS).all():
+            pytest.fail(f"component {q} does not start at +inf: {arena}")  # the solve catches asserts
+        return "list" if edges <= floor else "view"
+
+    monkeypatch.setattr(accel, "_component_pass", component(accel._component_pass, entered))
+    monkeypatch.setattr(eng, "nested_fixpoint", component(eng.nested_fixpoint, lambda *a: "nested"))
+    monkeypatch.setattr(eng, "fixpoint", lifting(eng.fixpoint))
+    monkeypatch.setattr(eng, "scalar_sweeps", lifting(eng.scalar_sweeps))
+    try:
+        res = solve(arena, oracle)
+        returns.append((res.stats.steps, res.values.values))
+    except (AssertionError, UnsoundOracleError):
+        pass
+    return returns, steps
+
+
+@pytest.mark.parametrize("bound", [None, 2], ids=["bounds", "short-bound"])
+@pytest.mark.parametrize("oracle", [no_clamp_oracle, simple_path_oracle], ids=["scc", "paths"])
+def test_component_pass_branches_agree(monkeypatch, oracle, bound):
+    """Every component pass finds its members at +inf in ``x``, where the
+    solve started them, with no store of its own.  On chains of blocks
+    whose uncertified components and 'negative' re-solves from below come
+    before certified ones, a solve with the scalar floor at 4 edges mixes
+    list and view passes; it returns what the all-view (floor 0) and
+    all-list (the default floor) solves return, component by component:
+    counts and values, or the error type under a short sweep bound."""
+    if bound is not None:
+        monkeypatch.setattr(accel, "sweep_bound", lambda *args: bound)
+    rng = random.Random(19)
+    seen = set()
+    for i in range(12):
+        objective = (Objective.TP, Objective.MCR)[i % 2]
+        arena, solve = block_arena(rng, objective, rng.randint(30, 80)), solve_tp_accelerated
+        if objective is Objective.MCR:
+            arena, solve = normalize_target(arena), solve_mcr_accelerated
+        got = {}
+        for floor in (0, eng.SCALAR_MAX_EDGES, 4):
+            with monkeypatch.context() as floored:
+                got[floor], steps = branch_run(arena, solve, oracle, floor, floored)
+        assert got[0] == got[eng.SCALAR_MAX_EDGES] == got[4], arena
+        if {"list", "view"} <= set(steps):
+            seen.add("mixed")
+        last = max((at for at, step in enumerate(steps) if step in ("list", "view")), default=0)
+        seen.update({"nested", "from below"} & set(steps[:last]))
+        seen.add(got[4][-1] if isinstance(got[4][-1], type) else "solved")
+    assert {"mixed", "solved"} <= seen
+    if bound is None:
+        assert {"nested", "from below"} <= seen
+    else:
+        assert {AssertionError, UnsoundOracleError if oracle is simple_path_oracle else "solved"} <= seen

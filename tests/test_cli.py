@@ -181,6 +181,86 @@ def test_play_scripted(tmp_path):
     assert "target reached; payoff -3" in out.stdout
 
 
+# Min's value -inf at a, so the tool plays Min's first strategy, sigma1.
+MINUS_INF_MCR = """objective mcr
+vertex a min
+vertex b max
+vertex t max target
+edge a a -1
+edge a t 0
+edge b a 2
+edge b t 1
+edge t t 0
+"""
+
+# (generated game or None, play flags, moves typed, stdout after the
+# first line), recorded before the strategy and play commands shared
+# their strategy extraction.
+PLAY_TRANSCRIPTS = {
+    "mcr-as-min": (["fig2a", "--W", "3"], ["--as", "min", "--start", "v2"], "v9\nv1\n", """\
+v1  -3
+v2  -3
+v3  0
+at v2 (owner min), running sum 0, value to go -3
+your move ['v1', 'v3']: illegal move
+at v2 (owner min), running sum 0, value to go -3
+your move ['v1', 'v3']: at v1 (owner max), running sum 0, value to go -3
+tool plays v3
+at v3 (owner max), running sum -3, value to go 0
+target reached; payoff -3
+"""),
+    "tp-as-min": (["fig1a"], ["--as", "min", "--start", "v2", "--max-rounds", "6"],
+                  "v1\nv3\nv5\nv4\n", """\
+v1  2
+v2  0
+v3  1
+v4  -1
+v5  0
+at v2 (owner min), running sum 0, value to go 0
+your move ['v1', 'v3']: at v1 (owner max), running sum -1, value to go 2
+tool plays v2
+at v2 (owner min), running sum 1, value to go 0
+your move ['v1', 'v3']: at v3 (owner min), running sum 0, value to go 1
+your move ['v4']: illegal move
+at v3 (owner min), running sum 0, value to go 1
+your move ['v4']: at v4 (owner max), running sum 2, value to go -1
+tool plays v5
+round budget exhausted
+"""),
+    "mcr-minus-inf-as-max": (None, ["--as", "max", "--start", "b", "--max-rounds", "5"],
+                             "a\n", """\
+a  -inf
+b  1
+t  0
+at b (owner max), running sum 0, value to go 1
+your move ['a', 't']: at a (owner min), running sum 2, value to go -inf
+tool plays a
+at a (owner min), running sum 1, value to go -inf
+tool plays a
+at a (owner min), running sum 0, value to go -inf
+tool plays a
+at a (owner min), running sum -1, value to go -inf
+tool plays a
+round budget exhausted
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(PLAY_TRANSCRIPTS))
+def test_play_transcripts(tmp_path, case):
+    """The whole stdout of a scripted game, after its first line (which
+    ends in a space): the values, each move and the outcome."""
+    gen, flags, moves, want = PLAY_TRANSCRIPTS[case]
+    path = tmp_path / "game.qg"
+    if gen is None:
+        path.write_text(MINUS_INF_MCR)
+    else:
+        assert run(["gen", *gen, "-o", str(path)]) == 0
+    out = _run(["play", str(path), *flags], input_text=moves)
+    head = f"playing as {flags[1]}; tool answers optimally. values: \n"
+    assert (out.returncode, out.stdout, out.stderr) == (0, head + want, "")
+
+
 def test_vertex_cap_env(tmp_path, monkeypatch):
     # the child inherits this process's environment (PYTHONPATH included);
     # only QG_MAX_VERTICES differs between the two runs
@@ -263,8 +343,20 @@ def test_minimizer_shrinks_under_predicate():
         assert sub is None or not has_negative_edge(sub)
 
 
+def ext_of_raw(raw):
+    """One raw int64 value as an extended value: the sentinels and
+    anything beyond them are the infinities."""
+    from quantgames._engine import NEG, POS
+    from quantgames.extvalue import MINUS_INF, PLUS_INF
+
+    if raw >= POS:
+        return PLUS_INF
+    if raw <= NEG:
+        return MINUS_INF
+    return int(raw)
+
+
 def _trace_by_element(raw):
-    from quantgames._engine import ext_of_raw
     from quantgames.extvalue import to_json
 
     return "".join(
