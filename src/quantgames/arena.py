@@ -16,7 +16,9 @@ per-vertex successor tuples and the name -> index dict behind
 ``Arena.index`` are also built lazily, so a plain reachability solve from
 a file builds none of them.  A successful ``validate`` records the vertex
 cap it checked against on the arena, and a later call under the same cap
-returns at once.
+returns at once.  The bulk parser and ``normalize_target`` record that
+cap on the arenas they build valid by construction, so ``_check`` never
+runs on them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import re
 from functools import partial
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -265,7 +267,15 @@ def validate(arena: Arena) -> None:
     if arena._validated_cap == cap:
         return
     _check(arena, cap)
+    _proven(arena, cap)
+
+
+def _proven(arena: Arena, cap: int) -> Arena:
+    """Record that ``arena`` passes ``_check`` under ``cap``, and return
+    it: in ``validate`` after ``_check``, and on the arenas that the bulk
+    parser and ``normalize_target`` build valid by construction."""
     object.__setattr__(arena, "_validated_cap", cap)
+    return arena
 
 
 def _check(arena: Arena, cap: int) -> None:
@@ -348,19 +358,23 @@ def edge_rows(src, dst, w=0) -> np.ndarray:
     return rows.reshape(-1, 3).astype(np.int64, copy=False)
 
 
-def fresh_names(taken: Iterable[str], wanted: Iterable[str]) -> List[str]:
+def fresh_names(taken: Collection[str], wanted: Sequence[str]) -> List[str]:
     """Names for new vertices, the one allocator of the derived games.
 
     Each wanted name is kept unless ``taken`` or an earlier name of this
     call holds it; then it gets the first free numeric suffix (``t`` ->
-    ``t0``, ``t1``, ...).  One set is built per call, not one per name.
+    ``t0``, ``t1``, ...).  For one wanted name ``taken`` is probed as
+    given, since a scan of a tuple costs less than building a set of it;
+    for more, one set is built per call, not one per name.
     """
-    used = set(taken)
+    if len(wanted) > 1:
+        taken = set(taken)
+    used = set()
     out = []
     for base in wanted:
         name = base
         i = 0
-        while name in used:
+        while name in used or name in taken:
             name = f"{base}{i}"
             i += 1
         used.add(name)
@@ -378,8 +392,14 @@ def normalize_target(arena: Arena) -> Arena:
     unchanged.  Any other input gains a vertex, so it may have at most
     ``vertex_cap() - 1`` vertices; that is checked before anything is
     built (``CapExceededError``).  The rewiring works on the sorted edge
-    array: the targets' rows are dropped and each forwarding row is
-    inserted where they were, so the rows stay sorted.
+    array: of each former target's rows it keeps the first and overwrites
+    it with the forwarding row, drops the others and appends the fresh
+    target's loop, so the rows stay sorted.
+
+    The result is valid by construction, and recorded so (``validate``
+    returns at once on it): the input is valid, the fresh name matches
+    ``NAME_RE`` and is not taken, every vertex keeps or gains exactly one
+    row per successor, and the fresh target's loop is its only row.
     """
     if arena.objective is not Objective.MCR:
         raise ArenaError("normalize_target expects an MCR arena")
@@ -396,13 +416,18 @@ def normalize_target(arena: Arena) -> Arena:
     names = arena.names + tuple(fresh_names(arena.names, ["t"]))
     owners = arena.owners + (Player.MAX,)
     arr = arena.edge_array
+    src = arr[:, 0]
     olds = np.array(sorted(arena.targets), dtype=np.int64)
-    is_target = np.zeros(t, dtype=bool)
-    is_target[olds] = True
-    kept = arr[~is_target[arr[:, 0]]]
-    edges = np.insert(kept, np.searchsorted(kept[:, 0], olds), edge_rows(olds, t), axis=0)
-    edges = np.concatenate((edges, edge_rows(t, t)))
-    return make_arena(names, owners, edges, [t], Objective.MCR)
+    keep = np.ones(t, dtype=bool)
+    keep[olds] = False
+    keep = keep[src]
+    # Each former target has a row (no vertex deadlocks): its first.
+    keep[np.searchsorted(src, olds)] = True
+    edges = np.empty((np.count_nonzero(keep) + 1, 3), dtype=np.int64)
+    np.compress(keep, arr, axis=0, out=edges[:-1])
+    edges[np.searchsorted(edges[:-1, 0], olds), 1:] = (t, 0)
+    edges[-1] = (t, t, 0)
+    return _proven(Arena(names, owners, edges, frozenset((t,)), Objective.MCR), cap)
 
 
 class ValueVector:

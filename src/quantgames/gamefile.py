@@ -24,12 +24,18 @@ newlines; the objective line first, then every vertex line, then every
 edge line; tokens one space apart, with no blank, indented or
 space-ended line; every endpoint declared, no name declared twice, no
 parallel edge, and every weight an optional ``-`` and at most 18 digits
-with single ``_`` between digits.  Any other file (a comment, a tab, CRLF
-line ends, a bad token, ...) goes to the line parser (``_scan_lines``),
-which splits each line with ``str.split``.  It is the reference and the
-only path that raises ``GameSyntaxError``, ``UndeclaredVertexError`` and
-``DuplicateVertexError`` or warns of merged parallel edges; token columns
-are computed only on its error path.
+with single ``_`` between digits.  Clean also means valid: no ``-`` in a
+name, no weight beyond ``WEIGHT_CAP``, an out-edge at every vertex, a
+target in an MCR file and at most ``vertex_cap()`` vertices.  So the bulk
+path proves every invariant of ``arena.validate`` and records that on
+its arena, which ``validate`` then does not check again.  Any other file
+(a comment, a tab, CRLF line ends, a bad token, a deadlocked vertex, ...)
+goes to the line parser (``_scan_lines``), which splits each line with
+``str.split``, and its arena to ``validate``.  That path is the
+reference and the only one that raises ``GameSyntaxError``,
+``UndeclaredVertexError``, ``DuplicateVertexError`` or an ``ArenaError``,
+or warns of merged parallel edges; token columns are computed only on
+its error path.
 """
 
 from __future__ import annotations
@@ -42,7 +48,17 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .arena import Arena, CapExceededError, Objective, Player, make_arena, validate, vertex_cap
+from .arena import (
+    WEIGHT_CAP,
+    Arena,
+    CapExceededError,
+    Objective,
+    Player,
+    _proven,
+    make_arena,
+    validate,
+    vertex_cap,
+)
 from .extvalue import to_json
 
 
@@ -86,11 +102,12 @@ def _syntax_error(lineno: int, raw: str, i: int, expected: str) -> GameSyntaxErr
 
 def parse(text: Union[str, bytes]) -> Arena:
     """Parse the text format into a validated arena: in bulk when the file
-    is clean, else line by line."""
-    parts = _scan_bulk(text)
-    if parts is None:
-        parts = _scan_lines(text.decode("utf-8") if isinstance(text, bytes) else text)
-    arena = Arena(*parts)
+    is clean, and valid as read; else line by line, then ``validate``."""
+    cap = vertex_cap()
+    parts = _scan_bulk(text, cap)
+    if parts is not None:
+        return _proven(Arena(*parts), cap)
+    arena = Arena(*_scan_lines(text.decode("utf-8") if isinstance(text, bytes) else text))
     validate(arena)
     return arena
 
@@ -135,12 +152,23 @@ _KEY_SPREAD = 4
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _scan_bulk(text: Union[str, bytes]):
+def _scan_bulk(text: Union[str, bytes], cap: Optional[int] = None):
     """The parts of an arena read from a clean file in bulk, or None when
     the file needs the line parser.
 
     Clean is defined in the module docstring; for a clean file the result
     equals the line parser's, and every check below proves a part of it.
+    ``cap`` is the vertex cap, ``vertex_cap()`` unless given.
+
+    Validity.  The bytes, the alignment and the name keys below prove
+    that every name is nonempty, distinct and of ``[A-Za-z0-9_-]``, that
+    each vertex has one owner and every endpoint and target is a vertex,
+    and the final sort that no edge is parallel.  A ``-`` in the vertex
+    block can only be in a name, so the file is refused for one.  The
+    weight cap, the out-edge at every vertex (n distinct sources among the
+    sorted rows), the MCR target and the vertex cap are checked once on
+    the whole, never per chunk.  A file that fails one goes to the line
+    parser, so that ``validate`` raises its error in its order.
 
     Alignment.  The separator index of a block is the positions of its
     spaces and newlines, the only clean bytes up to the space, found in
@@ -180,14 +208,21 @@ def _scan_bulk(text: Union[str, bytes]):
     k = text.find(b"\nedge ", nl) + 1
     if k == 0:
         return None
-    vertices = _scan_vertices(text[nl + 1:k].replace(b" target\n", b"+\n"))
+    vblock = text[nl + 1:k]
+    if b"-" in vblock:
+        return None
+    vertices = _scan_vertices(vblock.replace(b" target\n", b"+\n"))
     if vertices is None:
         return None
     names, owners, targets, table = vertices
+    objective = Objective(text[len("objective "):nl].decode())
+    cap = vertex_cap() if cap is None else cap
+    if len(names) > cap or (objective is Objective.MCR and not targets):
+        return None
     edges = _scan_edges(text, k, table)
     if edges is None:
         return None
-    return names, owners, edges, targets, Objective(text[len("objective "):nl].decode())
+    return names, owners, edges, targets, objective
 
 
 def _separators(raw: np.ndarray, pattern: np.ndarray):
@@ -269,7 +304,8 @@ _EDGE_CHUNK = 1 << 18
 
 def _scan_edges(text: bytes, start: int, table):
     """The rows of the edge block ``text[start:]`` sorted by (src, dst),
-    or None."""
+    or None; also None for a weight beyond ``WEIGHT_CAP`` or a vertex
+    with no out-edge."""
     count = table[2].shape[1]
     columns = []
     while start < len(text):
@@ -297,12 +333,20 @@ def _scan_edges(text: bytes, start: int, table):
             return None
         columns.append(np.column_stack((ids, wt)))
     rows = np.concatenate(columns)
-    key = rows[:, 0] * len(table[0]) + rows[:, 1]
+    if rows[:, 2].min() < -WEIGHT_CAP or rows[:, 2].max() > WEIGHT_CAP:
+        return None
+    n = len(table[0])
+    key = rows[:, 0] * n + rows[:, 1]
     order = np.argsort(key)
     key = key[order]
     if (key[1:] == key[:-1]).any():
         return None
-    return rows[order]
+    rows = rows[order]
+    # The sorted sources lie in [0, n): all n occur when n - 1 steps do.
+    src = rows[:, 0]
+    if np.count_nonzero(src[1:] != src[:-1]) < n - 1:
+        return None
+    return rows
 
 
 def _lookup(found: np.ndarray, table):

@@ -10,14 +10,18 @@ from quantgames.arena import (
     Objective,
     Player,
     WeightOverflowError,
+    _check,
+    edge_rows,
     fresh_names,
     make_arena,
     max_abs_weight,
     normalize_target,
     scale_weights,
     validate,
+    vertex_cap,
 )
 from quantgames.oracle import mcr_oracle
+import batch
 from conftest import fig2a
 from quantgames.gamefile import FamilySpec, generate
 from quantgames.cli import random_arena
@@ -197,6 +201,59 @@ def test_normalize_on_the_array_matches_the_tuple_rewiring():
             continue
         assert norm.edges == tuple(sorted(_normalize_by_tuples(arena)))
         assert norm.names == arena.names + ("t",) and norm.targets == frozenset({arena.n})
+
+
+def _normalize_by_insert(arena):
+    """The rows of the former array rewiring of ``normalize_target``: the
+    targets' rows dropped, each forwarding row inserted where they were."""
+    t = arena.n
+    arr = arena.edge_array
+    olds = np.array(sorted(arena.targets), dtype=np.int64)
+    kept = arr[~np.isin(arr[:, 0], olds)]
+    rows = np.insert(kept, np.searchsorted(kept[:, 0], olds), edge_rows(olds, t), axis=0)
+    return np.concatenate((rows, edge_rows(t, t)))
+
+
+def _exhaustive_mcr_arenas():
+    """The arenas behind ``batch.mcr_shapes`` of one to three vertices, in
+    its order and each with its shape: every successor structure, owner
+    pattern and target set, the edge (v, d) weighing 3v + d - 4."""
+    for nv in (1, 2, 3):
+        shapes = batch.mcr_shapes(nv)
+        names = [f"v{i}" for i in range(nv)]
+        for succ in batch.structures(nv):
+            edges = [(v, d, 3 * v + d - 4) for v in range(nv) for d in succ[v]]
+            for owners in batch.owner_patterns(nv):
+                players = [Player.MAX if m else Player.MIN for m in owners]
+                for targets in batch.target_patterns(nv):
+                    yield make_arena(names, players, edges, targets, Objective.MCR), next(shapes)
+
+
+def test_normalized_arenas_are_proven_and_pass_check():
+    """``normalize_target`` records its result as validated without
+    ``_check``; ``_check``, run directly, must accept each one, over the
+    exhaustive corpus and the random MCR corpus of the acceptance tests.
+    The rows equal the former ``np.insert`` rewiring's and the exhaustive
+    corpus's normalized shapes."""
+    cap = vertex_cap()
+    corpus = list(_exhaustive_mcr_arenas())
+    rng = random.Random(97)
+    corpus += [(random_arena(rng, 6, 3, Objective.MCR), None) for _ in range(500)]
+    rewired = 0
+    for arena, shape in corpus:
+        norm = normalize_target(arena)
+        assert norm._validated_cap == cap
+        _check(norm, cap)
+        if norm is arena:
+            continue
+        rewired += 1
+        rows = norm.edge_array
+        assert np.array_equal(rows, _normalize_by_insert(arena))
+        if shape is not None:
+            assert np.array_equal(rows[:, 0], shape.src) and np.array_equal(rows[:, 1], shape.dst)
+            assert np.array_equal(rows[:, 2], np.where(shape.wcol >= 0, 3 * shape.src + shape.dst - 4, 0))
+            assert [o is Player.MAX for o in norm.owners] == shape.is_max.tolist()
+    assert rewired > 12_000
 
 
 def test_file_to_values_builds_no_edge_tuples():

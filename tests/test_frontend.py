@@ -446,7 +446,7 @@ def test_a_second_validation_reads_no_edges():
     assert reads == []
 
 
-def test_solve_validates_the_parsed_and_the_normalized_arena_once(tmp_path, monkeypatch, capsys):
+def test_solve_checks_a_clean_file_never_and_a_line_parsed_file_once(tmp_path, monkeypatch, capsys):
     checked = []
     check = arena_mod._check
 
@@ -456,10 +456,15 @@ def test_solve_validates_the_parsed_and_the_normalized_arena_once(tmp_path, monk
 
     monkeypatch.setattr(arena_mod, "_check", counting_check)
     path = tmp_path / "multi.qg"
-    path.write_text(MULTI_TARGET)
-    assert cli.run(["solve", str(path), "--json"]) == 0
-    assert '"b": -1' in capsys.readouterr().out
-    assert checked == [3, 4]
+    # Clean: the bulk parser and normalize_target prove their arenas.  A
+    # comment sends the same game to the line parser, whose arena is
+    # checked once; the normalized arena is valid by construction.
+    for text, checked_sizes in ((MULTI_TARGET, []), ("# two targets\n" + MULTI_TARGET, [3])):
+        checked.clear()
+        path.write_text(text)
+        assert cli.run(["solve", str(path), "--json"]) == 0
+        assert '"b": -1' in capsys.readouterr().out
+        assert checked == checked_sizes
 
 
 def test_plain_reachability_solve_builds_no_successor_tuples():

@@ -14,8 +14,9 @@ import warnings
 import numpy as np
 import pytest
 
-from quantgames import gamefile
-from quantgames.arena import Arena, validate
+from quantgames import arena as arena_mod
+from quantgames import cli, gamefile
+from quantgames.arena import Arena, validate, vertex_cap
 from quantgames.gamefile import FamilySpec, generate, parse, serialize
 
 _ATTRS = ("line", "col", "expected", "name", "edge", "vertex")
@@ -107,20 +108,40 @@ def random_file(rng, interleave=False):
     return "\n".join(lines) + ("\n" if rng.random() < 0.9 else "")
 
 
+def generated_files():
+    """240 seeded generated files, every eighth with interleaved lines."""
+    rng = random.Random(20141007)
+    for i in range(240):
+        yield random_file(rng, interleave=i % 8 == 7)
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 100])
 def test_bulk_path_matches_line_parser_on_generated_files(chunk, monkeypatch):
     if chunk is not None:  # split the edge block into many chunks
         monkeypatch.setattr(gamefile, "_EDGE_CHUNK", chunk)
-    rng = random.Random(20141007)
     bulk = 0
-    for i in range(240):
-        text = random_file(rng, interleave=i % 8 == 7)
+    for text in generated_files():
         want = line_parse(text)
         bulk += gamefile._scan_bulk(text) is not None
         for form in (text, text.encode("ascii")):
             assert_same_arena(parse(form), want)
     # Every file but the interleaved ones (and single-edge-line corner
     # cases) takes the bulk path.
+    assert bulk >= 200
+
+
+def test_arenas_of_the_bulk_path_pass_check():
+    """The bulk path records its arena as validated without ``_check``;
+    ``_check``, run directly, must accept each one."""
+    cap = vertex_cap()
+    bulk = 0
+    for text in generated_files():
+        if gamefile._scan_bulk(text) is None:
+            continue
+        arena = parse(text)
+        assert arena._validated_cap == cap
+        arena_mod._check(arena, cap)
+        bulk += 1
     assert bulk >= 200
 
 
@@ -351,16 +372,21 @@ _DIGIT_CASES = [
 
 
 @pytest.mark.parametrize("weight", _DIGIT_CASES)
-def test_weights_of_18_to_20_digits_end_as_the_line_parser(weight):
-    """Up to 18 digits the bulk path reads the weight, and ``validate``
-    refuses it past the weight cap; from 19 digits on, int64's range
-    included, the line parser reads it."""
+def test_weights_of_18_to_20_digits_end_as_the_line_parser(weight, monkeypatch):
+    """Every weight here is past the weight cap, so the bulk path refuses
+    the file and the line parser and ``validate`` end it.  With the cap
+    lifted, the bulk path reads up to 18 digits exactly; from 19 digits
+    on, int64's range included, it still leaves the weight to the line
+    parser."""
     text = f"objective tp\nvertex a max\nvertex b min\nedge a b {weight}\nedge b a 1\n"
     digits = sum(c.isdigit() for c in weight)
-    assert (gamefile._scan_bulk(text) is not None) == (digits <= 18)
+    assert gamefile._scan_bulk(text) is None
     assert_line_parsers_outcome(text)
-    if digits <= 18:  # the value the bulk path read, before validation
-        assert gamefile._scan_bulk(text)[2][0, 2] == int(weight)
+    monkeypatch.setattr(gamefile, "WEIGHT_CAP", 2**63 - 1)
+    parts = gamefile._scan_bulk(text)
+    assert (parts is not None) == (digits <= 18)
+    if parts is not None:
+        assert parts[2][0, 2] == int(weight)
 
 
 def test_colliding_keys_are_checked_word_by_word(monkeypatch):
@@ -380,3 +406,55 @@ def test_colliding_keys_are_checked_word_by_word(monkeypatch):
     for case, text in cases.items():
         assert (gamefile._scan_bulk(text) is None) == (case != "distinct")
         assert_line_parsers_outcome(text)
+
+
+# A clean file that the bulk path reads, and one ``_check`` fault in each
+# copy below: the bulk path must refuse the copy, so that the line parser
+# and ``validate`` raise the error and message they raise for any file.
+CLEAN_MCR = (
+    "objective mcr\nvertex a max target\nvertex b min\nvertex c max\n"
+    "edge a b 1\nedge b a -1\nedge b c 2\nedge c a 0\n"
+)
+# case -> (file, QG_MAX_VERTICES or None, the error's type and message)
+CLEAN_FAULTS = {
+    "dash-in-name": (
+        CLEAN_MCR.replace(" b", " b-x"), None, ("BadNameError", "bad vertex name 'b-x'"),
+    ),
+    "weight-over-cap": (
+        CLEAN_MCR.replace("edge b c 2", "edge b c 1000000001"), None,
+        ("WeightOverflowError", "edge b->c weight 1000000001 exceeds +/-1000000000"),
+    ),
+    "deadlock": (
+        CLEAN_MCR.replace("edge c a 0\n", ""), None,
+        ("DeadlockVertexError", "vertex 'c' has no outgoing edge"),
+    ),
+    "mcr-no-target": (
+        CLEAN_MCR.replace(" target", ""), None,
+        ("EmptyTargetError", "min-cost reachability arena needs a nonempty target set"),
+    ),
+    "over-vertex-cap": (
+        CLEAN_MCR, "2", ("CapExceededError", "3 vertices exceed the cap 2"),
+    ),
+    # Two faults: the name check comes first in ``validate``.
+    "dash-in-name-and-deadlock": (
+        CLEAN_MCR.replace(" b", " b-x").replace("edge c a 0\n", ""), None,
+        ("BadNameError", "bad vertex name 'b-x'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLEAN_FAULTS))
+def test_a_clean_file_with_a_check_fault_raises_as_the_line_parser(case, tmp_path, monkeypatch, capsys):
+    text, env_cap, (kind, message) = CLEAN_FAULTS[case]
+    assert gamefile._scan_bulk(CLEAN_MCR) is not None
+    if env_cap is not None:
+        monkeypatch.setenv("QG_MAX_VERTICES", env_cap)
+    assert gamefile._scan_bulk(text) is None
+    want, _ = outcome(lambda: line_parse(text))
+    assert want[:2] == (kind, message)
+    assert_line_parsers_outcome(text)
+    path = tmp_path / f"{case}.qg"
+    path.write_text(text)
+    assert cli.run(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

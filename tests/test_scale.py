@@ -4,7 +4,10 @@ A seeded random reachability file of 999,999 vertices (with the fresh
 target, the solved arena holds exactly the cap of 10^6) is read by the
 bulk parser and by the line parser, which must build equal arenas, and
 solved by ``qg solve`` with and without ``--accel scc``, which must print
-the same values.  The parse time is printed.
+the same values.  ``gamefile.parse`` and ``normalize_target`` record
+their arenas as validated without ``arena._check``, which must accept
+both when run directly.  The times of the bulk scan, ``parse`` and
+``normalize_target`` are printed.
 """
 
 import time
@@ -12,8 +15,9 @@ import time
 import numpy as np
 import pytest
 
+from quantgames import arena as arena_mod
 from quantgames import cli, gamefile
-from quantgames.arena import Arena
+from quantgames.arena import Arena, normalize_target, vertex_cap
 
 pytestmark = pytest.mark.scale
 
@@ -46,13 +50,27 @@ def test_qg_solve_at_the_vertex_cap(tmp_path, capsys):
     parse_s = time.perf_counter() - started
     assert parts is not None
     bulk = Arena(*parts)
+    del parts
+    started = time.perf_counter()
+    arena = gamefile.parse(blob)
+    full_parse_s = time.perf_counter() - started
+    started = time.perf_counter()
+    norm = normalize_target(arena)
+    normalize_s = time.perf_counter() - started
+    cap = vertex_cap()
+    assert norm.n == cap == 10**6
+    arena_mod._check(arena, cap)
+    arena_mod._check(norm, cap)
+    assert arena == bulk
+    del arena, norm
     with capsys.disabled():
         print(
             f"\nbulk parse of {bulk.n:,} vertices, {len(bulk.edge_array):,} edges "
-            f"({len(blob):,} bytes): {parse_s:.2f} s"
+            f"({len(blob):,} bytes): {parse_s:.2f} s; gamefile.parse {full_parse_s:.2f} s, "
+            f"normalize_target {normalize_s:.2f} s"
         )
     assert bulk == Arena(*gamefile._scan_lines(blob.decode("ascii")))
-    del parts, bulk
+    del bulk
     path = tmp_path / "cap.qg"
     path.write_bytes(blob)
     del blob
