@@ -79,7 +79,9 @@ certificate and by a view's in-edge index) are computed on that copy, so
 the view of one component is a set of basic slices of it, O(1) to build
 and sharing its memory.  A view takes its column form from the layout's
 blocks on first use, so a view that only sweeps in scalar form (below)
-never takes it.
+never takes it.  The accelerated solvers hold finished values beside
+the layout, in a list for small components and in ``x`` (and ``y``) for
+numpy passes, which the list reaches in one store before each of them.
 
 Frontier sweeps.  On one vector over a slice of at least
 ``FRONTIER_MIN_EDGES`` edges, ``fixpoint`` keeps a worklist of the
@@ -118,30 +120,35 @@ runs its Jacobi sweeps on Python ints, by ``scalar_sweeps``, the one
 scalar loop, which takes ``fixpoint``'s arguments with the slice's
 scalar form in place of the slice.  It gathers the members' and exits'
 values once per call, folds each member's exit edges (whose
-destinations the call never writes) into one candidate, each
-continuation min(x, ytrans), sweeps lists and compares the old and new
-lists with ``==``; it returns the members' values, which ``fixpoint``
-stores into ``x`` once, and writes them itself only before it raises.
+destinations the call never writes) into its start, each continuation
+min(x, ytrans), sweeps lists and compares the old and new lists with
+``==``; it returns the members' values, which ``fixpoint`` stores into
+``x`` once, and writes them itself only before it raises.
 ``nested_fixpoint``'s passes call ``fixpoint``, so a small slice's inner
 sweeps take this form inside the numpy outer loop.  The accelerated
-solvers call ``scalar_sweeps`` on a small component's scalar form with
-no view at all, and store its values themselves
-(``accel._component_pass``).  Python ints are exact, so a
-candidate on a sentinel continuation lands within a weight of the
-sentinel as in int64, and the same post-step follows in the same order:
+solvers keep their finished values in a Python list by vertex id beside
+``x`` (and ``y``), and run ``scalar_sweeps`` on a small component's
+scalar form with that list in place of ``x``: no view and no numpy
+call.  Its values reach ``x`` and ``y`` in one store per run of small
+components, before the next numpy pass and at the end
+(``accel._Finished``).  Python ints are exact, so a candidate on a
+sentinel continuation lands within a weight of the sentinel as in
+int64, and the same post-step follows in the same order:
 the cutoff or the lift fused with the snap at +-``SNAP``, then the clamp,
-by ``bisect`` on the tables as lists (``_clamp``, which the numpy loop
-shares).  So every iterate, sweep count, stop test and bound error
+by ``bisect`` on the tables, sorted lists (``_clamp``, which the numpy
+loop shares).  So every iterate, sweep count, stop test and bound error
 equals the numpy loop's.  A slice's lists (its ``scalar`` form) are
-taken on first use and kept for its later calls.  A component view, or a
-component pass, takes them from the layout, which builds the forms of a run
-of up to ``ComponentLayout.SCALAR_RUN`` consecutive small components in
-one pass: one ``tolist`` per layout field and one Python loop over their
-edges, where building each view's lists from its own slices cost about
-6.5 us a component in numpy calls.  The layout drops a form when it is
-taken, and the rest of a run when it builds the next, so it never holds
-the lists of more than one run.  On a 20,000-vertex random reachability
-game with 4,372 one-vertex components, runs of up to 4,096 components,
+taken on first use and kept for its later calls.  A component view, a
+component pass and the path oracle take them from the layout, which
+builds the forms of a run of up to ``ComponentLayout.SCALAR_RUN``
+consecutive components, all small but perhaps the first, in one pass:
+one ``tolist`` per layout field and one Python loop over their edges,
+where building each view's lists from its own slices cost about 6.5 us
+a component in numpy calls.  The layout keeps the run it built last, so
+that a component's oracle and pass share its form, until it builds the
+next, so it never holds the lists of more than one run.  On a
+20,000-vertex random reachability game with 4,372 one-vertex
+components, runs of up to 4,096 components,
 which hold nearly all of them at once, raised the peak memory of the
 process around the solve by about 2 MB (3.5%) over runs of 64.  The
 floor sits at the measured crossover: on seeded random reachability
@@ -173,6 +180,8 @@ POS = np.int64(2**62)
 NEG = np.int64(-(2**62))
 SNAP = np.int64(2**61)  # finite values stay strictly inside +-SNAP
 _POS, _NEG, _SNAP = int(POS), int(NEG), int(SNAP)  # for scalar sweeps
+# A Max member's scalar sweep starts below every candidate, a Min member's above.
+_BELOW, _ABOVE = -(2**64), 2**64
 
 _ROW0 = (Ellipsis, 0, slice(None))  # row 0 of a [..., D, k] column table
 _ROW1 = (Ellipsis, 1, slice(None))
@@ -210,18 +219,16 @@ class ColumnForm(NamedTuple):
 
 
 class ScalarForm(NamedTuple):
-    """What a scalar ``fixpoint`` reads of a small slice, as Python ints
-    and lists: the members' ``is_max`` flags, each member's ``edges`` to
-    members as (position within the slice, weight) pairs, and its exit
-    edges, to vertices outside the slice, as the position of their source
-    ``exit_src`` and their weight ``exit_wt``.  ``gather`` indexes a
-    vector at the members, then at the exit edges' destinations."""
+    """What a scalar ``fixpoint`` and the path oracle read of a small
+    slice of k members, as Python ints and lists: the members' ``is_max``
+    flags and each member's ``edges`` as (position, weight) pairs, the
+    position in ``ids``.  ``ids`` lists the members' vertex ids, then the
+    exit edges' destinations (outside the slice), so an edge at a position
+    below k stays in the slice."""
 
     is_max: list
     edges: list
-    gather: np.ndarray
-    exit_src: list
-    exit_wt: list
+    ids: list
 
 
 class InEdges(NamedTuple):
@@ -274,7 +281,13 @@ class EdgeSlice:
         ends = self.starts.tolist() + [len(self.dst)]
         pairs = list(zip(self.dst.tolist(), self.wt.tolist()))
         edges = [pairs[a:b] for a, b in zip(ends, ends[1:])]
-        return ScalarForm(self.is_max.tolist(), edges, np.arange(len(edges)), [], [])
+        return ScalarForm(self.is_max.tolist(), edges, list(range(len(edges))))
+
+    @functools.cached_property
+    def gather(self) -> np.ndarray:
+        """The scalar form's ``ids`` as an index array, for a scalar
+        ``fixpoint`` on a vector."""
+        return np.array(self.scalar.ids, dtype=np.int64)
 
     @functools.cached_property
     def inedges(self) -> InEdges:
@@ -421,14 +434,15 @@ class ComponentLayout:
     its component) with ``local_dst``, the destination's position within
     it (meaningless off ``inside``).  The sweep's column form is one block
     per component.  Row q of ``bounds`` holds component q's vertex range
-    and edge range, then the arguments of its column form.  The scalar
-    forms of small components are built a run at a time (``scalar_form``).
+    and edge range, then the arguments of its column form, and
+    ``edge_counts`` lists each component's edge count.  The scalar forms
+    are built a run at a time (``scalar_form``).
     """
 
     VERTEX_FIELDS = ("members", "is_max", "sign", "starts")
     EDGE_FIELDS = ("dst", "wt", "inside", "local_dst")
     # The most consecutive components whose scalar forms are built in one
-    # pass; it bounds the lists the layout holds at a time.
+    # pass; the layout holds the forms of one run at a time.
     SCALAR_RUN = 64
 
     def __init__(self, ca: CompiledArena, components: Sequence[Sequence[int]]) -> None:
@@ -450,6 +464,7 @@ class ComponentLayout:
         comp_of[order] = comp
         local = np.zeros(ca.n, dtype=np.int64)
         local[order] = pos
+        self.ca = ca
         self.members = order
         self.is_max = ca.is_max[order]
         self.sign = ca.sign[order]
@@ -464,7 +479,8 @@ class ComponentLayout:
              self.columns.bounds),
             axis=1,
         )
-        self._scalar: dict = {}  # component -> its scalar form, not yet taken
+        self.edge_counts = (estart[1:] - estart[:-1]).tolist()
+        self._scalar: dict = {}  # component -> its scalar form, for the current run
 
     def view(self, q: int) -> ComponentView:
         """Component ``q``'s slice: basic slices of the layout arrays."""
@@ -483,22 +499,23 @@ class ComponentLayout:
         view.form = form
 
     def scalar_form(self, q: int) -> ScalarForm:
-        """Component q's scalar form, handed over once.  It is built with
-        those of the components after q, up to ``SCALAR_RUN`` of them and
-        up to the first with more than ``SCALAR_MAX_EDGES`` edges; the
-        layout keeps the others until they are taken or the next run
-        replaces them."""
-        form = self._scalar.pop(q, None)
+        """Component q's scalar form.  It is built with those of the
+        components after q, up to ``SCALAR_RUN`` of them and up to the
+        first with more than ``SCALAR_MAX_EDGES`` edges; the layout keeps
+        the run, so that the path oracle and the pass of a component share
+        its form, until a component outside it is asked for."""
+        form = self._scalar.get(q)
         if form is None:
             self._scalar = self._scalar_run(q)
-            form = self._scalar.pop(q)
+            form = self._scalar[q]
         return form
 
     def _scalar_run(self, q: int) -> dict:
         """The scalar forms of a run of components from q, in one pass
         over their edges; the field lists, read through positions within
-        the run, are dropped when it returns.  Inside edges go to
-        ``edges`` by their ``local_dst``, the rest are exits."""
+        the run, are dropped when it returns.  Inside edges point at their
+        ``local_dst``, the rest at the positions their destinations take
+        in ``ids``."""
         bounds = self.bounds[q:q + self.SCALAR_RUN, :4]
         big = np.flatnonzero(bounds[1:, 3] - bounds[1:, 2] > SCALAR_MAX_EDGES)
         if len(big):
@@ -511,29 +528,24 @@ class ComponentLayout:
         members, is_max = self.members[va:vb].tolist(), self.is_max[va:vb].tolist()
         dst, wt = self.dst[ea:eb].tolist(), self.wt[ea:eb].tolist()
         inside, local = self.inside[ea:eb].tolist(), self.local_dst[ea:eb].tolist()
-        flat = []  # each component's gather, one after another
-        rows = []
+        forms = {}
         p = 0  # the component's first member, relative to the run
         for c, (v0, v1, _, _) in enumerate(spans, q):
             k = v1 - v0
-            g0 = len(flat)
-            flat += members[p:p + k]
-            edges, exit_src, exit_wt = [], [], []
-            for i in range(k):
+            ids = members[p:p + k]
+            edges = []
+            for i in range(p, p + k):
                 mine = []
-                for e in range(first[p + i], first[p + i + 1]):
+                for e in range(first[i], first[i + 1]):
                     if inside[e]:
                         mine.append((local[e], wt[e]))
                     else:
-                        flat.append(dst[e])
-                        exit_src.append(i)
-                        exit_wt.append(wt[e])
+                        mine.append((len(ids), wt[e]))
+                        ids.append(dst[e])
                 edges.append(mine)
-            rows.append((c, is_max[p:p + k], edges, g0, len(flat), exit_src, exit_wt))
+            forms[c] = ScalarForm(is_max[p:p + k], edges, ids)
             p += k
-        gather = np.array(flat, dtype=np.int64)
-        return {c: ScalarForm(mx, edges, gather[g0:g1], src, w)
-                for c, mx, edges, g0, g1, src, w in rows}
+        return forms
 
 
 class ComponentView(EdgeSlice):
@@ -681,7 +693,7 @@ def fixpoint(
     cutoff=None,
     lift=None,
     ytrans: Optional[np.ndarray] = None,
-    tables: Optional[Sequence[Optional[np.ndarray]]] = None,
+    tables: Optional[Sequence[Optional[list]]] = None,
     trace=None,
 ) -> int:
     """Sweep the slice until its members are stable, updating ``x`` in
@@ -692,19 +704,18 @@ def fixpoint(
     iterates: after the first, a sweep recomputes only the members with
     an edge into one that just changed, the *dirty* ones (``None``: all).
     One vector on a slice of at most ``SCALAR_MAX_EDGES`` edges, untraced,
-    sweeps on Python ints, with the same iterates too.
+    sweeps on Python ints, with the same iterates too.  ``tables`` hold a
+    sorted list of ints, or None, per member.
 
     ``ytrans`` is gathered into column form once, at the start of the
     call, so it must not change during the call (no caller changes it:
     the total-payoff pass caps ``y`` before solving, then reads it)."""
     if trace is None and x.ndim == 1 and len(sl.dst) <= SCALAR_MAX_EDGES:
         sweeps, new = scalar_sweeps(sl.scalar, x, bound, cutoff=cutoff, lift=lift,
-                                    ytrans=ytrans, tables=tables)
+                                    ytrans=ytrans, tables=tables, gather=sl.gather)
         if sweeps > 1:
             x[sl.members] = new
         return sweeps
-    if tables is not None:
-        tables = [None if t is None else t.tolist() for t in tables]
     cols, sign = sl.cols, sl.sign
     ycols = None if ytrans is None else _gather(cols, ytrans)
     frontier = x.ndim == 1 and len(sl.dst) >= FRONTIER_MIN_EDGES
@@ -747,32 +758,44 @@ def fixpoint(
             dirty = None
 
 
-def scalar_sweeps(form: ScalarForm, x: np.ndarray, bound: int, *, cutoff=None, lift=None,
-                  ytrans: Optional[np.ndarray] = None, tables=None) -> Tuple[int, list]:
-    """The scalar sweep loop over ``form``, with ``fixpoint``'s arguments:
-    one gather of ``x`` (and ``ytrans``) at ``form.gather``, the members
-    then the exits.  Returns the sweep count and the members' last values,
-    with the iterates, count and bound errors of the numpy loop; it writes
-    ``x`` only before it raises, the members' values.  Exit edges read
-    vertices that no sweep writes, so each member's exit candidates are
-    folded into one, ``fixed``, once per call."""
-    is_max, edges, gather, exit_src, exit_wt = form
+def scalar_sweeps(form: ScalarForm, x, bound: int, *, cutoff=None, lift=None,
+                  ytrans: Optional[np.ndarray] = None, tables=None,
+                  gather: Optional[np.ndarray] = None) -> Tuple[int, list]:
+    """The scalar sweep loop over ``form``, with ``fixpoint``'s arguments.
+    ``x`` is a list of values by vertex id, or a vector with ``gather``,
+    the form's ``ids`` as an index array (and then perhaps ``ytrans``);
+    one gather reads it at the members, then at the exits.  Returns the
+    sweep count and the members' last values, with the iterates, count
+    and bound errors of the numpy loop; it writes ``x`` only before it
+    raises, the members' values."""
+    is_max, edges, ids = form
     k = len(is_max)
-    xs = x[gather].tolist()
+    xs = [x[v] for v in ids] if gather is None else x[gather].tolist()
     caps = None if ytrans is None else ytrans[gather].tolist()
-    if tables is not None:
-        tables = [None if t is None else t.tolist() for t in tables]
-    fixed = [None] * k
-    for e, (i, w) in enumerate(zip(exit_src, exit_wt), k):
-        c = xs[e] if caps is None or xs[e] < caps[e] else caps[e]
-        c += w
-        f = fixed[i]
-        if f is None or (c > f if is_max[i] else c < f):
-            fixed[i] = c
-    xs = xs[:k]
     up = lift is not None
-    bar = int(lift if up else cutoff)
-    rows = list(zip(is_max, fixed, edges))
+    # Each member's row: its sign, its start and its edges to members.
+    # Exit edges read vertices that no sweep writes, so the start is the
+    # best exit candidate, folded once per call, or else a bound that every
+    # candidate passes.
+    rows = []
+    for mx, es in zip(is_max, edges):
+        v = _BELOW if mx else _ABOVE
+        inner = []
+        for j, w in es:
+            if j < k:
+                inner.append((j, w))
+            else:
+                c = xs[j] if caps is None or xs[j] < caps[j] else caps[j]
+                c += w
+                if c > v if mx else c < v:
+                    v = c
+        rows.append((mx, v, inner))
+    xs = xs[:k]
+    if caps is not None:
+        caps = caps[:k]
+    # The post-step drops values below ``lo`` to -inf and lifts those
+    # above ``hi`` to +inf: the cutoff or lift and the snap.
+    lo, hi = (1 - _SNAP, int(lift)) if up else (int(cutoff), _SNAP - 1)
     sweeps = 0
     while True:
         cont = xs if caps is None else [c if c < y else y for c, y in zip(xs, caps)]
@@ -780,19 +803,20 @@ def scalar_sweeps(form: ScalarForm, x: np.ndarray, bound: int, *, cutoff=None, l
         for mx, v, es in rows:
             for j, w in es:
                 c = cont[j] + w
-                if v is None or (c > v if mx else c < v):
+                if c > v if mx else c < v:
                     v = c
-            if up:
-                new.append(_POS if v > bar else _NEG if v <= -_SNAP else v)
-            else:
-                new.append(_NEG if v < bar else _POS if v >= _SNAP else v)
+            new.append(_NEG if v < lo else _POS if v > hi else v)
         if tables is not None:
             _clamp(new, tables, up)
         sweeps += 1
         if new == xs:
             return sweeps, xs
         if sweeps > bound:
-            x[gather[:k]] = new
+            if gather is None:
+                for v, c in zip(ids, new):
+                    x[v] = c
+            else:
+                x[gather[:k]] = new
             if tables is not None:
                 raise UnsoundOracleError("component failed to stabilize")
             raise AssertionError("value iteration exceeded its sweep bound")

@@ -15,26 +15,35 @@ built only for certified components, since the nested iteration never
 reads them.
 
 Both solvers copy the compiled edge arrays once into a
-``ComponentLayout`` in component order; each component's view is then a
-set of slices of it, built in O(1).  A component that takes a single
-pass (any reachability component, a certified total-payoff one) runs it
-through ``_component_pass``, which both solvers call.  One of at most
-``_engine.SCALAR_MAX_EDGES`` edges gets no view: its pass runs on the
-layout's scalar form, one gather of its members and exits from the value
-vector and the sweeps on Python lists, and the solver stores the result
-once into each vector it keeps.  The total-payoff solver certifies every
-component before its component loop, in one batched run of kernel sweeps
-over the layout's inside edges (a Jacobi Bellman-Ford with two weight
-rows, one per sign).  So a solve costs time linear in |V| + |E| outside
-the sweeps.
+``ComponentLayout`` in component order (``SccDecomposition.layout``);
+each component's view is then a set of slices of it, built in O(1).  A
+component that takes a single pass (any reachability component, a
+certified total-payoff one) runs it through ``_component_pass``, which
+both solvers call.
+
+A solver holds its finished values twice (``_Finished``): in ``done``, a
+Python list by vertex id, and in its numpy vectors ``x`` (and ``y`` for
+total payoff).  A component of at most ``_engine.SCALAR_MAX_EDGES`` edges
+makes no numpy call of its own: the path oracle walks the layout's scalar
+form of it, reading exits from ``done``, and its pass sweeps the same
+form on lists, starting from ``done`` and writing its members back
+there.  The values of such components reach the vectors in one store
+per run of them, before the next numpy pass (a view's ``fixpoint``, an
+uncertified component's ``nested_fixpoint``), which reads exits from the
+vectors, and once at the end; a numpy pass writes its members into
+``done``.  The total-payoff solver certifies every component before its
+component loop, in one batched run of kernel sweeps over the layout's
+inside edges (a Jacobi Bellman-Ford with two weight rows, one per sign).
+So a solve costs time linear in |V| + |E| outside the sweeps.
 """
 
 from __future__ import annotations
 
 import array
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,53 +58,41 @@ DEFAULT_PATH_CAP = 4096
 PATH_WORK_CAP = 200_000
 
 # An oracle maps (arena, dec, q, finalized) to one candidate table per
-# member of component q: a sorted int64 array holding both sentinels, or
-# None meaning "no clamp" for that vertex.  ``finalized`` is the solver's
-# raw int64 vector; only the entries of earlier components are read.
+# member of component q: a sorted list of ints holding both sentinels, or
+# None meaning "no clamp" for that vertex.  ``finalized`` holds values by
+# vertex id; the solvers pass ``done``, their list of finished values,
+# whose entries of earlier components are final and the only ones read.
 Oracle = Callable[
-    [Arena, "SccDecomposition", int, np.ndarray],
-    List[Optional[np.ndarray]],
+    [Arena, "SccDecomposition", int, Sequence[int]],
+    List[Optional[List[int]]],
 ]
 
 _POS, _NEG = int(eng.POS), int(eng.NEG)
-
-
-class Adjacency(NamedTuple):
-    """The arena's sorted edge array as int64 ``array.array``s, indexed as
-    fast as lists but 8 bytes an entry, not a list slot plus an int
-    object: vertex v's out-edges are entries ``ends[v]`` up to
-    ``ends[v + 1]`` of ``dst`` and ``wt``, ascending by destination."""
-
-    ends: array.array
-    dst: array.array
-    wt: array.array
-
-
-def _adjacency(arena: Arena) -> Adjacency:
-    src, dst, wt = arena.edge_array.T
-    ends = np.searchsorted(src, np.arange(arena.n + 1))
-    return Adjacency(*(array.array("q", a.astype(np.int64).tobytes()) for a in (ends, dst, wt)))
 
 
 @dataclass(frozen=True)
 class SccDecomposition:
     """Components in reverse topological order: dec(v) >= dec(v') on every
     edge, every index inhabited, each component's members sorted, and
-    component 0 the normalized target when one exists.  ``edges`` is the
-    adjacency the decomposition walked, which the path oracle walks too."""
+    component 0 the normalized target when one exists.  ``layout``, the
+    arena's edges in component order, is built on first use; the solvers
+    and the path oracle share it."""
 
     comp_of: Tuple[int, ...]
     components: Tuple[Tuple[int, ...], ...]
-    edges: Adjacency = field(compare=False, repr=False)
+    arena: Arena = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.components)
 
+    @functools.cached_property
+    def layout(self) -> eng.ComponentLayout:
+        return eng.ComponentLayout(eng.CompiledArena(self.arena), self.components)
 
-def _tarjan_sccs(edges: Adjacency) -> List[Tuple[int, ...]]:
-    """Tarjan's algorithm over the adjacency: vertex v's successors are
-    ``dst[ends[v]:ends[v + 1]]``, in ascending order."""
-    ends, dst, _ = edges
+
+def _tarjan_sccs(ends: array.array, dst: array.array) -> List[Tuple[int, ...]]:
+    """Tarjan's algorithm over the sorted edge array: vertex v's
+    successors are ``dst[ends[v]:ends[v + 1]]``, in ascending order."""
     n = len(ends) - 1
     index = [-1] * n
     low = [0] * n
@@ -147,10 +144,14 @@ def scc_decompose(arena: Arena) -> SccDecomposition:
     component completes only after every component it reaches, so that
     order is already reverse topological and needs no condensation graph.
     The normalized target's component, a sink, moves to index 0.  The
-    numbering depends only on the arena's vertex and edge order."""
+    numbering depends only on the arena's vertex and edge order.
+
+    Tarjan walks the edge array as int64 ``array.array``s, indexed as fast
+    as lists but 8 bytes an entry, not a list slot plus an int object."""
     validate(arena)
-    edges = _adjacency(arena)
-    sccs = _tarjan_sccs(edges)
+    src, dst = arena.edge_array.T[:2]
+    ends = np.searchsorted(src, np.arange(arena.n + 1))
+    sccs = _tarjan_sccs(*(array.array("q", a.astype(np.int64).tobytes()) for a in (ends, dst)))
     if is_normalized_mcr(arena):
         (t,) = arena.targets
         sccs.remove((t,))
@@ -159,12 +160,12 @@ def scc_decompose(arena: Arena) -> SccDecomposition:
     for q, comp in enumerate(sccs):
         for v in comp:
             comp_of[v] = q
-    return SccDecomposition(tuple(comp_of), tuple(sccs), edges)
+    return SccDecomposition(tuple(comp_of), tuple(sccs), arena)
 
 
 def no_clamp_oracle(
-    arena: Arena, dec: SccDecomposition, q: int, finalized: np.ndarray
-) -> List[Optional[np.ndarray]]:
+    arena: Arena, dec: SccDecomposition, q: int, finalized: Sequence[int]
+) -> List[Optional[List[int]]]:
     """Trivial oracle: every representable value is possible, so no clamp."""
     return [None] * len(dec.components[q])
 
@@ -173,90 +174,93 @@ def simple_path_oracle(
     arena: Arena,
     dec: SccDecomposition,
     q: int,
-    finalized: np.ndarray,
+    finalized: Sequence[int],
     cap: int = DEFAULT_PATH_CAP,
-) -> List[Optional[np.ndarray]]:
+) -> List[Optional[List[int]]]:
     """Candidate values from simple paths that leave the component, as
-    sorted int64 tables with the engine's sentinels.
+    sorted lists of ints with the engine's sentinels.
 
     Each candidate is the path sum plus the finished value at the exit (or
     the sum alone when the path ends in an in-component target).  Both
-    sentinels are always included.  If any vertex would exceed ``cap``
-    candidates, or the enumeration itself grows too large, the whole
-    component degrades to no-clamp, before any walk when the walks would
-    pass ``PATH_WORK_CAP`` for sure (``_walks_pass_work_cap``).
+    sentinels are always included, so an exit to a sentinel adds nothing.
+    If any vertex would exceed ``cap`` candidates, or the enumeration
+    itself grows too large, the whole component degrades to no-clamp,
+    before any walk when the walks would pass ``PATH_WORK_CAP`` for sure
+    (``_walks_pass_work_cap``).
 
-    A trivial component, one vertex without a self-loop, gets no table
-    and no walk (``_trivial``): its first sweep reads only finished exits,
-    so it lands on an exit candidate, which the clamp would keep.
+    The walks follow the component's scalar form in ``dec.layout``, the
+    one its pass sweeps: each member's edges to members by position, and
+    its exits.  A trivial component, one vertex without a self-loop, gets
+    no table and no walk (``_trivial``): its first sweep reads only
+    finished exits, so it lands on an exit candidate, which the clamp
+    would keep.
 
-    ``finalized`` is normally the solver's raw vector, but a list of
-    extended values (ints, ``PLUS_INF``, ``MINUS_INF``) works too: exit
-    values are only compared with the sentinels, and the infinities order
-    against ints just as the sentinels do.
+    ``finalized`` is normally the solver's list of finished values, but a
+    raw int64 vector or a list of extended values (ints, ``PLUS_INF``,
+    ``MINUS_INF``) works too: exit values are only compared with the
+    sentinels, and the infinities order against ints just as the
+    sentinels do.
     """
     members = dec.components[q]
-    inside = set(members)
-    ends, dsts, wts = dec.edges
+    k = len(members)
+    layout = dec.layout
     targets = arena.targets if arena.objective is Objective.MCR else frozenset()
-    # k times the arena's edge count bounds k * E_C, so most components
-    # skip the sum.
-    if len(members) * len(dsts) > PATH_WORK_CAP and _walks_pass_work_cap(members, ends, targets):
-        return [None] * len(members)
-    if _trivial(members, ends, dsts):
+    if _walks_pass_work_cap(members, layout.edge_counts[q], targets):
+        return [None] * k
+    form = layout.scalar_form(q)
+    if _trivial(form):
         return [None]
-    tables: List[Optional[np.ndarray]] = []
+    edges, ids = form.edges, form.ids
+    is_target = None if targets.isdisjoint(members) else [v in targets for v in members]
+    on_path = [False] * k
+    tables: List[Optional[List[int]]] = []
     work = 0
-    for v in members:
+    for i in range(k):
         cands = {_NEG, _POS}
-        if v in targets:
+        if is_target and is_target[i]:
             cands.add(0)
-        # Iterative DFS over simple paths from v through the component.  A
-        # frame is a vertex, its first edge and the end of the edges left,
-        # which are taken last first.
-        path_sum = {v: 0}
-        stack = [(v, ends[v], ends[v + 1])]
+        # Depth first over the simple paths from i.  A path is visited when
+        # it is popped, as its last member u, its sum s and the length of
+        # the path before u; ``path`` holds the members of the last one.
+        path: List[int] = []
+        stack = [(i, 0, 0)]
         while stack:
-            u, first, e = stack[-1]
-            if e == first:
-                stack.pop()
-                del path_sum[u]
-                continue
-            e -= 1
-            stack[-1] = (u, first, e)
-            d = dsts[e]
-            work += 1
-            s = path_sum[u] + wts[e]
-            if d not in inside:
-                fv = finalized[d]
-                cands.add(_POS if fv >= _POS else _NEG if fv <= _NEG else s + int(fv))
-            elif d in targets:
-                cands.add(s)
-            elif d not in path_sum:
-                path_sum[d] = s
-                stack.append((d, ends[d], ends[d + 1]))
+            u, s, depth = stack.pop()
+            while len(path) > depth:
+                on_path[path.pop()] = False
+            path.append(u)
+            on_path[u] = True
+            es = edges[u]
+            work += len(es)
+            for j, w in es:
+                if j >= k:  # an exit
+                    fv = finalized[ids[j]]
+                    if _NEG < fv < _POS:
+                        cands.add(s + w + int(fv))
+                elif is_target and is_target[j]:
+                    cands.add(s + w)
+                elif not on_path[j]:
+                    stack.append((j, s + w, depth + 1))
             if len(cands) > cap or work > PATH_WORK_CAP:
-                return [None] * len(members)
-        tables.append(np.array(sorted(cands), dtype=np.int64))
+                return [None] * k
+        for u in path:
+            on_path[u] = False
+        tables.append(sorted(cands))
     return tables
 
 
-def _walks_pass_work_cap(members, ends, targets) -> bool:
-    """Whether the walks of ``simple_path_oracle`` over a component would
-    pass ``PATH_WORK_CAP`` for sure: with no target among its k members,
-    each member's walk reaches all of the component and examines every one
-    of its E_C out-edges, so they make at least k * E_C steps."""
-    return targets.isdisjoint(members) and (
-        len(members) * sum(ends[v + 1] - ends[v] for v in members) > PATH_WORK_CAP
-    )
+def _walks_pass_work_cap(members, edges: int, targets) -> bool:
+    """Whether the walks of ``simple_path_oracle`` over a component of
+    ``edges`` out-edges would pass ``PATH_WORK_CAP`` for sure: with no
+    target among its k members, each member's walk reaches all of the
+    component and examines every one of its E_C out-edges, so they make at
+    least k * E_C steps."""
+    return len(members) * edges > PATH_WORK_CAP and targets.isdisjoint(members)
 
 
-def _trivial(members, ends, dsts) -> bool:
+def _trivial(form: eng.ScalarForm) -> bool:
     """Whether a component is one vertex without a self-loop."""
-    if len(members) != 1:
-        return False
-    (v,) = members
-    return v not in dsts[ends[v]:ends[v + 1]]
+    return len(form.edges) == 1 and min(form.edges[0])[0] > 0  # position 0 is the vertex
 
 
 def cycle_sign_certificates(layout: eng.ComponentLayout) -> List[Optional[str]]:
@@ -318,15 +322,56 @@ def cycle_sign_certificates(layout: eng.ComponentLayout) -> List[Optional[str]]:
     return certs
 
 
-def _clamping(
-    tables: List[Optional[np.ndarray]],
-) -> Optional[List[Optional[np.ndarray]]]:
+def _clamping(tables: List[Optional[List[int]]]) -> Optional[List[Optional[List[int]]]]:
     """The oracle's tables, or None when no member has one (a no-clamp or
     degraded component), so that its sweeps skip the clamp altogether."""
     for table in tables:
         if table is not None:
             return tables
     return None
+
+
+class _Finished:
+    """A solver's finished values.  ``done`` holds every vertex's by id,
+    +inf until its component is solved: a small component reads its exits
+    there and writes its members there (``add``).  The numpy vectors
+    (``x``, and ``y`` for total payoff), which views and the nested
+    iteration read, take the values of the small components solved since
+    their last store in one store (``flush``), before any numpy pass and
+    once at the end.  Components are solved in layout order, so those
+    values belong to the layout's members from position ``at`` on."""
+
+    def __init__(self, layout: eng.ComponentLayout, vectors: Tuple[np.ndarray, ...],
+                 done: list, at: int) -> None:
+        self.layout = layout
+        self.vectors = vectors
+        self.done = done
+        self.at = at
+        self.pending: list = []
+
+    def add(self, ids: list, values: list) -> None:
+        done = self.done
+        for v, c in zip(ids, values):
+            done[v] = c
+        self.pending += values
+
+    def flush(self) -> None:
+        if self.pending:
+            end = self.at + len(self.pending)
+            idx = self.layout.members[self.at:end]
+            for vec in self.vectors:
+                vec[idx] = self.pending
+            self.at, self.pending = end, []
+
+    def store(self, m: np.ndarray, values: list) -> None:
+        """The values of a component solved in numpy, after a ``flush``:
+        into the vectors at its members ``m`` and into ``done``."""
+        for vec in self.vectors:
+            vec[m] = values
+        done = self.done
+        for v, c in zip(m.tolist(), values):
+            done[v] = c
+        self.at += len(values)
 
 
 def solve_mcr_accelerated(
@@ -343,20 +388,21 @@ def solve_mcr_accelerated(
         raise ArenaError("solve_mcr_accelerated expects a normalized MCR arena")
     started = time.perf_counter()
     dec = scc_decompose(arena)
-    ca = eng.CompiledArena(arena)
+    layout = dec.layout
+    ca = layout.ca
     (t,) = arena.targets
     x = np.full(arena.n, eng.POS, dtype=np.int64)
     x[t] = 0
-    layout = eng.ComponentLayout(ca, dec.components)
-    edges = (layout.bounds[:, 3] - layout.bounds[:, 2]).tolist()
+    done = [_POS] * arena.n
+    done[t] = 0
+    fin = _Finished(layout, (x,), done, 1)  # component 0 is the target alone
     stats = SolveStats()
     bound = sweep_bound(arena.n, ca.W) + 1
     for q in range(1, len(dec)):
-        tables = _clamping(oracle(arena, dec, q, x))
+        tables = _clamping(oracle(arena, dec, q, done))
         stats.outer_iterations += 1
-        sweeps, new, m = _component_pass(layout, q, edges[q], x, tables, bound, ca.cutoff)
-        x[m] = new
-        stats.inner_iterations += sweeps
+        stats.inner_iterations += _component_pass(fin, q, tables, bound, ca.cutoff)[0]
+    fin.flush()
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
     return McrResult(eng.from_array(arena, x), stats)
@@ -378,8 +424,7 @@ def solve_tp_accelerated(
 
     A certified component runs that pass as ``_component_pass``, on its
     layout's scalar form with no view when it has at most
-    ``_engine.SCALAR_MAX_EDGES`` edges, else on its view; the lifted
-    values then go into ``x`` and ``y`` in one store each.
+    ``_engine.SCALAR_MAX_EDGES`` edges, else on its view.
 
     The counts are those of the nested iteration's outer loop around the
     pass: one pass when the lifted result is all -inf, which is where the
@@ -393,78 +438,91 @@ def solve_tp_accelerated(
         raise ArenaError("solve_tp_accelerated expects a TP arena")
     started = time.perf_counter()
     dec = scc_decompose(arena)
-    ca = eng.CompiledArena(arena)
+    layout = dec.layout
+    ca = layout.ca
     n = arena.n
     lift_at = (n - 1) * ca.W
     y = np.full(n, eng.NEG, dtype=np.int64)
     x = np.full(n, eng.POS, dtype=np.int64)
+    done = [_POS] * n
+    fin = _Finished(layout, (x, y), done, 0)
     stats = SolveStats()
     inner_bound = sweep_bound(n, ca.W) + 1
     outer_bound = k_bound(arena) + 1
-    layout = eng.ComponentLayout(ca, dec.components)
-    edges = (layout.bounds[:, 3] - layout.bounds[:, 2]).tolist()
     certs = cycle_sign_certificates(layout)
     for q in range(len(dec)):
         certificate = certs[q]
         if certificate is None:
+            fin.flush()
+            view = layout.view(q)
             outer, sweeps = eng.nested_fixpoint(
-                layout.view(q), x, y, cutoff=ca.cutoff, lift=lift_at,
+                view, x, y, cutoff=ca.cutoff, lift=lift_at,
                 inner_bound=inner_bound, outer_bound=outer_bound,
             )
+            fin.store(view.members, y[view.members].tolist())
         else:
-            tables = _clamping(oracle(arena, dec, q, x))
-            resolve = lift_at if certificate == "negative" else None
-            sweeps, new, m = _component_pass(
-                layout, q, edges[q], x, tables, inner_bound, ca.cutoff, resolve)
-            new = [_POS if v > lift_at else v for v in new]
+            tables = _clamping(oracle(arena, dec, q, done))
+            sweeps, new = _component_pass(
+                fin, q, tables, inner_bound, ca.cutoff, lift_at, certificate == "negative")
             outer = 1 if max(new) == _NEG else 2
-            x[m] = new
-            y[m] = new
             if outer == 2 and outer_bound < 1:  # as nested_fixpoint after pass 1
                 raise AssertionError("outer iteration exceeded its pass bound")
             sweeps *= outer
         stats.outer_iterations += outer
         stats.inner_iterations += sweeps
+    fin.flush()
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
     return TpResult(eng.from_array(arena, y), stats)
 
 
 def _component_pass(
-    layout: eng.ComponentLayout,
+    fin: _Finished,
     q: int,
-    edges: int,
-    x: np.ndarray,
-    tables: Optional[List[Optional[np.ndarray]]],
+    tables: Optional[List[Optional[List[int]]]],
     bound: int,
     cutoff: int,
-    resolve: Optional[int] = None,
-) -> Tuple[int, list, np.ndarray]:
-    """The clamped pass of component q, of ``edges`` edges, from above and
-    without stop requests: the descent with ``cutoff`` from ``x``, whose
-    members still hold their start, +inf, as on every component not yet
-    solved; and, given the lift ``resolve`` (a 'negative' certificate),
-    the ascent from -inf when a member stays at +inf.  A component of at
-    most ``_engine.SCALAR_MAX_EDGES`` edges sweeps its layout's scalar form
-    with no view (one gather of its members and exits, the sweeps on
-    lists), a larger one its view through ``fixpoint``, which also writes
-    ``x``.  Returns the sweep count, the members' values and the members,
-    which the caller stores."""
-    if edges <= eng.SCALAR_MAX_EDGES:
+    lift: Optional[int] = None,
+    resolve: bool = False,
+) -> Tuple[int, list]:
+    """The clamped pass of component q from above and without stop
+    requests: the descent with ``cutoff`` from its members' start, +inf,
+    as on every component not yet solved; and, on a 'negative' certificate
+    (``resolve``), the ascent from -inf with the lift when a member stays
+    at +inf.  Given ``lift``, values above it then rise to +inf.  A
+    component of at most ``_engine.SCALAR_MAX_EDGES`` edges sweeps its
+    layout's scalar form with no view, reading and writing ``fin.done``
+    only; a larger one sweeps its view through ``fixpoint``, after a store
+    of the values it may read.  Returns the sweep count and the members'
+    values, which ``fin`` holds."""
+    layout = fin.layout
+    small = layout.edge_counts[q] <= eng.SCALAR_MAX_EDGES
+    if small:
         sl = layout.scalar_form(q)
-        m = sl.gather[:len(sl.is_max)]
+        vec, m = fin.done, sl.ids[:len(sl.edges)]
         run = eng.scalar_sweeps
     else:
+        fin.flush()
         sl = layout.view(q)
-        m = sl.members
+        vec, m = fin.vectors[0], sl.members
 
         def run(*args, **kwargs):  # returns what scalar_sweeps returns
-            return eng.fixpoint(*args, **kwargs), x[m].tolist()
-    sweeps, new = run(sl, x, bound, cutoff=cutoff, tables=tables)
-    if resolve is not None and _POS in new:
+            return eng.fixpoint(*args, **kwargs), vec[m].tolist()
+    sweeps, new = run(sl, vec, bound, cutoff=cutoff, tables=tables)
+    if resolve and _POS in new:
         # Starting from above can strand vertices at +inf; approach the
         # same fixed point from below instead.
-        x[m] = eng.NEG
-        more, new = run(sl, x, bound, lift=resolve, tables=tables)
+        if small:
+            for v in m:
+                vec[v] = _NEG
+        else:
+            vec[m] = eng.NEG
+        more, new = run(sl, vec, bound, lift=lift, tables=tables)
         sweeps += more
-    return sweeps, new, m
+    if lift is not None and max(new) > lift:
+        new = [_POS if v > lift else v for v in new]
+    if small:
+        fin.add(m, new)
+    else:
+        fin.store(m, new)
+    return sweeps, new

@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -163,7 +163,7 @@ def test_simple_path_oracle_layered_component():
     assert {arena.names[v] for v in members} == {"a1", "b1"}
     table = simple_path_oracle(arena, dec, dec.comp_of[a1], x)[members.index(a1)]
     # exits: a->c directly (-W + W = 0) and via b (-1 + 0 + W = W-1)
-    assert {0, 5 - 1, int(eng.NEG), int(eng.POS)} <= set(table.tolist())
+    assert {0, 5 - 1, int(eng.NEG), int(eng.POS)} <= set(table)
 
 
 def test_simple_path_oracle_single_exit_vertex():
@@ -176,7 +176,7 @@ def test_simple_path_oracle_single_exit_vertex():
     )
     dec = scc_decompose(arena)
     tables = simple_path_oracle(arena, dec, 1, np.zeros(2, dtype=np.int64))
-    assert tables[0].tolist() == [int(eng.NEG), 4, int(eng.POS)]
+    assert tables[0] == [int(eng.NEG), 4, int(eng.POS)]
 
 
 def test_simple_path_oracle_soundness():
@@ -190,14 +190,16 @@ def test_simple_path_oracle_soundness():
             tables = simple_path_oracle(arena, dec, q, x)
             for v, table in zip(dec.components[q], tables):
                 if table is not None:
-                    assert int(x[v]) in table.tolist()
+                    assert int(x[v]) in table
 
 
 def test_simple_path_oracle_contract():
-    # The raw vector and the API's extended values give equal tables, and
-    # every table is sorted int64 from the -inf to the +inf sentinel.
+    # The raw int64 vector, the API's extended values and the solver's list
+    # of finished values give equal tables, and every table is a sorted
+    # list of ints from the -inf to the +inf sentinel.
     rng = random.Random(55)
     infinities = set()
+    tables = 0
     for i in range(80):
         objective = Objective.MCR if i % 2 == 0 else Objective.TP
         arena = random_arena(rng, 6, 3, objective)
@@ -208,19 +210,20 @@ def test_simple_path_oracle_contract():
             values = solve_tp(arena).values
         infinities.update(repr(v) for v in values if v is PLUS_INF or v is MINUS_INF)
         dec = scc_decompose(arena)
+        raw = eng.to_array(values)
         for q in range(len(dec)):
-            raw = simple_path_oracle(arena, dec, q, eng.to_array(values))
-            ext = simple_path_oracle(arena, dec, q, values.values)
-            assert len(raw) == len(ext) == len(dec.components[q])
-            for a, b in zip(raw, ext):
-                assert (a is None) == (b is None)
-                if a is None:
+            got = [simple_path_oracle(arena, dec, q, finalized)
+                   for finalized in (raw, values.values, raw.tolist())]
+            assert got[0] == got[1] == got[2]
+            assert len(got[0]) == len(dec.components[q])
+            for table in itertools.chain(*got):
+                if table is None:
                     continue
-                assert a.dtype == b.dtype == np.int64
-                assert np.array_equal(a, b)
-                assert a[0] == eng.NEG and a[-1] == eng.POS
-                assert np.all(a[:-1] < a[1:])
-    assert infinities == {"+inf", "-inf"}
+                tables += 1
+                assert type(table) is list and all(type(v) is int for v in table)
+                assert table[0] == eng.NEG and table[-1] == eng.POS
+                assert all(a < b for a, b in zip(table, table[1:]))
+    assert infinities == {"+inf", "-inf"} and tables > 450
 
 
 def test_simple_path_oracle_cap_degrades():
@@ -233,9 +236,11 @@ def test_simple_path_oracle_cap_degrades():
 def test_path_work_shortcut_matches_the_walk(monkeypatch):
     """A component of k members with E_C out-edges and no target among
     them degrades before any walk when k * E_C > ``PATH_WORK_CAP``; the
-    walks give the same tables, or degrade too, at every cut cap.  The
-    corpus holds MCR arenas with targets inside larger components, where
-    the walks stop at the targets and the shortcut must not fire."""
+    walks give the same tables, or degrade too, at every cut cap.  E_C is
+    the component's edge range in the layout, which must equal its
+    members' out-degrees.  The corpus holds MCR arenas with targets inside
+    larger components, where the walks stop at the targets and the
+    shortcut must not fire."""
     rng = random.Random(56)
     arenas = []
     for i in range(160):
@@ -254,6 +259,8 @@ def test_path_work_shortcut_matches_the_walk(monkeypatch):
         monkeypatch.setattr(accel, "PATH_WORK_CAP", cap)
         for arena in arenas:
             dec = scc_decompose(arena)
+            bounds = dec.layout.bounds
+            degree = np.bincount(arena.edge_array[:, 0], minlength=arena.n)
             finalized = eng.to_array(
                 [rng.choice((PLUS_INF, MINUS_INF, rng.randint(-50, 50))) for _ in range(arena.n)]
             )
@@ -262,13 +269,12 @@ def test_path_work_shortcut_matches_the_walk(monkeypatch):
                 got = simple_path_oracle(arena, dec, q, finalized)
                 monkeypatch.setattr(accel, "_walks_pass_work_cap", lambda *args: False)
                 want = simple_path_oracle(arena, dec, q, finalized)  # the walks alone
-                assert [t if t is None else t.tolist() for t in got] == [
-                    t if t is None else t.tolist() for t in want]
+                assert got == want
                 queries += 1
                 degraded += want[0] is None
-                work = len(members) * sum(
-                    dec.edges.ends[v + 1] - dec.edges.ends[v] for v in members)
-                if work > cap:
+                edges = int(bounds[q, 3] - bounds[q, 2])
+                assert edges == degree[list(members)].sum()
+                if len(members) * edges > cap:
                     if arena.targets.isdisjoint(members) or arena.objective is Objective.TP:
                         shortcuts += 1
                     else:
@@ -276,19 +282,18 @@ def test_path_work_shortcut_matches_the_walk(monkeypatch):
     # 5,576 queries: 334 degraded walks, 203 shortcuts, 50 blocked by a target.
     assert queries > 5_000 and degraded > 300 and shortcuts > 200 and blocked > 40
     assert sum(fired) == shortcuts  # the shortcut fires on exactly those components
-    # When it fires, no walk starts: a walk would index ``ends``.
+    # When it fires, no walk starts: a walk reads the component's scalar form.
     monkeypatch.setattr(accel, "_walks_pass_work_cap", lambda *args: True)
     monkeypatch.setattr(accel, "PATH_WORK_CAP", 0)
 
-    class Untouchable(list):
-        def __getitem__(self, i):
-            raise AssertionError("walked")
+    def untouchable(q):
+        raise AssertionError("walked")
 
     dec = scc_decompose(arenas[1])
-    blind = dataclasses.replace(dec, edges=dec.edges._replace(ends=Untouchable()))
+    dec.layout.scalar_form = untouchable
+    zeros = np.zeros(arenas[1].n, dtype=np.int64)
     for q, members in enumerate(dec.components):
-        zeros = np.zeros(arenas[1].n, dtype=np.int64)
-        assert simple_path_oracle(arenas[1], blind, q, zeros) == [None] * len(members)
+        assert simple_path_oracle(arenas[1], dec, q, zeros) == [None] * len(members)
 
 
 def test_degraded_components_never_reach_the_clamp(monkeypatch):
@@ -459,7 +464,7 @@ def test_tp_accelerated_reads_the_edge_list_a_fixed_number_of_times():
     assert edge_list_reads(layered(20, 5)) == edge_list_reads(layered(80, 5))
 
 
-def two_pass_reference(arena, seen=None):
+def two_pass_reference(arena, seen=None, oracle=simple_path_oracle):
     """The accelerated TP solve as the outer loop around every certified
     component's clamped pass: the pass runs again until it leaves the outer
     vector unchanged, so a component costs two passes unless its lifted
@@ -486,7 +491,7 @@ def two_pass_reference(arena, seen=None):
                 ))
                 continue
             seen.add(cert)
-            tables = accel._clamping(simple_path_oracle(arena, dec, q, x))
+            tables = accel._clamping(oracle(arena, dec, q, x))
             m = view.members
             passes = sweeps = 0
             while True:
@@ -614,34 +619,31 @@ def scalar_reference(view):
     ends = view.starts.tolist() + [len(view.dst)]
     dst, wt = view.dst.tolist(), view.wt.tolist()
     edges = [[] for _ in range(k)]
-    exit_src, exit_wt = [], []
     for i in range(k):
         for e in range(ends[i], ends[i + 1]):
             j = position.get(dst[e])
             if j is None:
+                j = len(ids)
                 ids.append(dst[e])
-                exit_src.append(i)
-                exit_wt.append(wt[e])
-            else:
-                edges[i].append((j, wt[e]))
-    return eng.ScalarForm(view.is_max.tolist(), edges, np.array(ids, dtype=np.int64),
-                          exit_src, exit_wt)
+            edges[i].append((j, wt[e]))
+    return eng.ScalarForm(view.is_max.tolist(), edges, ids)
 
 
-def assert_same_form(got, want):
-    assert got.is_max == want.is_max
-    assert got.edges == want.edges
-    assert got.gather.dtype == np.int64 and got.gather.tolist() == want.gather.tolist()
-    assert got.exit_src == want.exit_src
-    assert got.exit_wt == want.exit_wt
+def held_run(layout):
+    """The components whose forms the layout holds: one run, consecutive,
+    at most ``SCALAR_RUN`` of them, none after the first above the floor."""
+    held = sorted(layout._scalar)
+    assert held == list(range(held[0], held[0] + len(held)))
+    assert len(held) <= layout.SCALAR_RUN
+    assert all(layout.edge_counts[c] <= eng.SCALAR_MAX_EDGES for c in held[1:])
+    return held
 
 
 def test_layout_scalar_forms_match_each_views_own():
-    """A layout builds its small components' scalar forms a run at a time;
-    each equals the form of that view's own arrays, whatever order the
-    views take them in, and a second view of a component gets it again.
-    The layout holds the untaken forms of one run only, none of them of a
-    component above the floor."""
+    """A layout builds the scalar forms a run at a time; each equals the
+    form of that view's own arrays, whatever order the views take them
+    in, and a second view of a component gets it again.  The layout
+    holds the forms of the run it built last only."""
     rng = random.Random(72)
     arenas = [layered(200, 50)]
     arenas += [skewed_arena(rng, rng.randint(1, 60), rng.choice((1, 5)),
@@ -654,14 +656,39 @@ def test_layout_scalar_forms_match_each_views_own():
             rng.shuffle(order)
         for q in order + order[:3]:
             view = layout.view(q)
-            if len(view.dst) <= eng.SCALAR_MAX_EDGES:
-                assert_same_form(view.scalar, scalar_reference(view))
-                taken += 1
-                held = list(layout._scalar)
-                assert q not in held and len(held) < layout.SCALAR_RUN
-                assert all(layout.bounds[c, 3] - layout.bounds[c, 2] <= eng.SCALAR_MAX_EDGES
-                           for c in held)
+            assert view.scalar == scalar_reference(view)
+            assert view.gather.tolist() == view.scalar.ids
+            taken += 1
+            assert q in held_run(layout)
     assert taken > 1000
+
+
+def test_layout_holds_one_run_of_forms(monkeypatch):
+    """In a solve, the path oracle and the pass of a component get the
+    same form object, built once; the layout never holds more than one
+    run of ``SCALAR_RUN`` forms.  layered(300, 5) has 601 components, all
+    of them small."""
+    calls = []
+    scalar_form = eng.ComponentLayout.scalar_form
+
+    def watched(layout, q):
+        form = scalar_form(layout, q)
+        calls.append((q, id(form), held_run(layout)))
+        return form
+
+    monkeypatch.setattr(eng.ComponentLayout, "scalar_form", watched)
+    mcr = normalize_target(layered(300, 5, Objective.MCR))
+    for arena, solve in ((layered(300, 5), solve_tp_accelerated), (mcr, solve_mcr_accelerated)):
+        calls.clear()
+        solve(arena)
+        comps = len(scc_decompose(arena))
+        asked = {}
+        for q, form, held in calls:
+            asked.setdefault(q, set()).add(form)
+        assert all(len(forms) == 1 for forms in asked.values())  # built once, shared
+        assert [q for q, _, _ in calls] == sorted(q for q, _, _ in calls)
+        assert max(len(held) for _, _, held in calls) == eng.ComponentLayout.SCALAR_RUN
+        assert {held[0] for _, _, held in calls} == set(range(comps - len(asked), comps, 64))
 
 
 def forward_arena(rng, n, objective):
@@ -704,7 +731,7 @@ def test_trivial_components_get_no_tables(monkeypatch):
             solve = solve_tp_accelerated
         dec = scc_decompose(arena)
         for q, members in enumerate(dec.components):
-            if accel._trivial(members, *dec.edges[:2]):
+            if accel._trivial(dec.layout.scalar_form(q)):
                 trivial += 1
                 assert simple_path_oracle(arena, dec, q, np.zeros(arena.n, np.int64)) == [None]
                 assert walked(arena, dec, q, np.zeros(arena.n, np.int64))[0] is not None
@@ -719,7 +746,8 @@ def test_trivial_components_get_no_tables(monkeypatch):
 def branch_run(arena, solve, oracle, floor, monkeypatch):
     """``solve(arena, oracle)`` with ``SCALAR_MAX_EDGES`` at ``floor``,
     through a wrapper of ``accel._component_pass`` that requires the +inf
-    start in ``x`` at the component's members on entry.  Returns what each
+    start in ``x`` and in the list of finished values at the component's
+    members on entry.  Returns what each
     component's pass or nested iteration returned or raised, in order,
     then each component's counts and the values (none after an error);
     and the steps, each 'nested', 'list' or 'view', a pass followed by
@@ -747,11 +775,14 @@ def branch_run(arena, solve, oracle, floor, monkeypatch):
             return run(*args, **kwargs)
         return call
 
-    def entered(layout, q, edges, x, *args):
+    def entered(fin, q, *args):
+        layout = fin.layout
         v0, v1 = layout.bounds[q, :2].tolist()
-        if not (x[layout.members[v0:v1]] == eng.POS).all():
+        m = layout.members[v0:v1]
+        starts = fin.vectors[0][m].tolist() + [fin.done[v] for v in m.tolist()]
+        if set(starts) != {eng.POS}:
             pytest.fail(f"component {q} does not start at +inf: {arena}")  # the solve catches asserts
-        return "list" if edges <= floor else "view"
+        return "list" if layout.edge_counts[q] <= floor else "view"
 
     monkeypatch.setattr(accel, "_component_pass", component(accel._component_pass, entered))
     monkeypatch.setattr(eng, "nested_fixpoint", component(eng.nested_fixpoint, lambda *a: "nested"))
@@ -768,8 +799,9 @@ def branch_run(arena, solve, oracle, floor, monkeypatch):
 @pytest.mark.parametrize("bound", [None, 2], ids=["bounds", "short-bound"])
 @pytest.mark.parametrize("oracle", [no_clamp_oracle, simple_path_oracle], ids=["scc", "paths"])
 def test_component_pass_branches_agree(monkeypatch, oracle, bound):
-    """Every component pass finds its members at +inf in ``x``, where the
-    solve started them, with no store of its own.  On chains of blocks
+    """Every component pass finds its members at +inf in ``x`` and in the
+    list of finished values, where the solve started them, with no store
+    of its own.  On chains of blocks
     whose uncertified components and 'negative' re-solves from below come
     before certified ones, a solve with the scalar floor at 4 edges mixes
     list and view passes; it returns what the all-view (floor 0) and
@@ -799,3 +831,111 @@ def test_component_pass_branches_agree(monkeypatch, oracle, bound):
         assert {"nested", "from below"} <= seen
     else:
         assert {AssertionError, UnsoundOracleError if oracle is simple_path_oracle else "solved"} <= seen
+
+
+def alternating_arena(rng, objective):
+    """A chain of blocks, each with exits into earlier ones: small signed
+    components (one or two vertices, at most ``SCALAR_MAX_EDGES`` edges),
+    rings of 26 vertices with 52 edges, above the floor, with every cycle
+    of one sign, and two-vertex components with cycles of both signs,
+    which total payoff leaves uncertified.  Blocks of each kind follow
+    each other in every order."""
+    owners, edges = [], []
+    kinds = ["small", "ring", "small", "mixed", "small", "small", "ring", "mixed"]
+    kinds += rng.sample(kinds, len(kinds))
+    for kind in kinds:
+        base = len(owners)
+        sign = rng.choice((1, -1))
+        if kind == "small":
+            k = rng.randint(1, 2)
+            edges += [(base + i, base + (i + 1) % k, sign * rng.randint(1, 5)) for i in range(k)]
+        elif kind == "ring":
+            k = 26
+            edges += [e for i in range(k) for e in ((base + i, base + (i + 1) % k, sign),
+                                                    (base + i, base + i, sign * 2))]
+        else:
+            k = 2
+            edges += [(base, base, 1), (base + 1, base + 1, -1), (base, base + 1, 0),
+                      (base + 1, base, 0)]
+        owners += [rng.choice((Player.MAX, Player.MIN)) for _ in range(k)]
+        if base:
+            for v in range(base, base + k):
+                for d in rng.sample(range(base), min(base, rng.randint(0, 2))):
+                    edges.append((v, d, rng.randint(-9, 9)))
+    arena = make_arena([f"v{i}" for i in range(len(owners))], owners, edges,
+                       [0] if objective is Objective.MCR else [], objective)
+    return normalize_target(arena) if objective is Objective.MCR else arena
+
+
+def mcr_reference(arena, oracle):
+    """The accelerated reachability solve with every component on its view:
+    its oracle reads ``x``, and ``fixpoint`` gathers the component's
+    members and exits from ``x``, sweeps and stores its values there."""
+    dec = scc_decompose(arena)
+    ca = eng.CompiledArena(arena)
+    layout = eng.ComponentLayout(ca, dec.components)
+    x = np.full(arena.n, eng.POS, dtype=np.int64)
+    x[dec.components[0][0]] = 0
+    bound = accel.sweep_bound(arena.n, ca.W) + 1
+    counts = []
+    try:
+        for q in range(1, len(dec)):
+            tables = accel._clamping(oracle(arena, dec, q, x))
+            counts.append((1, eng.fixpoint(layout.view(q), x, bound, cutoff=ca.cutoff,
+                                           tables=tables)))
+    except (AssertionError, UnsoundOracleError) as exc:
+        return type(exc)
+    return counts, eng.from_array(arena, x).values
+
+
+@pytest.mark.parametrize("oracle", [no_clamp_oracle, simple_path_oracle], ids=["scc", "paths"])
+def test_small_components_between_numpy_passes_match_the_numpy_reference(monkeypatch, oracle):
+    """Small components solved on the list of finished values, between
+    components above the floor and uncertified total-payoff components,
+    which read ``x`` (and ``y``) after the store that precedes them: each
+    solve equals the per-component numpy reference, where every component
+    gathers ``x``, sweeps and stores.  Values, each component's (passes,
+    sweeps), k_e/k_i, and under short bounds the error type."""
+    monkeypatch.setattr(accel, "SolveStats", ComponentCounts)
+    rng = random.Random(2121)
+    seen = set()
+    for i in range(10):
+        objective = (Objective.TP, Objective.MCR)[i % 2]
+        arena = alternating_arena(rng, objective)
+        if objective is Objective.TP:
+            solve, reference = solve_tp_accelerated, functools.partial(two_pass_reference,
+                                                                       oracle=oracle)
+            layout = scc_decompose(arena).layout
+            certs = cycle_sign_certificates(layout)
+            kinds = ["nested" if c is None else "list" if e <= eng.SCALAR_MAX_EDGES else "view"
+                     for c, e in zip(certs, layout.edge_counts)]
+        else:
+            solve, reference = solve_mcr_accelerated, functools.partial(mcr_reference,
+                                                                         oracle=oracle)
+            layout = scc_decompose(arena).layout
+            kinds = ["list" if e <= eng.SCALAR_MAX_EDGES else "view"
+                     for e in layout.edge_counts[1:]]
+        seen.update(zip(kinds, kinds[1:]))
+        for bounds in ({}, {"sweep_bound": 1}, {"sweep_bound": -1}, {"k_bound": -1}):
+            with monkeypatch.context() as short:
+                for name, small in bounds.items():
+                    short.setattr(accel, name, lambda *args, small=small: small)
+                want = reference(arena)
+                try:
+                    res = solve(arena, oracle)
+                    got = (res.stats.steps, res.values.values)
+                    totals = (res.stats.outer_iterations, res.stats.inner_iterations)
+                except (AssertionError, UnsoundOracleError) as exc:
+                    got = type(exc)
+                if isinstance(want, tuple):
+                    want_steps = [tuple(s) for s in want[0]]
+                    assert got == (want_steps, want[1]), (arena, bounds)
+                    assert totals == tuple(map(sum, zip(*want_steps)))
+                    seen.add("solved")
+                else:
+                    assert got is want, (arena, bounds)
+                    seen.add(want)
+    assert {("list", "view"), ("view", "list")} <= seen
+    assert {("list", "nested"), ("nested", "list")} <= seen
+    errors = {AssertionError, UnsoundOracleError if oracle is simple_path_oracle else "solved"}
+    assert {"solved"} | errors <= seen

@@ -94,14 +94,14 @@ def slices(rng, arena, views):
 def random_inputs(rng, n, k, wide, y_neg=True):
     """A start vector and a ``ytrans`` over n vertices, with both sentinels
     (``ytrans`` without -inf unless ``y_neg``), and k candidate tables,
-    some None."""
+    sorted lists, some None."""
     x0 = np.array([rng.choice((eng.POS, eng.NEG, rng.randint(-wide, wide))) for _ in range(n)],
                   dtype=np.int64)
     y = np.array([rng.choice((eng.POS, eng.NEG if y_neg else eng.POS, rng.randint(-wide, wide)))
                   for _ in range(n)], dtype=np.int64)
-    tables = [None if rng.random() < 0.3 else np.array(
-        sorted({ref.NEG, ref.POS, *rng.sample(range(-wide, wide + 1), 3)}), dtype=np.int64)
-        for _ in range(k)]
+    tables = [None if rng.random() < 0.3 else
+              sorted({ref.NEG, ref.POS, *rng.sample(range(-wide, wide + 1), 3)})
+              for _ in range(k)]
     return x0, y, tables
 
 
