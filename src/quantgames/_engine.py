@@ -49,13 +49,15 @@ Column form.  A sweep reads the edges in the padded-column (ELL) layout of
 Bell and Garland, "Implementing sparse matrix-vector multiplication on
 throughput-oriented processors" (SC 2009), not in CSR order.  A slice of
 k members and E edges has width D = min(max out-degree, ceil(2E/k)), and
-its ``cols`` (a ``ColumnForm``) hold its destinations, edge signs and
+its ``cols`` (a ``ColumnForm``, built by ``_column_form`` on the first
+numpy sweep of the slice and kept) hold its destinations, edge signs and
 signed weights as row-major ``[D, k]`` tables ``cdst``, ``csign`` and
 ``cswt``: row j holds each member's j-th out-edge, and a member with
 fewer than D edges repeats its last one.  A repeated candidate changes
-neither a max nor a min, so the padding is exact.  ``csign`` repeats the member signs down the rows, so that the sign
-multiply meets an array of its own shape; a broadcast multiply costs
-about 1 us more per call on small slices.
+neither a max nor a min, so the padding is exact.  ``csign`` repeats the
+member signs down the rows, so that the sign multiply meets an array of
+its own shape; a broadcast multiply costs about 1 us more per call on
+small slices.
 
 The per-member maximum is then a halving over the rows: ``np.maximum`` of
 the top half of the live rows into the bottom half, ceil(log2 D) calls in
@@ -72,16 +74,17 @@ the strategy code.
 Component layout.  ``ComponentLayout`` copies the compiled edge arrays
 once, sorted by component: vertices in the order of the concatenated
 components, each component's members sorted, and every vertex's edges
-after it.  The signs, the column form (one contiguous ``[D_q, k_q]``
-block per component, each with its own width), the overflow and the
-inside-edge flags with their local destinations (read by the cycle-sign
-certificate and by a view's in-edge index) are computed on that copy, so
-the view of one component is a set of basic slices of it, O(1) to build
-and sharing its memory.  A view takes its column form from the layout's
-blocks on first use, so a view that only sweeps in scalar form (below)
-never takes it.  The accelerated solvers hold finished values beside
-the layout, in a list for small components and in ``x`` (and ``y``) for
-numpy passes, which the list reaches in one store before each of them.
+after it.  The signs and the inside-edge flags with their local
+destinations (read by the cycle-sign certificate and by a view's in-edge
+index) are computed on that copy, so the view of one component is a set
+of basic slices of it, O(1) to build and sharing its memory.  The layout
+keeps no column form: like every slice, a view builds its own on its
+first numpy sweep, so a view that only sweeps in scalar form (below)
+never builds one, and a view above the floor builds it once for all the
+passes of its ``nested_fixpoint``.  The accelerated solvers hold
+finished values beside the layout, in a list for small components and in
+``x`` (and ``y``) for numpy passes, which the list reaches in one store
+before each of them.
 
 Frontier sweeps.  On one vector over a slice of at least
 ``FRONTIER_MIN_EDGES`` edges, ``fixpoint`` keeps a worklist of the
@@ -266,11 +269,11 @@ class EdgeSlice:
 
     @functools.cached_property
     def cols(self) -> ColumnForm:
-        """Built on first use: a compiled arena solved one component at a
-        time never sweeps whole.  A view takes its own from its layout."""
-        deg = out_degrees(self)
-        columns = _Columns(self.dst, self.wt, self.sign, deg, [len(deg)])
-        return columns.form(*columns.bounds[0].tolist())
+        """Built on first use, by a numpy sweep only, and kept for the
+        slice's later calls: a compiled arena solved one component at a
+        time never sweeps whole, and a view that sweeps in scalar form never
+        builds one."""
+        return _column_form(self.dst, self.wt, self.sign, out_degrees(self))
 
     @functools.cached_property
     def scalar(self) -> ScalarForm:
@@ -316,86 +319,35 @@ def _halving(width: int) -> tuple:
     return tuple(steps)
 
 
-class _Columns:
-    """The column form of consecutive groups of members with out-degrees
-    ``deg``: one group for a slice, one per component for a layout.
+def _column_form(dst, wt, sign, deg) -> ColumnForm:
+    """The column form of a slice whose members have out-degrees ``deg``
+    and signs ``sign``.
 
-    Group q of k_q members and E_q edges has width D_q = min(max degree,
-    ceil(2 E_q / k_q)) and a row-major ``[D_q, k_q]`` block, row j holding
-    each member's j-th edge, its last edge repeated past its degree; the
-    blocks lie one after another.  Edges past column D_q go to the
-    overflow, in member order.  ``cswt`` and ``ovf_swt`` are ``wt``
-    times each edge's sign, with any leading axis of weight rows.
+    k members and E edges give width D = max(1, min(max degree,
+    ceil(2E/k))) and row-major ``[D, k]`` tables, row j holding each
+    member's j-th edge, its last edge repeated past its degree.  Edges past
+    column D go to the overflow, in member order.  ``cswt`` and the
+    overflow's ``swt`` are ``wt`` times each edge's sign, with any leading
+    axis of weight rows.
     """
-
-    def __init__(self, dst, wt, sign, deg, sizes) -> None:
-        sizes = np.asarray(sizes, dtype=np.int64)
-        vstart = np.concatenate(([0], np.cumsum(sizes)))
-        ecum = np.concatenate(([0], np.cumsum(deg)))
-        maxdeg = np.zeros(len(sizes), dtype=np.int64)
-        full = sizes > 0
-        if full.any():
-            maxdeg[full] = np.maximum.reduceat(deg, vstart[:-1][full])
-        edges = ecum[vstart[1:]] - ecum[vstart[:-1]]
-        width = np.maximum(np.minimum(maxdeg, -(-2 * edges // np.maximum(sizes, 1))), 1)
-        coff = np.concatenate(([0], np.cumsum(width * sizes)))
-        wv = np.repeat(width, sizes)  # each member's width
-        pos = np.arange(len(deg)) - np.repeat(vstart[:-1], sizes)  # within its group
-        extra = deg - wv
+    k = len(deg)
+    ends = np.cumsum(deg)
+    top = int(deg.max(initial=0))
+    width = max(1, min(top, -(-2 * len(dst) // max(k, 1))))
+    cidx = np.minimum((ends - deg) + np.arange(width)[:, None], ends - 1)
+    csign = np.repeat(sign[None, :], width, axis=0)
+    cswt = _take(wt, cidx)
+    cswt *= csign
+    overflow = None
+    if width < top:
+        extra = deg - width
         ov = np.flatnonzero(extra > 0)
-        ocum = np.concatenate(([0], np.cumsum(extra[ov])))
-        oidx = np.repeat(ecum[ov + 1] - ocum[1:], extra[ov]) + np.arange(ocum[-1])
-        self.ovf_members = pos[ov]
-        self.ovf_dst = dst[oidx]
-        self.ovf_sign = np.repeat(sign[ov], extra[ov])
-        self.ovf_swt = wt[..., oidx] * self.ovf_sign
-        self.ovf_cum = ocum
-        # Row j of member p sits at slot[p] + j * stride[p].  Taking the
-        # members widest first makes those with a row j a prefix, so the
-        # rows cost O(entries) with O(members) scratch.
-        slot = np.repeat(coff[:-1], sizes) + pos
-        stride = np.repeat(sizes, sizes)
-        top = int(width.max(initial=0))
-        by_width = np.argsort(-wv, kind="stable")
-        live = len(wv) - np.cumsum(np.bincount(wv, minlength=top + 1))  # members wider than j
-        del extra, oidx, pos, wv  # free the scratch before the tables are allocated
-        cidx = np.empty(coff[-1], dtype=np.int64)
-        self.csign = np.empty(coff[-1], dtype=np.int64)
-        for j in range(top):
-            p = by_width[:live[j]]
-            at = slot[p] + j * stride[p]
-            cidx[at] = np.minimum(ecum[p] + j, ecum[p + 1] - 1)
-            self.csign[at] = sign[p]
-        del slot, stride, by_width
-        self.cdst = dst[cidx]
-        self.cswt = wt[..., cidx]
-        self.cswt *= self.csign
-        obound = np.searchsorted(ov, vstart)
-        # Per group, the arguments of ``form``; an int64 array, not tuples
-        # of Python ints, which cost about 200 bytes per group.
-        self.bounds = np.stack(
-            (width, sizes, coff[:-1], coff[1:], obound[:-1], obound[1:]), axis=1
-        )
-
-    def form(self, width: int, k: int, c0: int, c1: int, o0: int, o1: int) -> ColumnForm:
-        """The column form of the group with row ``bounds`` (width, member
-        count, block and overflow-member ranges): basic slices of the
-        blocks, reshaped; an overflow only when the group has one."""
-        overflow = None
-        if o0 < o1:
-            f0, f1 = self.ovf_cum[o0], self.ovf_cum[o1]
-            overflow = Overflow(
-                self.ovf_members[o0:o1], self.ovf_dst[f0:f1], self.ovf_swt[..., f0:f1],
-                self.ovf_sign[f0:f1], self.ovf_cum[o0:o1] - f0,
-            )
-        return ColumnForm(
-            self.cdst[c0:c1].reshape(width, k),
-            self.csign[c0:c1].reshape(width, k),
-            self.cswt[..., c0:c1].reshape(self.cswt.shape[:-1] + (width, k)),
-            _halving(width),
-            width,
-            overflow,
-        )
+        extra = extra[ov]
+        ocum = np.cumsum(extra)
+        oidx = np.repeat(ends[ov] - ocum, extra) + np.arange(ocum[-1])
+        osign = np.repeat(sign[ov], extra)
+        overflow = Overflow(ov, dst[oidx], _take(wt, oidx) * osign, osign, ocum - extra)
+    return ColumnForm(dst.take(cidx), csign, cswt, _halving(width), width, overflow)
 
 
 class CompiledArena(EdgeSlice):
@@ -432,11 +384,11 @@ class ComponentLayout:
     component).  Per edge: ``dst``, ``wt`` and, for the cycle-sign
     certificate and a view's in-edge index, ``inside`` (the edge stays in
     its component) with ``local_dst``, the destination's position within
-    it (meaningless off ``inside``).  The sweep's column form is one block
-    per component.  Row q of ``bounds`` holds component q's vertex range
-    and edge range, then the arguments of its column form, and
-    ``edge_counts`` lists each component's edge count.  The scalar forms
-    are built a run at a time (``scalar_form``).
+    it (meaningless off ``inside``).  Row q of ``bounds`` holds component
+    q's vertex range and edge range, and ``edge_counts`` lists each
+    component's edge count.  The layout keeps no column form; each view
+    builds its own on first use.  The scalar forms are built a run at a
+    time (``scalar_form``).
     """
 
     VERTEX_FIELDS = ("members", "is_max", "sign", "starts")
@@ -473,30 +425,21 @@ class ComponentLayout:
         self.wt = ca.wt[edge_idx]
         self.inside = comp_of[self.dst] == np.repeat(comp, deg)
         self.local_dst = local[self.dst]
-        self.columns = _Columns(self.dst, self.wt, self.sign, deg, sizes)
-        self.bounds = np.concatenate(
-            (np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:]), axis=1),
-             self.columns.bounds),
-            axis=1,
-        )
+        self.bounds = np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:]), axis=1)
         self.edge_counts = (estart[1:] - estart[:-1]).tolist()
         self._scalar: dict = {}  # component -> its scalar form, for the current run
 
     def view(self, q: int) -> ComponentView:
         """Component ``q``'s slice: basic slices of the layout arrays."""
         view = ComponentView.__new__(ComponentView)
-        self._fill(view, q)
-        return view
-
-    def _fill(self, view: ComponentView, q: int) -> None:
-        v0, v1, e0, e1, *form = self.bounds[q].tolist()
+        v0, v1, e0, e1 = self.bounds[q].tolist()
         for name in self.VERTEX_FIELDS:
             setattr(view, name, getattr(self, name)[v0:v1])
         for name in self.EDGE_FIELDS:
             setattr(view, name, getattr(self, name)[e0:e1])
         view.layout = self
         view.q = q
-        view.form = form
+        return view
 
     def scalar_form(self, q: int) -> ScalarForm:
         """Component q's scalar form.  It is built with those of the
@@ -516,7 +459,7 @@ class ComponentLayout:
         the run, are dropped when it returns.  Inside edges point at their
         ``local_dst``, the rest at the positions their destinations take
         in ``ids``."""
-        bounds = self.bounds[q:q + self.SCALAR_RUN, :4]
+        bounds = self.bounds[q:q + self.SCALAR_RUN]
         big = np.flatnonzero(bounds[1:, 3] - bounds[1:, 2] > SCALAR_MAX_EDGES)
         if len(big):
             bounds = bounds[:big[0] + 1]
@@ -552,15 +495,9 @@ class ComponentView(EdgeSlice):
     """The slice of one component of a ``ComponentLayout``, such as a
     strongly connected component; ``ComponentLayout(ca, [members]).view(0)``
     is the slice of any member set.  Carries the ``ComponentLayout``
-    fields, sliced to the component, the ``layout`` itself, the
-    component's index ``q`` in it and the arguments of its column
-    ``form``."""
-
-    @functools.cached_property
-    def cols(self) -> ColumnForm:
-        """Basic slices of the layout's column blocks, taken on first use:
-        a view that only sweeps in scalar form never takes them."""
-        return self.layout.columns.form(*self.form)
+    fields, sliced to the component, the ``layout`` itself and the
+    component's index ``q`` in it.  Like any slice, it builds its own
+    column form (``cols``) on first use."""
 
     @functools.cached_property
     def scalar(self) -> ScalarForm:

@@ -287,7 +287,7 @@ def cycle_sign_certificates(layout: eng.ComponentLayout) -> List[Optional[str]]:
     each moving a value by at most (k + 1) * W + 1, so every iterate stays
     in (-2**61, 0] and none settles on a sentinel.
     """
-    v0, v1, e0, e1 = layout.bounds[:, :4].T
+    v0, v1, e0, e1 = layout.bounds.T
     sizes = v1 - v0
     W = int(np.abs(layout.wt).max(initial=0))
     fits = (sizes + 1) * W + 1 <= (int(eng.SNAP) - 1) // (sizes + 1)

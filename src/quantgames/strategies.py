@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _engine as eng
 from .arena import Arena, Objective, Player, ValueVector, max_abs_weight
-from .attractor import compute_attractor
+from .attractor import backward_attractor, compute_attractor
 from .extvalue import ExtValue, MINUS_INF, PLUS_INF, ext_add, is_finite
 from .mcr import McrResult
 from .oracle import (
@@ -443,24 +443,7 @@ def _max_reach_values(
     for i, out in enumerate(succ_ix):
         for j, _ in out:
             preds[j].append(i)
-    counters = [len(out) for out in succ_ix]
-    attracted = set(targets)
-    layer = list(targets)
-    while layer:
-        nxt = []
-        for j in layer:
-            for i in preds[j]:
-                if i in attracted:
-                    continue
-                if not free_max[i]:
-                    attracted.add(i)
-                    nxt.append(i)
-                else:
-                    counters[i] -= 1
-                    if counters[i] == 0:
-                        attracted.add(i)
-                        nxt.append(i)
-        layer = nxt
+    attracted = backward_attractor(preds, [len(out) for out in succ_ix], free_max, targets)
     # Inside the attracted region every play reaches a target, so the
     # region minus the targets is acyclic and longest paths are defined.
     vals: List[Optional[ExtValue]] = [None] * n

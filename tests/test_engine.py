@@ -6,11 +6,20 @@ import random
 import numpy as np
 
 from quantgames import _engine as eng
-from quantgames.accel import scc_decompose
+from quantgames.accel import (
+    no_clamp_oracle,
+    scc_decompose,
+    simple_path_oracle,
+    solve_mcr_accelerated,
+    solve_tp_accelerated,
+)
 from quantgames.arena import Objective, Player, make_arena
 from quantgames.cli import random_arena
+from quantgames.mcr import solve_mcr
+from quantgames.tp import solve_tp
 
 import kernel_reference as ref
+from conftest import layered
 
 POS, NEG = eng.POS, eng.NEG
 
@@ -111,8 +120,6 @@ def test_component_layout_views_are_slices_of_one_layout():
             assert_view_matches_reference(view, ca, members)
             for name in layout.VERTEX_FIELDS + layout.EDGE_FIELDS:
                 assert np.shares_memory(getattr(view, name), getattr(layout, name)), name
-            assert np.shares_memory(view.cols.cdst, layout.columns.cdst)
-            assert np.shares_memory(view.cols.cswt, layout.columns.cswt)
 
 
 def check_skewed_slice(rng, sl, n):
@@ -223,9 +230,10 @@ def test_star_columns_stay_within_twice_the_edges(monkeypatch):
     ca = eng.CompiledArena(arena)
     E = len(ca.dst)
     layout = eng.ComponentLayout(ca, scc_decompose(arena).components)
-    for columns in (ca.cols, layout.columns):
+    slices = [ca] + [layout.view(q) for q in range(len(layout.bounds))]
+    for sl in slices:
         for name in ("cdst", "csign", "cswt"):
-            assert getattr(columns, name).size <= 2 * E + n
+            assert getattr(sl.cols, name).size <= 2 * len(sl.dst) + len(sl.starts)
     assert ca.cols.overflow is not None and len(ca.cols.overflow.dst) <= E
     rng = random.Random(77)
     x = random_vector(rng, n)
@@ -240,3 +248,69 @@ def test_star_columns_stay_within_twice_the_edges(monkeypatch):
     assert spy.reduceat_calls == 1  # the hub's overflow
     monkeypatch.undo()
     assert got.tolist() == ref.sweep(leaf_view, x)
+
+
+def ring_chain(kinds, objective):
+    """The sink v0 on a zero loop (the target of the MCR game), then per
+    entry of ``kinds`` a component above the scalar floor: a ring of 26
+    vertices with an edge to the next vertex and a self-loop each, exits
+    from its first vertex to the ring before and from its middle one to
+    v0, 54 edges in all.  A 'positive' ring holds Min vertices on +1
+    edges; a 'negative' ring holds Max vertices but one on -1 edges (in
+    TP the descent strands it at +inf, so it is re-solved from -inf); a
+    'zero' ring holds Min vertices on 0 edges, uncertified in TP."""
+    owners, edges = [Player.MIN], [(0, 0, 0)]
+    for r, kind in enumerate(kinds):
+        b, w = 1 + 26 * r, {"positive": 1, "negative": -1, "zero": 0}[kind]
+        owners += [Player.MAX if kind == "negative" and i != 20 else Player.MIN for i in range(26)]
+        edges += [e for i in range(26) for e in ((b + i, b + (i + 1) % 26, w), (b + i, b + i, w))]
+        edges += [(b, max(0, b - 26), r % 3 - 1), (b + 13, 0, 2 - r % 5)]
+    targets = [0] if objective is Objective.MCR else []
+    return make_arena([f"v{i}" for i in range(len(owners))], owners, edges, targets, objective)
+
+
+def test_views_build_their_column_form_once_above_the_floor(monkeypatch):
+    built = []  # (dst, weight rank) of each slice given a column form
+    column_form = eng._column_form
+
+    def spy(dst, wt, sign, deg):
+        built.append((dst, wt.ndim))
+        return column_form(dst, wt, sign, deg)
+
+    passes = []  # (edges, passes) of each nested_fixpoint call
+    nested = eng.nested_fixpoint
+
+    def nested_spy(sl, *args, **kwargs):
+        counts = nested(sl, *args, **kwargs)
+        passes.append((len(sl.dst), counts[0]))
+        return counts
+
+    monkeypatch.setattr(eng, "_column_form", spy)
+    monkeypatch.setattr(eng, "nested_fixpoint", nested_spy)
+    # A layout builds none, nor do the layered table's small components:
+    # only the certificate's slice, with its two weight rows, sweeps in
+    # column form.
+    table = layered(10, 7)
+    eng.ComponentLayout(eng.CompiledArena(table), scc_decompose(table).components)
+    assert built == []
+    solve_tp_accelerated(table)
+    assert [ndim for _, ndim in built] == [2]
+    kinds = ["positive", "negative", "zero"] * 2
+    for objective, solve, plain in ((Objective.TP, solve_tp_accelerated, solve_tp),
+                                    (Objective.MCR, solve_mcr_accelerated, solve_mcr)):
+        arena = ring_chain(kinds, objective)
+        want = plain(arena).values
+        for oracle in (no_clamp_oracle, simple_path_oracle):
+            built.clear()
+            passes.clear()
+            assert solve(arena, oracle).values == want
+            views = [dst for dst, ndim in built if ndim == 1]
+            assert [len(dst) for dst in views] == [54] * len(kinds)
+            # Each from a different component of the layout.
+            assert len({dst.__array_interface__["data"][0] for dst in views}) == len(kinds)
+            # The certificate's batch, for TP only.
+            assert [ndim for _, ndim in built].count(2) == (objective is Objective.TP)
+            if objective is Objective.TP:
+                # The zero rings take the nested iteration, in several passes.
+                ring_passes = [p for e, p in passes if e == 54]
+                assert len(ring_passes) == kinds.count("zero") and min(ring_passes) >= 2

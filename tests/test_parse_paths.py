@@ -119,12 +119,20 @@ def generated_files():
 def test_bulk_path_matches_line_parser_on_generated_files(chunk, monkeypatch):
     if chunk is not None:  # split the edge block into many chunks
         monkeypatch.setattr(gamefile, "_EDGE_CHUNK", chunk)
-    bulk = 0
+    scanned = []  # per parse call, whether its bulk scan took the file
+    scan_bulk = gamefile._scan_bulk
+
+    def spy(*args):
+        parts = scan_bulk(*args)
+        scanned.append(parts is not None)
+        return parts
+
+    monkeypatch.setattr(gamefile, "_scan_bulk", spy)
     for text in generated_files():
         want = line_parse(text)
-        bulk += gamefile._scan_bulk(text) is not None
         for form in (text, text.encode("ascii")):
             assert_same_arena(parse(form), want)
+    bulk = sum(scanned[::2])  # the str forms
     # Every file but the interleaved ones (and single-edge-line corner
     # cases) takes the bulk path.
     assert bulk >= 200
