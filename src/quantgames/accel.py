@@ -286,6 +286,9 @@ def cycle_sign_certificates(layout: eng.ComponentLayout) -> List[Optional[str]]:
     iteration.  The rest run at most K + 1 rounds, K their largest size,
     each moving a value by at most (k + 1) * W + 1, so every iterate stays
     in (-2**61, 0] and none settles on a sentinel.
+
+    Worst case O(K * E): a component with a cycle changes in every round
+    for one of the signs, so one of K members, a ring, runs all K + 1.
     """
     v0, v1, e0, e1 = layout.bounds.T
     sizes = v1 - v0

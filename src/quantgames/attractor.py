@@ -2,7 +2,9 @@
 
 Backward fixpoint with per-Max-vertex out-degree counters, O(V + E)
 (``backward_attractor``, which ``strategies.best_response`` runs on the
-product of an arena and a strategy too).
+product of an arena and a strategy too, relying on the join order being
+a topological order of the attracted region when each Min node has one
+successor, as a Max node joins after all of its successors).
 Ranks are the rounds of the attractor recurrence; they drive the
 deterministic reach strategy for Min and avoid strategy for Max.
 """

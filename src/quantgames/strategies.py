@@ -116,26 +116,19 @@ def _move(arena: Arena, machine: MooreStrategy, m: Hashable, v: int) -> int:
 
 
 def extract_max_memoryless(arena: Arena, values: ValueVector) -> MemorylessStrategy:
-    """Max's memoryless optimum from solved values.
+    """Max's memoryless optimum from solved values: at each Max vertex
+    outside the targets, the argmax successor of weight + value, ties to
+    the smallest successor index.
 
-    Finite or -inf vertices take an argmax successor of weight + value;
-    vertices valued +inf keep the play outside the target's attractor.
-    Ties break to the smallest successor index.
+    No attractor is needed: a vertex valued +inf lies off the target's
+    attractor, and its argmax, its smallest successor valued +inf, keeps
+    the play off it.
     """
-    avoid = compute_attractor(arena, arena.targets).max_avoid
-    choice: Dict[int, int] = {}
-    for v in range(arena.n):
-        if arena.owners[v] is not Player.MAX or arena.is_target(v):
-            continue
-        if values[v] is PLUS_INF and v in avoid:
-            choice[v] = avoid[v]
-            continue
-        best = None
-        for d, w in arena.successors(v):
-            cand = ext_add(w, values[d])
-            if best is None or cand > best[0]:
-                best = (cand, d)
-        choice[v] = best[1]
+    choice = {
+        v: max(arena.successors(v), key=lambda e: ext_add(e[1], values[e[0]]))[0]
+        for v in range(arena.n)
+        if arena.owners[v] is Player.MAX and not arena.is_target(v)
+    }
     return MemorylessStrategy(Player.MAX, choice)
 
 
@@ -382,107 +375,72 @@ def play_out(
 
 def _product_reach(
     arena: Arena, fixed: MooreStrategy, starts: List[Tuple[int, Hashable]]
-) -> Tuple[List[Tuple[int, Hashable]], Dict[Tuple[int, Hashable], List[Tuple[int, Hashable, int]]]]:
-    """Reachable product of the arena with the fixed player's machine."""
-    succ: Dict[Tuple[int, Hashable], List[Tuple[int, Hashable, int]]] = {}
-    stack = list(starts)
-    seen = set(stack)
-    while stack:
-        node = stack.pop()
-        v, m = node
+) -> Tuple[List[Tuple[int, Hashable]], List[List[Tuple[int, int]]]]:
+    """Reachable product of the arena with the fixed player's machine,
+    numbered as found from ``starts`` (nodes 0..len(starts)-1): the nodes,
+    and each node's (successor number, weight) list."""
+    index = {node: i for i, node in enumerate(starts)}
+    nodes = list(starts)
+    succ: List[List[Tuple[int, int]]] = []
+    for v, m in nodes:  # grows while it is read
         if arena.owners[v] is fixed.player and not arena.is_target(v):
-            moves = [_move(arena, fixed, m, v)]
+            d = _move(arena, fixed, m, v)
+            moves = ((d, arena.weight(v, d)),)
         else:
-            moves = list(arena.successor_ids(v))
+            moves = arena.successors(v)
         out = []
-        for d in moves:
+        for d, w in moves:
             child = (d, fixed.update(m, d))
-            out.append((child[0], child[1], arena.weight(v, d)))
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-        succ[node] = out
-        if len(seen) > PRODUCT_CAP:
+            j = index.get(child)
+            if j is None:
+                j = index[child] = len(nodes)
+                nodes.append(child)
+            out.append((j, w))
+        succ.append(out)
+        if len(nodes) > PRODUCT_CAP:
             raise ValueError("product of arena and strategy memory too large")
-    return sorted(seen, key=lambda nd: (nd[0], repr(nd[1]))), succ
+    return nodes, succ
 
 
 def best_response(arena: Arena, fixed: AnyStrategy) -> ValueVector:
     """Exact reachability value of a fixed strategy, per start vertex.
 
-    Fixed Min: the free Max player maximizes; +inf where Max can dodge the
-    target forever, otherwise backward induction over the (provably
-    acyclic) attracted region of the product.  Fixed Max: the free Min
-    player solves one-player shortest paths with -inf through profitable
-    cycles.
+    The product of the arena with the strategy's memory is numbered as it
+    is found, the start vertices first.  Fixed Min: the free Max player
+    maximizes; +inf off the product's attractor, where Max dodges the
+    target forever, and on it the longest path to the target, taken in the
+    attractor's join order.  Fixed Max: the free Min player solves
+    one-player shortest paths with -inf through profitable cycles.
     """
     machine = _as_moore(fixed)
     starts = [(v, machine.update(machine.initial, v)) for v in range(arena.n)]
     nodes, succ = _product_reach(arena, machine, starts)
-    node_ix = {nd: i for i, nd in enumerate(nodes)}
     targets = frozenset(i for i, (v, _) in enumerate(nodes) if arena.is_target(v))
-    succ_ix: List[List[Tuple[int, int]]] = [
-        [(node_ix[(d, m2)], w) for d, m2, w in succ[nd]] for nd in nodes
-    ]
     if machine.player is Player.MAX:
-        vals = min_cost_reach(len(nodes), succ_ix, targets)
+        vals = min_cost_reach(len(nodes), succ, targets)
     else:
-        vals = _max_reach_values(arena, nodes, succ_ix, targets)
-    return ValueVector(arena, [vals[node_ix[s]] for s in starts])
+        free_max = [arena.owners[v] is Player.MAX for v, _ in nodes]
+        vals = _max_reach_values(succ, free_max, targets)
+    return ValueVector(arena, vals[: arena.n])
 
 
 def _max_reach_values(
-    arena: Arena,
-    nodes: List[Tuple[int, Hashable]],
-    succ_ix: List[List[Tuple[int, int]]],
-    targets: frozenset,
+    succ: List[List[Tuple[int, int]]], free_max: List[bool], targets: frozenset
 ) -> List[ExtValue]:
-    n = len(nodes)
-    free_max = [arena.owners[nodes[i][0]] is Player.MAX for i in range(n)]
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for i, out in enumerate(succ_ix):
+    """Longest paths to ``targets`` on a graph where the ``free_max`` nodes
+    pick any successor and the others have one; +inf off the attractor.
+
+    A free Max node joins the attractor after all of its successors, any
+    other node after its one successor, so filling the nodes in join order
+    reads only filled values."""
+    preds: List[List[int]] = [[] for _ in succ]
+    for i, out in enumerate(succ):
         for j, _ in out:
             preds[j].append(i)
-    attracted = backward_attractor(preds, [len(out) for out in succ_ix], free_max, targets)
-    # Inside the attracted region every play reaches a target, so the
-    # region minus the targets is acyclic and longest paths are defined.
-    vals: List[Optional[ExtValue]] = [None] * n
-    for j in targets:
-        vals[j] = 0
-    order: List[int] = []
-    marks = [0] * n  # 0 unvisited, 1 on path, 2 done
-    for root in range(n):
-        if root not in attracted or marks[root] != 0 or root in targets:
-            continue
-        stack = [(root, iter(succ_ix[root]))]
-        marks[root] = 1
-        while stack:
-            i, it = stack[-1]
-            advanced = False
-            for j, _ in it:
-                if j in targets or j not in attracted:
-                    continue
-                if marks[j] == 1:
-                    raise AssertionError("cycle inside the attracted region")
-                if marks[j] == 0:
-                    marks[j] = 1
-                    stack.append((j, iter(succ_ix[j])))
-                    advanced = True
-                    break
-            if not advanced:
-                marks[i] = 2
-                order.append(i)
-                stack.pop()
-    for i in order:
-        best = None
-        for j, w in succ_ix[i]:
-            if j not in attracted:
-                continue
-            cand = ext_add(w, vals[j])
-            if best is None or cand > best:
-                best = cand
-        vals[i] = best
-    return [PLUS_INF if vals[i] is None else vals[i] for i in range(n)]
+    vals: List[ExtValue] = [PLUS_INF] * len(succ)
+    for i in backward_attractor(preds, [len(out) for out in succ], free_max, targets):
+        vals[i] = 0 if i in targets else max(ext_add(w, vals[j]) for j, w in succ[i])
+    return vals
 
 
 def extract_max_tp(arena: Arena, values: ValueVector) -> MemorylessStrategy:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quantgames import strategies
 from quantgames.arena import Objective, Player, make_arena, normalize_target
 from quantgames.cli import random_arena
 from quantgames.extvalue import MINUS_INF, PLUS_INF, is_finite
@@ -149,6 +150,74 @@ def test_switching_optimal_on_random_corpus():
         assert list(br_max) == list(res.values)
         done += 1
     assert done >= 40
+
+
+def _random_memoryless(rng, arena, player):
+    return MemorylessStrategy(
+        player,
+        {v: rng.choice(arena.successor_ids(v)) for v in range(arena.n) if arena.owners[v] is player},
+    )
+
+
+def _check_against_brute_force(rng, draw, fixed_player):
+    """On 100 drawn arenas where the free player has more than one
+    memoryless reply, ``best_response`` to a random memoryless strategy
+    of ``fixed_player`` equals, per start, the best payoff of those
+    replies (max for a free Max player, min for a free Min player)."""
+    free, best = (Player.MAX, max) if fixed_player is Player.MIN else (Player.MIN, min)
+    done = 0
+    while done < 100:
+        arena = draw()
+        replies = [MemorylessStrategy(free, tau) for tau in enumerate_memoryless(arena, free)]
+        if len(replies) < 2:
+            continue
+        sigma = _random_memoryless(rng, arena, fixed_player)
+        profiles = [(r, sigma) if free is Player.MAX else (sigma, r) for r in replies]
+        want = [best(play_out(arena, *pair, v)[1] for pair in profiles) for v in range(arena.n)]
+        assert list(best_response(arena, sigma)) == want
+        done += 1
+
+
+def test_best_response_to_random_memoryless_min_is_brute_force():
+    """Against a memoryless Min strategy Max plays a one-player game,
+    dodging the target along a cycle or taking a longest path to it, both
+    memoryless, so the best of Max's memoryless replies is the value."""
+    rng = random.Random(43)
+    _check_against_brute_force(
+        rng, lambda: normalize_target(random_arena(rng, 6, 3, Objective.MCR)), Player.MIN
+    )
+
+
+def test_best_response_to_random_memoryless_max_is_brute_force():
+    """With weights >= 0 Min's shortest paths are simple, so against a
+    memoryless Max strategy the best of Min's memoryless replies is the
+    value."""
+    rng = random.Random(44)
+
+    def draw():
+        drawn = random_arena(rng, 6, 3, Objective.MCR)
+        edges = [(s, d, abs(w)) for s, d, w in drawn.edges]
+        return normalize_target(
+            make_arena(drawn.names, drawn.owners, edges, sorted(drawn.targets), Objective.MCR)
+        )
+
+    _check_against_brute_force(rng, draw, Player.MAX)
+
+
+def test_best_response_refuses_a_product_above_the_cap(monkeypatch):
+    arena = fig2a(3)
+    res = _mcr_setup(arena)
+    sigma1, sigma2, _ = extract_min_mcr(arena, res)
+    sw = make_switching(sigma1, sigma2, res.values, arena)
+    machine = sw.as_moore()
+    starts = [(v, machine.update(machine.initial, v)) for v in range(arena.n)]
+    size = len(strategies._product_reach(arena, machine, starts)[0])
+    assert size > arena.n
+    monkeypatch.setattr(strategies, "PRODUCT_CAP", size)
+    assert list(best_response(arena, sw)) == list(res.values)
+    monkeypatch.setattr(strategies, "PRODUCT_CAP", size - 1)
+    with pytest.raises(ValueError, match="product of arena and strategy memory too large"):
+        best_response(arena, sw)
 
 
 def test_optimal_profile_non_looping():
