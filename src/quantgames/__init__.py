@@ -53,7 +53,6 @@ from .strategies import (
 )
 from .tp import TpResult, build_game_Y, build_unfolding, classify_tp_infinities, k_bound, solve_tp
 from .accel import (
-    SccDecomposition,
     no_clamp_oracle,
     scc_decompose,
     simple_path_oracle,

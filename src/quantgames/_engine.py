@@ -72,12 +72,13 @@ sweep read; ``dst``, ``wt`` and ``starts`` stay for the certificate and
 the strategy code.
 
 Component layout.  ``ComponentLayout`` copies the compiled edge arrays
-once, sorted by component: vertices in the order of the concatenated
-components, each component's members sorted, and every vertex's edges
-after it.  The signs and the inside-edge flags with their local
-destinations (read by the cycle-sign certificate and by a view's in-edge
-index) are computed on that copy, so the view of one component is a set
-of basic slices of it, O(1) to build and sharing its memory.  The layout
+once, sorted by component from one label per vertex: vertices by label,
+each component's members ascending (a stable argsort of the labels), and
+every vertex's edges after it.  The signs and the inside-edge flags with
+their local destinations (read by the cycle-sign certificate and by a
+view's in-edge index) are computed on that copy, so the view of one
+component is a set of basic slices of it, O(1) to build and sharing its
+memory.  The layout
 keeps no column form: like every slice, a view builds its own on its
 first numpy sweep, so a view that only sweeps in scalar form (below)
 never builds one, and a view above the floor builds it once for all the
@@ -169,7 +170,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
@@ -377,18 +377,18 @@ class ComponentLayout:
     """The edge arrays of ``ca`` copied once in component order, so that
     ``view(q)`` is O(1).
 
-    Vertices are ordered as the concatenation of ``components`` with each
-    component's members sorted, so oracle tables line up with them; each
-    vertex's edges follow in ``ca``'s order.  Per vertex: ``members``,
-    ``is_max``, ``sign`` and ``starts`` (relative to the vertex's
-    component).  Per edge: ``dst``, ``wt`` and, for the cycle-sign
-    certificate and a view's in-edge index, ``inside`` (the edge stays in
-    its component) with ``local_dst``, the destination's position within
-    it (meaningless off ``inside``).  Row q of ``bounds`` holds component
-    q's vertex range and edge range, and ``edge_counts`` lists each
-    component's edge count.  The layout keeps no column form; each view
-    builds its own on first use.  The scalar forms are built a run at a
-    time (``scalar_form``).
+    ``comp_of`` labels each vertex with its component, 0 to q - 1, every
+    label inhabited.  Vertices are ordered by label, each component's
+    members ascending, so oracle tables line up with them; each vertex's
+    edges follow in ``ca``'s order.  Per vertex: ``members``, ``is_max``,
+    ``sign`` and ``starts`` (relative to the vertex's component).  Per
+    edge: ``dst``, ``wt`` and, for the cycle-sign certificate and a view's
+    in-edge index, ``inside`` (the edge stays in its component) with
+    ``local_dst``, the destination's position within its own component.
+    Row q of ``bounds`` holds component q's vertex range and edge range,
+    and ``edge_counts`` lists each component's edge count.  The layout
+    keeps no column form; each view builds its own on first use.  The
+    scalar forms are built a run at a time (``scalar_form``).
     """
 
     VERTEX_FIELDS = ("members", "is_max", "sign", "starts")
@@ -397,13 +397,11 @@ class ComponentLayout:
     # pass; the layout holds the forms of one run at a time.
     SCALAR_RUN = 64
 
-    def __init__(self, ca: CompiledArena, components: Sequence[Sequence[int]]) -> None:
-        sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
-        flat = np.fromiter(
-            itertools.chain.from_iterable(components), dtype=np.int64, count=int(sizes.sum())
-        )
-        comp = np.repeat(np.arange(len(sizes)), sizes)
-        order = flat[np.lexsort((flat, comp))]
+    def __init__(self, ca: CompiledArena, comp_of: Sequence[int]) -> None:
+        comp_of = np.asarray(comp_of, dtype=np.int64)
+        order = np.argsort(comp_of, kind="stable")
+        sizes = np.bincount(comp_of)
+        comp = comp_of[order]
         vstart = np.concatenate(([0], np.cumsum(sizes)))
         deg = out_degrees(ca)[order]
         ecum = np.concatenate(([0], np.cumsum(deg)))
@@ -411,16 +409,14 @@ class ComponentLayout:
         # Edge j of the vertex at layout position p sits at ca index
         # ca.starts[order[p]] + (j - ecum[p]).
         edge_idx = np.repeat(ca.starts[order] - ecum[:-1], deg) + np.arange(ecum[-1])
-        pos = np.arange(len(order)) - np.repeat(vstart[:-1], sizes)  # within its component
-        comp_of = np.full(ca.n, -1, dtype=np.int64)
-        comp_of[order] = comp
-        local = np.zeros(ca.n, dtype=np.int64)
-        local[order] = pos
+        local = np.empty(ca.n, dtype=np.int64)
+        local[order] = np.arange(ca.n) - vstart[comp]  # within its component
         self.ca = ca
+        self.comp_of = comp_of
         self.members = order
         self.is_max = ca.is_max[order]
         self.sign = ca.sign[order]
-        self.starts = ecum[:-1] - np.repeat(estart[:-1], sizes)
+        self.starts = ecum[:-1] - estart[comp]
         self.dst = ca.dst[edge_idx]
         self.wt = ca.wt[edge_idx]
         self.inside = comp_of[self.dst] == np.repeat(comp, deg)
@@ -428,6 +424,9 @@ class ComponentLayout:
         self.bounds = np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:]), axis=1)
         self.edge_counts = (estart[1:] - estart[:-1]).tolist()
         self._scalar: dict = {}  # component -> its scalar form, for the current run
+
+    def __len__(self) -> int:
+        return len(self.edge_counts)
 
     def view(self, q: int) -> ComponentView:
         """Component ``q``'s slice: basic slices of the layout arrays."""
@@ -493,11 +492,12 @@ class ComponentLayout:
 
 class ComponentView(EdgeSlice):
     """The slice of one component of a ``ComponentLayout``, such as a
-    strongly connected component; ``ComponentLayout(ca, [members]).view(0)``
-    is the slice of any member set.  Carries the ``ComponentLayout``
-    fields, sliced to the component, the ``layout`` itself and the
-    component's index ``q`` in it.  Like any slice, it builds its own
-    column form (``cols``) on first use."""
+    strongly connected component.  Any member set is a component: label
+    its members 0 and every other vertex 1, and take ``view(0)`` of that
+    layout.  Carries the ``ComponentLayout`` fields, sliced to the
+    component, the ``layout`` itself and the component's index ``q`` in
+    it.  Like any slice, it builds its own column form (``cols``) on first
+    use."""
 
     @functools.cached_property
     def scalar(self) -> ScalarForm:

@@ -14,12 +14,13 @@ iteration restricted to the component.  The oracle and its tables are
 built only for certified components, since the nested iteration never
 reads them.
 
-Both solvers copy the compiled edge arrays once into a
-``ComponentLayout`` in component order (``SccDecomposition.layout``);
-each component's view is then a set of slices of it, built in O(1).  A
-component that takes a single pass (any reachability component, a
-certified total-payoff one) runs it through ``_component_pass``, which
-both solvers call.
+``scc_decompose`` labels each vertex with its component, one int64 array
+from Tarjan's algorithm, and copies the compiled edge arrays once into a
+``ComponentLayout`` in that order, which both solvers and the path
+oracle share; each component's view is then a set of slices of it,
+built in O(1).  A component that takes a single pass (any reachability
+component, a certified total-payoff one) runs it through
+``_component_pass``, which both solvers call.
 
 A solver holds its finished values twice (``_Finished``): in ``done``, a
 Python list by vertex id, and in its numpy vectors ``x`` (and ``y`` for
@@ -40,9 +41,7 @@ So a solve costs time linear in |V| + |E| outside the sweeps.
 from __future__ import annotations
 
 import array
-import functools
 import time
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,49 +56,31 @@ UnsoundOracleError = eng.UnsoundOracleError
 DEFAULT_PATH_CAP = 4096
 PATH_WORK_CAP = 200_000
 
-# An oracle maps (arena, dec, q, finalized) to one candidate table per
-# member of component q: a sorted list of ints holding both sentinels, or
-# None meaning "no clamp" for that vertex.  ``finalized`` holds values by
-# vertex id; the solvers pass ``done``, their list of finished values,
-# whose entries of earlier components are final and the only ones read.
+# An oracle maps (arena, dec, q, finalized), ``dec`` the layout of
+# ``scc_decompose``, to one candidate table per member of component q: a
+# sorted list of ints holding both sentinels, or None meaning "no clamp"
+# for that vertex.  ``finalized`` holds values by vertex id; the solvers
+# pass ``done``, their list of finished values, whose entries of earlier
+# components are final and the only ones read.
 Oracle = Callable[
-    [Arena, "SccDecomposition", int, Sequence[int]],
+    [Arena, eng.ComponentLayout, int, Sequence[int]],
     List[Optional[List[int]]],
 ]
 
 _POS, _NEG = int(eng.POS), int(eng.NEG)
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
-    """Components in reverse topological order: dec(v) >= dec(v') on every
-    edge, every index inhabited, each component's members sorted, and
-    component 0 the normalized target when one exists.  ``layout``, the
-    arena's edges in component order, is built on first use; the solvers
-    and the path oracle share it."""
-
-    comp_of: Tuple[int, ...]
-    components: Tuple[Tuple[int, ...], ...]
-    arena: Arena = field(compare=False, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    @functools.cached_property
-    def layout(self) -> eng.ComponentLayout:
-        return eng.ComponentLayout(eng.CompiledArena(self.arena), self.components)
-
-
-def _tarjan_sccs(ends: array.array, dst: array.array) -> List[Tuple[int, ...]]:
+def _tarjan_sccs(ends: array.array, dst: array.array) -> array.array:
     """Tarjan's algorithm over the sorted edge array: vertex v's
-    successors are ``dst[ends[v]:ends[v + 1]]``, in ascending order."""
+    successors are ``dst[ends[v]:ends[v + 1]]``, in ascending order.
+    Returns each vertex's component, numbered in completion order.  A
+    visited vertex is on the stack exactly while it has no component."""
     n = len(ends) - 1
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp_of = array.array("q", [-1]) * n
     stack: List[int] = []
-    sccs: List[Tuple[int, ...]] = []
-    counter = 0
+    counter = done = 0
     for root in range(n):
         if index[root] != -1:
             continue
@@ -111,7 +92,6 @@ def _tarjan_sccs(ends: array.array, dst: array.array) -> List[Tuple[int, ...]]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
             end = ends[v + 1]
             while e < end:
                 w = dst[e]
@@ -120,59 +100,58 @@ def _tarjan_sccs(ends: array.array, dst: array.array) -> List[Tuple[int, ...]]:
                     work.append((v, e))
                     work.append((w, ends[w]))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if comp_of[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
             else:
                 if low[v] == index[v]:
-                    comp = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
+                        comp_of[w] = done
                         if w == v:
                             break
-                    sccs.append(tuple(sorted(comp)))
+                    done += 1
                 if work:
                     parent = work[-1][0]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
-    return sccs
+    return comp_of
 
 
-def scc_decompose(arena: Arena) -> SccDecomposition:
-    """Components in the order Tarjan's algorithm completes them: a
-    component completes only after every component it reaches, so that
-    order is already reverse topological and needs no condensation graph.
-    The normalized target's component, a sink, moves to index 0.  The
-    numbering depends only on the arena's vertex and edge order.
+def scc_decompose(arena: Arena) -> eng.ComponentLayout:
+    """The arena's edges laid out by strongly connected component, in the
+    order Tarjan's algorithm completes them: a component completes only
+    after every component it reaches, so that order is already reverse
+    topological (``comp_of`` never rises along an edge) and needs no
+    condensation graph.  The normalized target's component, a sink,
+    moves to label 0.  The numbering depends only on the arena's vertex
+    and edge order.  The solvers and the path oracle share the layout.
 
     Tarjan walks the edge array as int64 ``array.array``s, indexed as fast
-    as lists but 8 bytes an entry, not a list slot plus an int object."""
+    as lists but 8 bytes an entry, not a list slot plus an int object, and
+    writes the labels into one."""
     validate(arena)
     src, dst = arena.edge_array.T[:2]
     ends = np.searchsorted(src, np.arange(arena.n + 1))
-    sccs = _tarjan_sccs(*(array.array("q", a.astype(np.int64).tobytes()) for a in (ends, dst)))
+    labels = _tarjan_sccs(*(array.array("q", a.astype(np.int64).tobytes()) for a in (ends, dst)))
+    comp_of = np.frombuffer(labels, dtype=np.int64)
     if is_normalized_mcr(arena):
         (t,) = arena.targets
-        sccs.remove((t,))
-        sccs.insert(0, (t,))
-    comp_of = [0] * arena.n
-    for q, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = q
-    return SccDecomposition(tuple(comp_of), tuple(sccs), arena)
+        comp_of += comp_of < comp_of[t]
+        comp_of[t] = 0
+    return eng.ComponentLayout(eng.CompiledArena(arena), comp_of)
 
 
 def no_clamp_oracle(
-    arena: Arena, dec: SccDecomposition, q: int, finalized: Sequence[int]
+    arena: Arena, dec: eng.ComponentLayout, q: int, finalized: Sequence[int]
 ) -> List[Optional[List[int]]]:
     """Trivial oracle: every representable value is possible, so no clamp."""
-    return [None] * len(dec.components[q])
+    v0, v1 = dec.bounds[q, :2].tolist()
+    return [None] * (v1 - v0)
 
 
 def simple_path_oracle(
     arena: Arena,
-    dec: SccDecomposition,
+    dec: eng.ComponentLayout,
     q: int,
     finalized: Sequence[int],
     cap: int = DEFAULT_PATH_CAP,
@@ -188,10 +167,10 @@ def simple_path_oracle(
     before any walk when the walks would pass ``PATH_WORK_CAP`` for sure
     (``_walks_pass_work_cap``).
 
-    The walks follow the component's scalar form in ``dec.layout``, the
-    one its pass sweeps: each member's edges to members by position, and
-    its exits.  A trivial component, one vertex without a self-loop, gets
-    no table and no walk (``_trivial``): its first sweep reads only
+    The walks follow the component's scalar form in the layout ``dec``,
+    the one its pass sweeps: each member's edges to members by position,
+    and its exits.  A trivial component, one vertex without a self-loop,
+    gets no table and no walk (``_trivial``): its first sweep reads only
     finished exits, so it lands on an exit candidate, which the clamp
     would keep.
 
@@ -201,17 +180,17 @@ def simple_path_oracle(
     sentinels, and the infinities order against ints just as the
     sentinels do.
     """
-    members = dec.components[q]
-    k = len(members)
-    layout = dec.layout
+    v0, v1 = dec.bounds[q, :2].tolist()
+    k = v1 - v0
     targets = arena.targets if arena.objective is Objective.MCR else frozenset()
-    if _walks_pass_work_cap(members, layout.edge_counts[q], targets):
+    has_target = any(dec.comp_of[t] == q for t in targets)
+    if _walks_pass_work_cap(k, dec.edge_counts[q], has_target):
         return [None] * k
-    form = layout.scalar_form(q)
+    form = dec.scalar_form(q)
     if _trivial(form):
         return [None]
     edges, ids = form.edges, form.ids
-    is_target = None if targets.isdisjoint(members) else [v in targets for v in members]
+    is_target = [v in targets for v in ids[:k]] if has_target else None
     on_path = [False] * k
     tables: List[Optional[List[int]]] = []
     work = 0
@@ -249,13 +228,13 @@ def simple_path_oracle(
     return tables
 
 
-def _walks_pass_work_cap(members, edges: int, targets) -> bool:
-    """Whether the walks of ``simple_path_oracle`` over a component of
-    ``edges`` out-edges would pass ``PATH_WORK_CAP`` for sure: with no
-    target among its k members, each member's walk reaches all of the
-    component and examines every one of its E_C out-edges, so they make at
-    least k * E_C steps."""
-    return len(members) * edges > PATH_WORK_CAP and targets.isdisjoint(members)
+def _walks_pass_work_cap(k: int, edges: int, has_target: bool) -> bool:
+    """Whether the walks of ``simple_path_oracle`` over a component of k
+    members and ``edges`` out-edges would pass ``PATH_WORK_CAP`` for sure:
+    with no target among its members, each member's walk reaches all of
+    the component and examines every one of its E_C out-edges, so they
+    make at least k * E_C steps."""
+    return k * edges > PATH_WORK_CAP and not has_target
 
 
 def _trivial(form: eng.ScalarForm) -> bool:
@@ -390,8 +369,7 @@ def solve_mcr_accelerated(
     if not is_normalized_mcr(arena):
         raise ArenaError("solve_mcr_accelerated expects a normalized MCR arena")
     started = time.perf_counter()
-    dec = scc_decompose(arena)
-    layout = dec.layout
+    layout = scc_decompose(arena)
     ca = layout.ca
     (t,) = arena.targets
     x = np.full(arena.n, eng.POS, dtype=np.int64)
@@ -401,8 +379,8 @@ def solve_mcr_accelerated(
     fin = _Finished(layout, (x,), done, 1)  # component 0 is the target alone
     stats = SolveStats()
     bound = sweep_bound(arena.n, ca.W) + 1
-    for q in range(1, len(dec)):
-        tables = _clamping(oracle(arena, dec, q, done))
+    for q in range(1, len(layout)):
+        tables = _clamping(oracle(arena, layout, q, done))
         stats.outer_iterations += 1
         stats.inner_iterations += _component_pass(fin, q, tables, bound, ca.cutoff)[0]
     fin.flush()
@@ -440,8 +418,7 @@ def solve_tp_accelerated(
     if arena.objective is not Objective.TP:
         raise ArenaError("solve_tp_accelerated expects a TP arena")
     started = time.perf_counter()
-    dec = scc_decompose(arena)
-    layout = dec.layout
+    layout = scc_decompose(arena)
     ca = layout.ca
     n = arena.n
     lift_at = (n - 1) * ca.W
@@ -453,7 +430,7 @@ def solve_tp_accelerated(
     inner_bound = sweep_bound(n, ca.W) + 1
     outer_bound = k_bound(arena) + 1
     certs = cycle_sign_certificates(layout)
-    for q in range(len(dec)):
+    for q in range(len(layout)):
         certificate = certs[q]
         if certificate is None:
             fin.flush()
@@ -464,7 +441,7 @@ def solve_tp_accelerated(
             )
             fin.store(view.members, y[view.members].tolist())
         else:
-            tables = _clamping(oracle(arena, dec, q, done))
+            tables = _clamping(oracle(arena, layout, q, done))
             sweeps, new = _component_pass(
                 fin, q, tables, inner_bound, ca.cutoff, lift_at, certificate == "negative")
             outer = 1 if max(new) == _NEG else 2

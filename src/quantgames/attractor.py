@@ -6,7 +6,7 @@ product of an arena and a strategy too, relying on the join order being
 a topological order of the attracted region when each Min node has one
 successor, as a Max node joins after all of its successors).
 Ranks are the rounds of the attractor recurrence; they drive the
-deterministic reach strategy for Min and avoid strategy for Max.
+deterministic reach strategy for Min.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class AttractorResult:
     attracted: FrozenSet[int]
     rank: Dict[int, int]
     min_reach: Dict[int, int]
-    max_avoid: Dict[int, int]
 
 
 def backward_attractor(preds: Sequence[Sequence[int]], out_degree: Sequence[int],
@@ -59,8 +58,7 @@ def compute_attractor(arena: Arena, from_set: Iterable[int]) -> AttractorResult:
 
     ``min_reach`` maps attracted Min vertices (outside the seed) to a
     successor of strictly smaller rank, ties broken by smallest rank then
-    smallest index.  ``max_avoid`` maps unattracted Max vertices to a
-    successor outside the attractor, smallest index first.
+    smallest index.
     """
     preds: list = [[] for _ in range(arena.n)]
     for s, d, _ in arena.edges:
@@ -78,11 +76,7 @@ def compute_attractor(arena: Arena, from_set: Iterable[int]) -> AttractorResult:
                 if d in rank and rank[d] < rank[v]
             )
             min_reach[v] = best[1]
-    max_avoid: Dict[int, int] = {}
-    for v in range(arena.n):
-        if v not in attracted and arena.owners[v] is Player.MAX:
-            max_avoid[v] = next(d for d, _ in arena.successors(v) if d not in attracted)
-    return AttractorResult(attracted, rank, min_reach, max_avoid)
+    return AttractorResult(attracted, rank, min_reach)
 
 
 def classify_plus_infinity(arena: Arena) -> FrozenSet[int]:

@@ -93,15 +93,6 @@ def ext_add(a: ExtValue, b: ExtValue) -> ExtValue:
     return a if isinstance(a, _Infinity) else b
 
 
-def ext_scale(x: ExtValue, c: int) -> ExtValue:
-    """Multiply by a positive integer; infinities are fixed points."""
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    if isinstance(x, _Infinity):
-        return x
-    return check_finite(x * c)
-
-
 def to_json(x: ExtValue):
     if isinstance(x, _Infinity):
         return "+inf" if x.sign > 0 else "-inf"

@@ -592,9 +592,9 @@ def generate(spec: FamilySpec) -> Arena:
     return arena
 
 
-def write_results_json(values, stats, strategies=None) -> bytes:
-    """Results document: values keyed by name in index order, stats,
-    strategies.  The bytes are those of ``json.dumps(doc, indent=2)``; the
+def write_results_json(values, stats) -> bytes:
+    """Results document: values keyed by name in index order, then stats.
+    The bytes are those of ``json.dumps(doc, indent=2)``; the
     values block is written with one join, since valid names need no
     escaping and an extended integer prints as its JSON literal once the
     infinities are quoted."""
@@ -606,8 +606,6 @@ def write_results_json(values, stats, strategies=None) -> bytes:
             "wall_ms": stats.wall_ms,
         },
     }
-    if strategies is not None:
-        doc["strategies"] = strategies
     pairs = map('": '.join, zip(values.arena.names, map(str, values.values)))
     body = ',\n    "'.join(pairs).replace(": -inf", ': "-inf"').replace(": +inf", ': "+inf"')
     block = '{\n    "' + body + "\n  }" if len(values) else "{}"

@@ -177,7 +177,9 @@ def extract_min_mcr(
     n = arena.n
     att = compute_attractor(arena, arena.targets)
     cols = [v for v in range(n) if arena.owners[v] is Player.MIN and not arena.is_target(v)]
-    sl = eng.ComponentLayout(eng.CompiledArena(arena), [cols]).view(0)
+    labels = np.ones(n, dtype=np.int64)
+    labels[cols] = 0
+    sl = eng.ComponentLayout(eng.CompiledArena(arena), labels).view(0)
 
     changed = raw[1:] != raw[:-1]
     last = np.where(changed.any(axis=0), len(changed) - changed[::-1].argmax(axis=0), 0)

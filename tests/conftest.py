@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from quantgames import _engine as eng
 from quantgames.arena import Arena, Objective, Player, make_arena
 from quantgames.attractor import compute_attractor
 from quantgames.gamefile import FamilySpec, generate
@@ -31,6 +33,21 @@ def fig2b(W: int) -> Arena:
 
 def layered(n: int, W: int, objective: Objective = Objective.TP) -> Arena:
     return generate(FamilySpec("layered", W=W, n=n, objective=objective))
+
+
+def components(layout: eng.ComponentLayout) -> tuple:
+    """The layout's components as tuples of their members, ascending, in
+    component order."""
+    members = layout.members.tolist()
+    return tuple(tuple(members[v0:v1]) for v0, v1 in layout.bounds[:, :2].tolist())
+
+
+def subset_view(ca: eng.CompiledArena, members) -> eng.ComponentView:
+    """The slice of any member set: a layout labelling the members 0 and
+    every other vertex 1, and its view of component 0."""
+    labels = np.ones(ca.n, dtype=np.int64)
+    labels[np.asarray(members, dtype=np.int64)] = 0
+    return eng.ComponentLayout(ca, labels).view(0)
 
 
 def prune_to_attractor(arena: Arena) -> tuple:

@@ -28,7 +28,7 @@ from quantgames.extvalue import MINUS_INF, PLUS_INF
 from quantgames.mcr import SolveStats, solve_mcr
 from quantgames.tp import solve_tp
 
-from conftest import MIXED, fig2a, layered, single_vertex, skewed_arena
+from conftest import MIXED, components, fig2a, layered, single_vertex, skewed_arena
 from test_differential import block_arena
 
 
@@ -36,7 +36,7 @@ def test_scc_layered():
     arena = layered(4, 3)
     dec = scc_decompose(arena)
     assert len(dec) == 2 * 4 + 1
-    comps = {frozenset(c) for c in dec.components}
+    comps = {frozenset(c) for c in components(dec)}
     t = arena.index("t")
     assert frozenset({t}) in comps
     for k in range(4):
@@ -48,7 +48,7 @@ def test_scc_layered():
 def test_scc_fig2a():
     arena = fig2a(3)
     dec = scc_decompose(arena)
-    assert dec.components == ((2,), (0, 1))
+    assert components(dec) == ((2,), (0, 1))
     assert dec.comp_of[2] == 0  # target component first
 
 
@@ -62,7 +62,7 @@ def test_scc_dag_every_vertex_alone():
     )
     dec = scc_decompose(arena)
     assert len(dec) == 3
-    assert all(len(c) == 1 for c in dec.components)
+    assert all(len(c) == 1 for c in components(dec))
 
 
 def test_scc_invariants_random():
@@ -78,9 +78,9 @@ def test_scc_invariants_random():
             assert dec.comp_of[s] >= dec.comp_of[d]
         # normalized target is component 0
         (t,) = norm.targets
-        assert dec.components[0] == (t,)
+        assert components(dec)[0] == (t,)
         # each component is a maximal SCC: mutual reachability inside
-        for comp in dec.components:
+        for comp in components(dec):
             inside = set(comp)
             for v in comp:
                 seen = {v}
@@ -92,6 +92,66 @@ def test_scc_invariants_random():
                             seen.add(w)
                             stack.append(w)
                 assert seen == inside
+
+
+def reference_layout(ca, components):
+    """The layout built from member tuples, in the order of ``components``
+    with each component's members sorted: the fields ``ComponentLayout``
+    builds from one label per vertex, by the tuple-based construction it
+    replaced."""
+    sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
+    flat = np.fromiter(
+        itertools.chain.from_iterable(components), dtype=np.int64, count=int(sizes.sum())
+    )
+    comp = np.repeat(np.arange(len(sizes)), sizes)
+    order = flat[np.lexsort((flat, comp))]
+    vstart = np.concatenate(([0], np.cumsum(sizes)))
+    deg = eng.out_degrees(ca)[order]
+    ecum = np.concatenate(([0], np.cumsum(deg)))
+    estart = ecum[vstart]
+    edge_idx = np.repeat(ca.starts[order] - ecum[:-1], deg) + np.arange(ecum[-1])
+    pos = np.arange(len(order)) - np.repeat(vstart[:-1], sizes)
+    comp_of = np.full(ca.n, -1, dtype=np.int64)
+    comp_of[order] = comp
+    local = np.zeros(ca.n, dtype=np.int64)
+    local[order] = pos
+    dst = ca.dst[edge_idx]
+    return {
+        "members": order, "is_max": ca.is_max[order], "sign": ca.sign[order],
+        "starts": ecum[:-1] - np.repeat(estart[:-1], sizes), "dst": dst, "wt": ca.wt[edge_idx],
+        "inside": comp_of[dst] == np.repeat(comp, deg), "local_dst": local[dst],
+        "bounds": np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:]), axis=1),
+        "edge_counts": (estart[1:] - estart[:-1]).tolist(), "comp_of": comp_of,
+    }
+
+
+def test_layout_from_labels_matches_the_tuple_layout():
+    """Every field of a layout built from labels equals the tuple-based
+    construction's on the same components: the SCCs of random, layered and
+    block arenas, and random labellings that are not SCCs."""
+    rng = random.Random(51)
+    arenas = [normalize_target(random_arena(rng, 6, 2, Objective.MCR)) for _ in range(100)]
+    arenas += [layered(n, 3) for n in range(3, 51)]
+    drng = random.Random(74)
+    arenas += [block_arena(drng, objective) for objective in (Objective.TP, Objective.MCR) * 5]
+    cases = [(arena, scc_decompose(arena).comp_of) for arena in arenas]
+    for arena in arenas[::3]:
+        q = rng.randint(1, arena.n)
+        labels = list(range(q)) + [rng.randrange(q) for _ in range(arena.n - q)]
+        rng.shuffle(labels)
+        cases.append((arena, labels))
+    fields = eng.ComponentLayout.VERTEX_FIELDS + eng.ComponentLayout.EDGE_FIELDS
+    fields += ("bounds", "edge_counts", "comp_of")
+    for arena, labels in cases:
+        ca = eng.CompiledArena(arena)
+        layout = eng.ComponentLayout(ca, labels)
+        members = [[] for _ in range(max(labels) + 1)]
+        for v, c in enumerate(labels):
+            members[c].append(v)
+        want = reference_layout(ca, members)
+        assert len(layout) == len(members)
+        for name in fields:
+            assert np.array_equal(getattr(layout, name), want[name]), (arena, name)
 
 
 def test_mcr_accelerated_agrees_with_plain():
@@ -159,7 +219,7 @@ def test_simple_path_oracle_layered_component():
     dec = scc_decompose(arena)
     x = eng.to_array(solve_mcr(arena).values)
     a1 = arena.index("a1")
-    members = dec.components[dec.comp_of[a1]]
+    members = components(dec)[dec.comp_of[a1]]
     assert {arena.names[v] for v in members} == {"a1", "b1"}
     table = simple_path_oracle(arena, dec, dec.comp_of[a1], x)[members.index(a1)]
     # exits: a->c directly (-W + W = 0) and via b (-1 + 0 + W = W-1)
@@ -188,7 +248,7 @@ def test_simple_path_oracle_soundness():
         dec = scc_decompose(arena)
         for q in range(1, len(dec)):
             tables = simple_path_oracle(arena, dec, q, x)
-            for v, table in zip(dec.components[q], tables):
+            for v, table in zip(components(dec)[q], tables):
                 if table is not None:
                     assert int(x[v]) in table
 
@@ -215,7 +275,7 @@ def test_simple_path_oracle_contract():
             got = [simple_path_oracle(arena, dec, q, finalized)
                    for finalized in (raw, values.values, raw.tolist())]
             assert got[0] == got[1] == got[2]
-            assert len(got[0]) == len(dec.components[q])
+            assert len(got[0]) == len(components(dec)[q])
             for table in itertools.chain(*got):
                 if table is None:
                     continue
@@ -259,12 +319,12 @@ def test_path_work_shortcut_matches_the_walk(monkeypatch):
         monkeypatch.setattr(accel, "PATH_WORK_CAP", cap)
         for arena in arenas:
             dec = scc_decompose(arena)
-            bounds = dec.layout.bounds
+            bounds = dec.bounds
             degree = np.bincount(arena.edge_array[:, 0], minlength=arena.n)
             finalized = eng.to_array(
                 [rng.choice((PLUS_INF, MINUS_INF, rng.randint(-50, 50))) for _ in range(arena.n)]
             )
-            for q, members in enumerate(dec.components):
+            for q, members in enumerate(components(dec)):
                 monkeypatch.setattr(accel, "_walks_pass_work_cap", counted)
                 got = simple_path_oracle(arena, dec, q, finalized)
                 monkeypatch.setattr(accel, "_walks_pass_work_cap", lambda *args: False)
@@ -290,9 +350,9 @@ def test_path_work_shortcut_matches_the_walk(monkeypatch):
         raise AssertionError("walked")
 
     dec = scc_decompose(arenas[1])
-    dec.layout.scalar_form = untouchable
+    dec.scalar_form = untouchable
     zeros = np.zeros(arenas[1].n, dtype=np.int64)
-    for q, members in enumerate(dec.components):
+    for q, members in enumerate(components(dec)):
         assert simple_path_oracle(arenas[1], dec, q, zeros) == [None] * len(members)
 
 
@@ -350,8 +410,7 @@ def simple_cycle_sums(arena, members):
 
 def certificates(arena):
     """The batched certificates of every component of the arena."""
-    layout = eng.ComponentLayout(eng.CompiledArena(arena), scc_decompose(arena).components)
-    return cycle_sign_certificates(layout)
+    return cycle_sign_certificates(scc_decompose(arena))
 
 
 def enumerated_certificate(arena, members):
@@ -374,9 +433,9 @@ def test_cycle_sign_certificate_matches_cycle_enumeration():
             for d in rng.sample(range(n), rng.randint(1, min(3, n)))
         ]
         arena = make_arena([f"v{i}" for i in range(n)], [Player.MAX] * n, edges)
-        components = scc_decompose(arena).components
-        want = [enumerated_certificate(arena, members) for members in components]
-        assert certificates(arena) == want, (arena, components)
+        comps = components(scc_decompose(arena))
+        want = [enumerated_certificate(arena, members) for members in comps]
+        assert certificates(arena) == want, (arena, comps)
         seen.update(want)
     assert seen == {"positive", "negative", None}
 
@@ -400,9 +459,9 @@ def test_small_negative_components_beside_a_large_positive_one():
             want[(v,)] = "negative"
             v += 1
     arena = make_arena([f"v{i}" for i in range(v)], [Player.MIN] * v, edges)
-    components = scc_decompose(arena).components
-    assert dict(zip(components, certificates(arena))) == want
-    assert all(want[c] == enumerated_certificate(arena, c) for c in components)
+    comps = components(scc_decompose(arena))
+    assert dict(zip(comps, certificates(arena))) == want
+    assert all(want[c] == enumerated_certificate(arena, c) for c in comps)
 
 
 def test_certificate_guard_skips_components_past_the_snap(monkeypatch):
@@ -410,7 +469,7 @@ def test_certificate_guard_skips_components_past_the_snap(monkeypatch):
     k = 50_000
     edges = [(v, (v + 1) % k, 10**9 if v % 2 else -(10**9)) for v in range(k)]
     arena = make_arena([f"v{i}" for i in range(k)], [Player.MIN] * k, edges)
-    layout = eng.ComponentLayout(eng.CompiledArena(arena), [range(k)])
+    layout = eng.ComponentLayout(eng.CompiledArena(arena), np.zeros(k, dtype=np.int64))
 
     def no_sweep(*args):
         raise AssertionError("the certificate swept a guarded component")
@@ -472,14 +531,13 @@ def two_pass_reference(arena, seen=None, oracle=simple_path_oracle):
     sweeps) and the values, or the error type.  ``seen`` collects what the
     certified components reached."""
     seen = set() if seen is None else seen
-    dec = scc_decompose(arena)
-    ca = eng.CompiledArena(arena)
+    layout = scc_decompose(arena)
+    ca = layout.ca
     lift_at = (arena.n - 1) * ca.W
     x = np.full(arena.n, eng.POS, dtype=np.int64)
     y = np.full(arena.n, eng.NEG, dtype=np.int64)
     inner_bound = accel.sweep_bound(arena.n, ca.W) + 1
     outer_bound = accel.k_bound(arena) + 1
-    layout = eng.ComponentLayout(ca, dec.components)
     counts = []
     try:
         for q, cert in enumerate(cycle_sign_certificates(layout)):
@@ -491,7 +549,7 @@ def two_pass_reference(arena, seen=None, oracle=simple_path_oracle):
                 ))
                 continue
             seen.add(cert)
-            tables = accel._clamping(oracle(arena, dec, q, x))
+            tables = accel._clamping(oracle(arena, layout, q, x))
             m = view.members
             passes = sweeps = 0
             while True:
@@ -650,8 +708,8 @@ def test_layout_scalar_forms_match_each_views_own():
                             rng.choice((Objective.MCR, Objective.TP))) for _ in range(100)]
     taken = 0
     for arena in arenas:
-        layout = eng.ComponentLayout(eng.CompiledArena(arena), scc_decompose(arena).components)
-        order = list(range(len(layout.bounds)))
+        layout = scc_decompose(arena)
+        order = list(range(len(layout)))
         if rng.random() < 0.5:
             rng.shuffle(order)
         for q in order + order[:3]:
@@ -730,8 +788,8 @@ def test_trivial_components_get_no_tables(monkeypatch):
         else:
             solve = solve_tp_accelerated
         dec = scc_decompose(arena)
-        for q, members in enumerate(dec.components):
-            if accel._trivial(dec.layout.scalar_form(q)):
+        for q in range(len(dec)):
+            if accel._trivial(dec.scalar_form(q)):
                 trivial += 1
                 assert simple_path_oracle(arena, dec, q, np.zeros(arena.n, np.int64)) == [None]
                 assert walked(arena, dec, q, np.zeros(arena.n, np.int64))[0] is not None
@@ -871,16 +929,15 @@ def mcr_reference(arena, oracle):
     """The accelerated reachability solve with every component on its view:
     its oracle reads ``x``, and ``fixpoint`` gathers the component's
     members and exits from ``x``, sweeps and stores its values there."""
-    dec = scc_decompose(arena)
-    ca = eng.CompiledArena(arena)
-    layout = eng.ComponentLayout(ca, dec.components)
+    layout = scc_decompose(arena)
+    ca = layout.ca
     x = np.full(arena.n, eng.POS, dtype=np.int64)
-    x[dec.components[0][0]] = 0
+    x[layout.members[0]] = 0
     bound = accel.sweep_bound(arena.n, ca.W) + 1
     counts = []
     try:
-        for q in range(1, len(dec)):
-            tables = accel._clamping(oracle(arena, dec, q, x))
+        for q in range(1, len(layout)):
+            tables = accel._clamping(oracle(arena, layout, q, x))
             counts.append((1, eng.fixpoint(layout.view(q), x, bound, cutoff=ca.cutoff,
                                            tables=tables)))
     except (AssertionError, UnsoundOracleError) as exc:
@@ -905,14 +962,14 @@ def test_small_components_between_numpy_passes_match_the_numpy_reference(monkeyp
         if objective is Objective.TP:
             solve, reference = solve_tp_accelerated, functools.partial(two_pass_reference,
                                                                        oracle=oracle)
-            layout = scc_decompose(arena).layout
+            layout = scc_decompose(arena)
             certs = cycle_sign_certificates(layout)
             kinds = ["nested" if c is None else "list" if e <= eng.SCALAR_MAX_EDGES else "view"
                      for c, e in zip(certs, layout.edge_counts)]
         else:
             solve, reference = solve_mcr_accelerated, functools.partial(mcr_reference,
                                                                          oracle=oracle)
-            layout = scc_decompose(arena).layout
+            layout = scc_decompose(arena)
             kinds = ["list" if e <= eng.SCALAR_MAX_EDGES else "view"
                      for e in layout.edge_counts[1:]]
         seen.update(zip(kinds, kinds[1:]))

@@ -4,7 +4,9 @@ from quantgames.arena import Objective, Player, normalize_target
 from quantgames.attractor import classify_plus_infinity, compute_attractor
 from quantgames.cli import random_arena
 from quantgames.extvalue import PLUS_INF
+from quantgames.mcr import solve_mcr
 from quantgames.oracle import enumerate_memoryless, mcr_oracle
+from quantgames.strategies import extract_max_memoryless
 
 from conftest import fig2a
 from quantgames.gamefile import FamilySpec, generate
@@ -25,7 +27,8 @@ def test_lsp_v4_not_attracted():
     res = compute_attractor(arena, arena.targets)
     v4 = arena.index("v4")
     assert v4 not in res.attracted
-    assert res.max_avoid[v4] == v4
+    tau = extract_max_memoryless(arena, solve_mcr(arena).values)
+    assert tau.choice[v4] == v4  # dodges the attractor forever
 
 
 def test_empty_seed():
@@ -73,17 +76,24 @@ def test_min_reach_beats_every_adversary():
 
 
 def test_max_avoid_really_avoids():
+    # Off the attractor every vertex is valued +inf; there Max's memoryless
+    # strategy stays off it, and so does any Min move.
     rng = random.Random(8)
+    dodged = 0
     for _ in range(50):
-        arena = random_arena(rng, 6, 2, Objective.MCR)
+        arena = normalize_target(random_arena(rng, 6, 2, Objective.MCR))
         res = compute_attractor(arena, arena.targets)
+        values = solve_mcr(arena).values
+        tau = extract_max_memoryless(arena, values)
         outside = set(range(arena.n)) - res.attracted
+        assert outside == {v for v in range(arena.n) if values[v] is PLUS_INF}
         for v in outside:
-            # Follow max_avoid at Max vertices; any Min move stays outside.
-            assert all(
-                d in outside
-                for d, _ in arena.successors(v)
-            ) or (arena.owners[v] is Player.MAX and res.max_avoid[v] in outside)
+            if arena.owners[v] is Player.MAX:
+                assert tau.choice[v] in outside
+                dodged += 1
+            else:
+                assert all(d in outside for d, _ in arena.successors(v))
+    assert dodged > 10
 
 
 def test_classify_matches_oracle():

@@ -78,8 +78,7 @@ def test_bound_is_enforced(case, monkeypatch):
 
 def test_accelerated_cases_reach_the_component_kind_they_name():
     def last_certificate(arena):
-        components = scc_decompose(arena).components
-        layout = eng.ComponentLayout(eng.CompiledArena(arena), components)
+        layout = scc_decompose(arena)
         return accel.cycle_sign_certificates(layout)[-1]
 
     assert last_certificate(fig2a(5, Objective.TP)) == "negative"

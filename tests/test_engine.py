@@ -19,7 +19,7 @@ from quantgames.mcr import solve_mcr
 from quantgames.tp import solve_tp
 
 import kernel_reference as ref
-from conftest import layered
+from conftest import components, layered, subset_view
 
 POS, NEG = eng.POS, eng.NEG
 
@@ -100,7 +100,7 @@ def test_component_view_slices_and_sweeps_its_members():
     for _ in range(150):
         ca = eng.CompiledArena(random_arena(rng, 8, 5, Objective.TP))
         members = rng.sample(range(ca.n), rng.randint(1, ca.n))
-        view = eng.ComponentLayout(ca, [members]).view(0)
+        view = subset_view(ca, members)
         assert_view_matches_reference(view, ca, members)
         x, y = random_vector(rng, ca.n), random_vector(rng, ca.n)
         for ytrans in (None, y):
@@ -112,10 +112,9 @@ def test_component_layout_views_are_slices_of_one_layout():
     for _ in range(100):
         objective = rng.choice([Objective.TP, Objective.MCR])
         arena = random_arena(rng, 12, 5, objective)
-        ca = eng.CompiledArena(arena)
-        components = scc_decompose(arena).components
-        layout = eng.ComponentLayout(ca, components)
-        for q, members in enumerate(components):
+        layout = scc_decompose(arena)
+        ca = layout.ca
+        for q, members in enumerate(components(layout)):
             view = layout.view(q)
             assert_view_matches_reference(view, ca, members)
             for name in layout.VERTEX_FIELDS + layout.EDGE_FIELDS:
@@ -184,11 +183,10 @@ def hub_blocks_arena(rng, blocks, size):
 def test_layout_views_with_overflow_match_reference():
     rng = random.Random(76)
     arena = hub_blocks_arena(rng, 2, 1100)
-    ca = eng.CompiledArena(arena)
-    components = scc_decompose(arena).components
-    layout = eng.ComponentLayout(ca, components)
+    layout = scc_decompose(arena)
+    ca = layout.ca
     spilled = 0
-    for q, members in enumerate(components):
+    for q, members in enumerate(components(layout)):
         view = layout.view(q)
         assert_view_matches_reference(view, ca, members)
         spilled += view.cols.overflow is not None
@@ -229,8 +227,8 @@ def test_star_columns_stay_within_twice_the_edges(monkeypatch):
     arena = make_arena([f"v{i}" for i in range(n)], owners[:n], edges, [], Objective.TP)
     ca = eng.CompiledArena(arena)
     E = len(ca.dst)
-    layout = eng.ComponentLayout(ca, scc_decompose(arena).components)
-    slices = [ca] + [layout.view(q) for q in range(len(layout.bounds))]
+    layout = scc_decompose(arena)
+    slices = [ca] + [layout.view(q) for q in range(len(layout))]
     for sl in slices:
         for name in ("cdst", "csign", "cswt"):
             assert getattr(sl.cols, name).size <= 2 * len(sl.dst) + len(sl.starts)
@@ -239,7 +237,7 @@ def test_star_columns_stay_within_twice_the_edges(monkeypatch):
     x = random_vector(rng, n)
     assert eng.sweep(ca, x).tolist() == ref.sweep(ca, x)
     # The leaves alone have bounded degree: their sweep is elementwise.
-    leaf_view = eng.ComponentLayout(ca, [leaves.tolist()]).view(0)
+    leaf_view = subset_view(ca, leaves)
     spy = ReduceatSpy(np.maximum)
     monkeypatch.setattr(np, "maximum", spy)
     got = eng.sweep(leaf_view, x)
@@ -291,7 +289,7 @@ def test_views_build_their_column_form_once_above_the_floor(monkeypatch):
     # only the certificate's slice, with its two weight rows, sweeps in
     # column form.
     table = layered(10, 7)
-    eng.ComponentLayout(eng.CompiledArena(table), scc_decompose(table).components)
+    scc_decompose(table)
     assert built == []
     solve_tp_accelerated(table)
     assert [ndim for _, ndim in built] == [2]

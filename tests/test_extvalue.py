@@ -8,7 +8,6 @@ from quantgames.extvalue import (
     InfinityArithmeticError,
     ValueOverflowError,
     ext_add,
-    ext_scale,
     from_json,
     is_finite,
     to_json,
@@ -64,8 +63,3 @@ def test_add_monotone(a, b, c):
         return
     assert x <= y
 
-
-@given(a=finite, c=st.integers(min_value=1, max_value=1000))
-def test_scale(a, c):
-    assert ext_scale(a, c) == a * c
-    assert ext_scale(PLUS_INF, c) is PLUS_INF

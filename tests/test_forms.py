@@ -81,13 +81,12 @@ def big_weight_arena(rng: random.Random, n: int, objective: Objective):
 def slices(rng, arena, views):
     """The whole-arena slice, then component views: the largest one when
     ``views`` is None, else up to ``views`` at random."""
-    ca = eng.CompiledArena(arena)
-    components = accel.scc_decompose(arena).components
-    layout = eng.ComponentLayout(ca, components)
+    layout = accel.scc_decompose(arena)
+    ca = layout.ca
     if views is None:
-        picked = [max(range(len(components)), key=lambda q: len(components[q]))]
+        picked = [int(np.diff(layout.bounds[:, :2]).argmax())]  # the largest
     else:
-        picked = rng.sample(range(len(components)), min(views, len(components)))
+        picked = rng.sample(range(len(layout)), min(views, len(layout)))
     return ca, [ca] + [layout.view(q) for q in picked]
 
 
@@ -222,9 +221,8 @@ def test_nested_fixpoint_matches_reference(form):
     outcomes = set()
     for _ in range(40):
         arena = skewed_arena(rng, rng.randint(2, 9), rng.choice((1, 2)), Objective.TP)
-        ca = eng.CompiledArena(arena)
-        components = accel.scc_decompose(arena).components
-        layout = eng.ComponentLayout(ca, components)
+        layout = accel.scc_decompose(arena)
+        ca = layout.ca
         bounds = {
             "cutoff": ca.cutoff, "lift": -ca.cutoff,
             "inner_bound": rng.choice((2, mcr.sweep_bound(arena.n, ca.W) + 1)),
@@ -237,7 +235,7 @@ def test_nested_fixpoint_matches_reference(form):
             if nested is ref.nested_fixpoint:
                 x, y = x.tolist(), y.tolist()
             counts = []
-            for q in range(len(components)):
+            for q in range(len(layout)):
                 counts.append(nested_run(nested, layout.view(q), x, y, **bounds))
                 if isinstance(counts[-1][0], type):
                     break

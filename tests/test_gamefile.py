@@ -202,17 +202,14 @@ def test_results_json_bytes_equal_json_dumps():
             [rng.choice([PLUS_INF, MINUS_INF, 0, rng.randint(-10**15, 10**15)]) for _ in range(arena.n)],
         )
         stats = SolveStats(outer_iterations=n, inner_iterations=2 * n, sweeps=3, wall_ms=1.25)
-        for strategies in (None, {"max": {"a0": "b0"}}):
-            doc = {
-                "values": {name: to_json(v) for name, v in values.items()},
-                "stats": {
-                    "outer_iterations": n,
-                    "inner_iterations": 2 * n,
-                    "sweeps": 3,
-                    "wall_ms": 1.25,
-                },
-            }
-            if strategies is not None:
-                doc["strategies"] = strategies
-            want = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-            assert write_results_json(values, stats, strategies) == want
+        doc = {
+            "values": {name: to_json(v) for name, v in values.items()},
+            "stats": {
+                "outer_iterations": n,
+                "inner_iterations": 2 * n,
+                "sweeps": 3,
+                "wall_ms": 1.25,
+            },
+        }
+        want = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        assert write_results_json(values, stats) == want

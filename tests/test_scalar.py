@@ -24,7 +24,7 @@ from quantgames.accel import (
 from quantgames.arena import Objective, normalize_target
 from quantgames.tp import solve_tp
 
-from conftest import layered, skewed_arena
+from conftest import components, layered, skewed_arena
 from test_forms import (
     MCR_SOLVERS,
     SIGN_SOLVERS,
@@ -68,7 +68,7 @@ def test_oracle_bound_errors_ignore_the_floor(monkeypatch):
     in both accelerated solvers; the scalar form sends their small
     components through the list pass, the numpy forms through views."""
     def bad_oracle(arena, dec, q, finalized):
-        k = len(dec.components[q])
+        k = len(components(dec)[q])
         return [np.array([eng.NEG, -1, 1, eng.POS], dtype=np.int64)] * k
 
     rng = random.Random(11)
