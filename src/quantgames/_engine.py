@@ -14,12 +14,16 @@ bounded by |V|*W + W, about 10**15, and a sentinel plus a weight stays
 within 10**9 of the sentinel; 2**61 is about 2.3 * 10**18, so neither side
 can cross it, and ``POS + w`` cannot wrap past 2**63.
 
-The kernel works over an *edge slice*: member vertices with their
-out-edges.  ``CompiledArena`` is the whole-arena slice, ``ComponentView``
-the slice of one strongly connected component.  Contract:
+The kernel works over an *edge slice*: k member vertices with their
+out-edges, swept on a vector whose first k entries are the members.  An
+edge's destination is a position in that vector: a member below k, an
+*exit* from k on, a finished vertex outside the slice.  ``CompiledArena``
+is the whole-arena slice, every vertex a member at its own id and no
+exit; ``ComponentLayout.view`` gives the slice of one strongly connected
+component, in the component's local numbering.  Contract:
 
 - ``sweep`` is one Jacobi pass: the members' new values, all computed from
-  the old vector.  Vertices outside the slice are read, never written.  It
+  the old vector.  Exits are read, never written.  It
   does one reduction, not a max and a min: each candidate is multiplied by
   its member's sign (+1 for a Max vertex, -1 for a Min vertex), one
   maximum is taken per member, and the result is multiplied by the sign
@@ -41,9 +45,8 @@ the slice of one strongly connected component.  Contract:
 - ``nested_fixpoint`` is the outer total-payoff loop (the stop-request
   solve, lift, compare with the previous outer vector), counted and
   bounded the same way by ``outer_bound``, raising ``AssertionError``.  A
-  pass touches the slice and its out-edges only, so solving the
-  components of an arena one after another costs time linear in the
-  arena, not quadratic.
+  pass touches the slice's vectors only, so solving the components of an
+  arena one after another costs time linear in the arena, not quadratic.
 
 Column form.  A sweep reads the edges in the padded-column (ELL) layout of
 Bell and Garland, "Implementing sparse matrix-vector multiplication on
@@ -68,24 +71,26 @@ CSR ``overflow`` that only members with more than D edges use; one
 ``reduceat`` over it runs only when it is not empty.  Each table holds
 D*k <= 2E + k entries, even on a star graph, and the overflow at most E.
 The tables replace the CSR signed weights and edge signs, which only the
-sweep read; ``dst``, ``wt`` and ``starts`` stay for the certificate and
-the strategy code.
+sweep read; ``dst``, ``wt`` and ``starts`` stay for the scalar form, the
+in-edge index and the certificate.
 
 Component layout.  ``ComponentLayout`` copies the compiled edge arrays
 once, sorted by component from one label per vertex: vertices by label,
 each component's members ascending (a stable argsort of the labels), and
-every vertex's edges after it.  The signs and the inside-edge flags with
-their local destinations (read by the cycle-sign certificate and by a
-view's in-edge index) are computed on that copy, so the view of one
-component is a set of basic slices of it, O(1) to build and sharing its
-memory.  The layout
-keeps no column form: like every slice, a view builds its own on its
-first numpy sweep, so a view that only sweeps in scalar form (below)
-never builds one, and a view above the floor builds it once for all the
-passes of its ``nested_fixpoint``.  The accelerated solvers hold
-finished values beside the layout, in a list for small components and in
-``x`` (and ``y``) for numpy passes, which the list reaches in one store
-before each of them.
+every vertex's edges after it.  It gives every component one local
+numbering: its k members at 0..k-1, then one slot per exit edge, k on,
+in edge order, so two exit edges to one vertex take two slots.  Each
+edge's destination in that numbering (``ldst``) and each component's
+vertex at each position (``ids``: its members, then its exits'
+destinations) are computed for the whole layout at once, so the view of
+one component is a set of basic slices of it, O(1) to build and sharing
+its memory.  A solver gathers a component's local vector from its
+finished values by ``ids``, sweeps it and writes the first k entries
+back, so it holds finished values in one place.  The layout keeps no
+column form: like every slice, a view builds its own on its first numpy
+sweep, so a view that only sweeps in scalar form (below) never builds
+one, and a view above the floor builds it once for all the passes of its
+``nested_fixpoint``.
 
 Frontier sweeps.  On one vector over a slice of at least
 ``FRONTIER_MIN_EDGES`` edges, ``fixpoint`` keeps a worklist of the
@@ -102,10 +107,9 @@ count, stop test and bound error is the same as with full sweeps.  The
 first sweep stays full, since the start vector is not the output of any
 sweep; a sweep after one that changed an eighth of the members, or with a
 third of them dirty, runs in full too, which costs less then.  The
-dirty set comes from the slice's in-edge index, built on first use: from
-``dst`` on a compiled arena, and from the ``inside`` edges on a
-component view, whose exit edges lead to finished vertices that no sweep
-of the view changes.  The floor is tested once per call, and one loop
+dirty set comes from the slice's in-edge index, built on first use from
+its edges between members: an exit leads to a finished vertex that no
+sweep of the slice changes.  The floor is tested once per call, and one loop
 serves both forms: a full sweep is a frontier sweep with every member
 dirty.  The floor sits at the measured crossover: on seeded random
 reachability arenas the two loops cost the same at about 4,000 edges,
@@ -121,45 +125,39 @@ two-vertex components of a chain condensation that fixed cost is nearly
 all of a solve.  On one vector over a slice of at most
 ``SCALAR_MAX_EDGES`` edges, and without a trace, ``fixpoint`` therefore
 runs its Jacobi sweeps on Python ints, by ``scalar_sweeps``, the one
-scalar loop, which takes ``fixpoint``'s arguments with the slice's
-scalar form in place of the slice.  It gathers the members' and exits'
-values once per call, folds each member's exit edges (whose
-destinations the call never writes) into its start, each continuation
-min(x, ytrans), sweeps lists and compares the old and new lists with
-``==``; it returns the members' values, which ``fixpoint`` stores into
-``x`` once, and writes them itself only before it raises.
+scalar loop.  It takes ``fixpoint``'s arguments as lists in the slice's
+numbering, with the slice's scalar form in place of the slice: it folds
+each member's exit edges (whose values the call never writes) into its
+start, each continuation min(x, ytrans), sweeps lists, compares the old
+and new lists with ``==`` and leaves the members' values in the first k
+entries of its list, which ``fixpoint`` stores into ``x`` once.
 ``nested_fixpoint``'s passes call ``fixpoint``, so a small slice's inner
 sweeps take this form inside the numpy outer loop.  The accelerated
-solvers keep their finished values in a Python list by vertex id beside
-``x`` (and ``y``), and run ``scalar_sweeps`` on a small component's
-scalar form with that list in place of ``x``: no view and no numpy
-call.  Its values reach ``x`` and ``y`` in one store per run of small
-components, before the next numpy pass and at the end
-(``accel._Finished``).  Python ints are exact, so a candidate on a
-sentinel continuation lands within a weight of the sentinel as in
-int64, and the same post-step follows in the same order:
-the cutoff or the lift fused with the snap at +-``SNAP``, then the clamp,
-by ``bisect`` on the tables, sorted lists (``_clamp``, which the numpy
-loop shares).  So every iterate, sweep count, stop test and bound error
-equals the numpy loop's.  A slice's lists (its ``scalar`` form) are
-taken on first use and kept for its later calls.  A component view, a
-component pass and the path oracle take them from the layout, which
-builds the forms of a run of up to ``ComponentLayout.SCALAR_RUN``
-consecutive components, all small but perhaps the first, in one pass:
-one ``tolist`` per layout field and one Python loop over their edges,
-where building each view's lists from its own slices cost about 6.5 us
-a component in numpy calls.  The layout keeps the run it built last, so
-that a component's oracle and pass share its form, until it builds the
-next, so it never holds the lists of more than one run.  On a
-20,000-vertex random reachability game with 4,372 one-vertex
-components, runs of up to 4,096 components,
-which hold nearly all of them at once, raised the peak memory of the
-process around the solve by about 2 MB (3.5%) over runs of 64.  The
-floor sits at the measured crossover: on seeded random reachability
-arenas a scalar sweep costs 2.2-2.8 us at up to 11 edges against 6-7 us
-in numpy, and the two meet at about 48 edges, where a numpy sweep costs
-7.5-8 us whatever the size.  ``sweep``, weight-row batches and traced
-solves stay in numpy.
+solvers run ``scalar_sweeps`` on a small component's scalar form and its
+values gathered from their list of finished values: no view and no
+numpy call.  Python ints are exact, so a candidate on a sentinel
+continuation lands within a weight of the sentinel as in int64, and the
+same post-step follows in the same order: the cutoff or the lift fused
+with the snap at +-``SNAP``, then the clamp, by ``bisect`` on the
+tables, sorted lists (``_clamp``, which the numpy loop shares).  So every
+iterate, sweep count, stop test and bound error equals the numpy loop's.
+A slice's lists (its ``scalar`` form) are taken on first use and kept
+for its later calls.  A component pass and the path oracle take them
+from the layout, which builds the forms of a run of up to
+``ComponentLayout.SCALAR_RUN`` consecutive components, all small but
+perhaps the first, in one pass: one ``tolist`` per layout field and one
+Python loop over their members, where building each view's lists from
+its own slices cost about 6.5 us a component in numpy calls.  The layout
+keeps the run it built last, so that a component's oracle and pass
+share its form, until it builds the next, so it never holds the lists of
+more than one run.  On a 20,000-vertex random reachability game with
+4,372 one-vertex components, runs of up to 4,096 components, which hold
+nearly all of them at once, raised the peak memory of the process around
+the solve by about 2 MB (3.5%) over runs of 64.  The floor sits at the
+measured crossover: on seeded random reachability arenas a scalar sweep
+costs 2.2-2.8 us at up to 11 edges against 6-7 us in numpy, and the two
+meet at about 48 edges, where a numpy sweep costs 7.5-8 us whatever the
+size.  ``sweep``, weight-row batches and traced solves stay in numpy.
 
 Every operation broadcasts over a leading axis of weight rows: with ``wt``
 of shape ``[rows, E]``, vectors ``[rows, n]`` and ``cutoff``/``lift``
@@ -171,8 +169,8 @@ from __future__ import annotations
 import bisect
 import functools
 import operator
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,14 +222,13 @@ class ColumnForm(NamedTuple):
 class ScalarForm(NamedTuple):
     """What a scalar ``fixpoint`` and the path oracle read of a small
     slice of k members, as Python ints and lists: the members' ``is_max``
-    flags and each member's ``edges`` as (position, weight) pairs, the
-    position in ``ids``.  ``ids`` lists the members' vertex ids, then the
-    exit edges' destinations (outside the slice), so an edge at a position
-    below k stays in the slice."""
+    flags and each member's ``edges`` as (position, weight) pairs.  A
+    layout's form also has ``ids``, the vertex at each position: the
+    members, then one destination per exit edge."""
 
     is_max: list
     edges: list
-    ids: list
+    ids: Optional[list]
 
 
 class InEdges(NamedTuple):
@@ -244,28 +241,33 @@ class InEdges(NamedTuple):
 
 
 def _in_edges(src: np.ndarray, dst: np.ndarray, k: int) -> InEdges:
-    """The in-edge index of edges ``src -> dst`` between k members; the
-    order within one destination does not matter, so any sort does."""
+    """The in-edge index of edges ``src -> dst`` into k members; the
+    order within one destination does not matter, so any sort does.  Edges
+    into exits, destinations from k on, sort after the members' and are
+    left out of ``starts``."""
     starts = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=k), out=starts[1:])
+    np.cumsum(np.bincount(dst, minlength=k)[:k], out=starts[1:])
     return InEdges(starts, src[dst.argsort()])
 
 
 @dataclass(eq=False)
 class EdgeSlice:
-    """Member vertices and their out-edges; member i owns the edges
-    ``starts[i]`` up to ``starts[i + 1]`` of ``dst`` and ``wt``.  The
-    sweep reads ``cols``, the slice's column form."""
+    """k members and their out-edges, swept on a vector whose first k
+    entries are the members: member i owns the edges ``starts[i]`` up to
+    ``starts[i + 1]`` of ``dst`` and ``wt``, and ``dst`` holds positions in
+    that vector, below k for a member and from k on for an exit, a finished
+    vertex that no sweep of the slice writes.  The sweep reads ``cols``,
+    the slice's column form."""
 
-    members: Union[np.ndarray, slice]  # slice(None) for every vertex
     dst: np.ndarray
     wt: np.ndarray
     starts: np.ndarray
     is_max: np.ndarray
-    sign: np.ndarray = field(init=False)  # per member: +1 Max, -1 Min
+    sign: Optional[np.ndarray] = None  # per member: +1 Max, -1 Min; from is_max if not given
 
     def __post_init__(self) -> None:
-        self.sign = np.where(self.is_max, 1, -1).astype(np.int64, copy=False)
+        if self.sign is None:
+            self.sign = np.where(self.is_max, 1, -1).astype(np.int64, copy=False)
 
     @functools.cached_property
     def cols(self) -> ColumnForm:
@@ -278,24 +280,18 @@ class EdgeSlice:
     @functools.cached_property
     def scalar(self) -> ScalarForm:
         """Built on first use, by a scalar ``fixpoint`` only, and kept
-        for the slice's later calls.
-        Every vertex is a member here, at its own position, so no edge
-        leaves the slice; a view overrides this."""
+        for the slice's later calls.  A slice knows its positions, not
+        the vertices at them, so ``ids`` is None here."""
         ends = self.starts.tolist() + [len(self.dst)]
         pairs = list(zip(self.dst.tolist(), self.wt.tolist()))
         edges = [pairs[a:b] for a, b in zip(ends, ends[1:])]
-        return ScalarForm(self.is_max.tolist(), edges, list(range(len(edges))))
-
-    @functools.cached_property
-    def gather(self) -> np.ndarray:
-        """The scalar form's ``ids`` as an index array, for a scalar
-        ``fixpoint`` on a vector."""
-        return np.array(self.scalar.ids, dtype=np.int64)
+        return ScalarForm(self.is_max.tolist(), edges, None)
 
     @functools.cached_property
     def inedges(self) -> InEdges:
-        """Built on first use, by a frontier ``fixpoint`` only.  Member
-        positions are vertex ids here; a view overrides this."""
+        """Built on first use, by a frontier ``fixpoint`` only, from the
+        edges between members: an exit leads to a finished vertex, which no
+        sweep of the slice changes."""
         k = len(self.starts)
         return _in_edges(np.repeat(np.arange(k), out_degrees(self)), self.dst, k)
 
@@ -361,7 +357,6 @@ class CompiledArena(EdgeSlice):
         # One contiguous row each for src, dst and w, sorted by (src, dst).
         self.src, dst, wt = arena.edge_array.T.copy()
         super().__init__(
-            slice(None),
             dst,
             wt,
             np.searchsorted(self.src, np.arange(n, dtype=np.int64)),
@@ -374,25 +369,25 @@ class CompiledArena(EdgeSlice):
 
 
 class ComponentLayout:
-    """The edge arrays of ``ca`` copied once in component order, so that
-    ``view(q)`` is O(1).
+    """The edge arrays of ``ca`` copied once in component order, each
+    component in its local numbering, so that ``view(q)`` is O(1).
 
     ``comp_of`` labels each vertex with its component, 0 to q - 1, every
     label inhabited.  Vertices are ordered by label, each component's
     members ascending, so oracle tables line up with them; each vertex's
-    edges follow in ``ca``'s order.  Per vertex: ``members``, ``is_max``,
-    ``sign`` and ``starts`` (relative to the vertex's component).  Per
-    edge: ``dst``, ``wt`` and, for the cycle-sign certificate and a view's
-    in-edge index, ``inside`` (the edge stays in its component) with
-    ``local_dst``, the destination's position within its own component.
-    Row q of ``bounds`` holds component q's vertex range and edge range,
-    and ``edge_counts`` lists each component's edge count.  The layout
-    keeps no column form; each view builds its own on first use.  The
-    scalar forms are built a run at a time (``scalar_form``).
+    edges follow in ``ca``'s order.  A component of k members numbers its
+    members 0..k-1 and its exit edges k, k + 1, ... in edge order, one
+    slot per exit edge.  Per vertex: ``members``, ``is_max``, ``sign`` and
+    ``starts`` (relative to the vertex's component).  Per edge: ``wt`` and
+    ``ldst``, the destination's local position.  ``ids`` holds each
+    component's vertex at each local position, its members and then its
+    exits' destinations.  Row q of ``bounds`` holds component q's vertex
+    range, edge range and ``ids`` range, and ``edge_counts`` lists each
+    component's edge count.  The layout keeps no column form; each view
+    builds its own on first use.  The scalar forms are built a run at a
+    time (``scalar_form``).
     """
 
-    VERTEX_FIELDS = ("members", "is_max", "sign", "starts")
-    EDGE_FIELDS = ("dst", "wt", "inside", "local_dst")
     # The most consecutive components whose scalar forms are built in one
     # pass; the layout holds the forms of one run at a time.
     SCALAR_RUN = 64
@@ -409,36 +404,43 @@ class ComponentLayout:
         # Edge j of the vertex at layout position p sits at ca index
         # ca.starts[order[p]] + (j - ecum[p]).
         edge_idx = np.repeat(ca.starts[order] - ecum[:-1], deg) + np.arange(ecum[-1])
+        dst = ca.dst[edge_idx]
         local = np.empty(ca.n, dtype=np.int64)
         local[order] = np.arange(ca.n) - vstart[comp]  # within its component
+        ecomp = np.repeat(comp, deg)
+        out = np.flatnonzero(comp_of[dst] != ecomp)  # the exit edges
+        ocomp = ecomp[out]
+        xstart = np.searchsorted(out, estart)  # exits before each component
+        # The i-th exit, in component c, takes slot k_c + i - xstart[c],
+        # which sits at vstart[c + 1] + i in ``ids``.
+        ldst = local[dst]
+        ldst[out] = sizes[ocomp] + np.arange(len(out)) - xstart[ocomp]
+        ids = np.empty(ca.n + len(out), dtype=np.int64)
+        ids[np.arange(ca.n) + xstart[comp]] = order
+        ids[vstart[1:][ocomp] + np.arange(len(out))] = dst[out]
+        istart = vstart + xstart
         self.ca = ca
         self.comp_of = comp_of
         self.members = order
         self.is_max = ca.is_max[order]
         self.sign = ca.sign[order]
         self.starts = ecum[:-1] - estart[comp]
-        self.dst = ca.dst[edge_idx]
         self.wt = ca.wt[edge_idx]
-        self.inside = comp_of[self.dst] == np.repeat(comp, deg)
-        self.local_dst = local[self.dst]
-        self.bounds = np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:]), axis=1)
+        self.ldst = ldst
+        self.ids = ids
+        self.bounds = np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:],
+                                istart[:-1], istart[1:]), axis=1)
         self.edge_counts = (estart[1:] - estart[:-1]).tolist()
         self._scalar: dict = {}  # component -> its scalar form, for the current run
 
     def __len__(self) -> int:
         return len(self.edge_counts)
 
-    def view(self, q: int) -> ComponentView:
+    def view(self, q: int) -> EdgeSlice:
         """Component ``q``'s slice: basic slices of the layout arrays."""
-        view = ComponentView.__new__(ComponentView)
-        v0, v1, e0, e1 = self.bounds[q].tolist()
-        for name in self.VERTEX_FIELDS:
-            setattr(view, name, getattr(self, name)[v0:v1])
-        for name in self.EDGE_FIELDS:
-            setattr(view, name, getattr(self, name)[e0:e1])
-        view.layout = self
-        view.q = q
-        return view
+        v0, v1, e0, e1 = self.bounds[q, :4].tolist()
+        return EdgeSlice(self.ldst[e0:e1], self.wt[e0:e1], self.starts[v0:v1],
+                         self.is_max[v0:v1], self.sign[v0:v1])
 
     def scalar_form(self, q: int) -> ScalarForm:
         """Component q's scalar form.  It is built with those of the
@@ -455,72 +457,24 @@ class ComponentLayout:
     def _scalar_run(self, q: int) -> dict:
         """The scalar forms of a run of components from q, in one pass
         over their edges; the field lists, read through positions within
-        the run, are dropped when it returns.  Inside edges point at their
-        ``local_dst``, the rest at the positions their destinations take
-        in ``ids``."""
+        the run, are dropped when it returns."""
         bounds = self.bounds[q:q + self.SCALAR_RUN]
         big = np.flatnonzero(bounds[1:, 3] - bounds[1:, 2] > SCALAR_MAX_EDGES)
         if len(big):
             bounds = bounds[:big[0] + 1]
         spans = bounds.tolist()
-        (va, _, ea, _), (_, vb, _, eb) = spans[0], spans[-1]
+        (va, _, ea, _, ia, _), (_, vb, _, eb, _, ib) = spans[0], spans[-1]
         # Each member's first edge, relative to the run, then the run's end.
         first = (self.starts[va:vb] + np.repeat(bounds[:, 2] - ea, bounds[:, 1] - bounds[:, 0])
                  ).tolist() + [eb - ea]
-        members, is_max = self.members[va:vb].tolist(), self.is_max[va:vb].tolist()
-        dst, wt = self.dst[ea:eb].tolist(), self.wt[ea:eb].tolist()
-        inside, local = self.inside[ea:eb].tolist(), self.local_dst[ea:eb].tolist()
+        is_max, ids = self.is_max[va:vb].tolist(), self.ids[ia:ib].tolist()
+        pairs = list(zip(self.ldst[ea:eb].tolist(), self.wt[ea:eb].tolist()))
         forms = {}
-        p = 0  # the component's first member, relative to the run
-        for c, (v0, v1, _, _) in enumerate(spans, q):
-            k = v1 - v0
-            ids = members[p:p + k]
-            edges = []
-            for i in range(p, p + k):
-                mine = []
-                for e in range(first[i], first[i + 1]):
-                    if inside[e]:
-                        mine.append((local[e], wt[e]))
-                    else:
-                        mine.append((len(ids), wt[e]))
-                        ids.append(dst[e])
-                edges.append(mine)
-            forms[c] = ScalarForm(is_max[p:p + k], edges, ids)
-            p += k
+        for c, (v0, v1, _, _, i0, i1) in enumerate(spans, q):
+            p0, p1 = v0 - va, v1 - va
+            edges = [pairs[first[i]:first[i + 1]] for i in range(p0, p1)]
+            forms[c] = ScalarForm(is_max[p0:p1], edges, ids[i0 - ia:i1 - ia])
         return forms
-
-
-class ComponentView(EdgeSlice):
-    """The slice of one component of a ``ComponentLayout``, such as a
-    strongly connected component.  Any member set is a component: label
-    its members 0 and every other vertex 1, and take ``view(0)`` of that
-    layout.  Carries the ``ComponentLayout`` fields, sliced to the
-    component, the ``layout`` itself and the component's index ``q`` in
-    it.  Like any slice, it builds its own column form (``cols``) on first
-    use."""
-
-    @functools.cached_property
-    def scalar(self) -> ScalarForm:
-        """Taken from the layout on first use (``scalar_form``)."""
-        return self.layout.scalar_form(self.q)
-
-    @functools.cached_property
-    def inedges(self) -> InEdges:
-        """From the edges inside the component: an exit edge leads to a
-        finished vertex, which no sweep of the view changes."""
-        k = len(self.starts)
-        inside = self.inside
-        src = np.repeat(np.arange(k), out_degrees(self))
-        return _in_edges(src[inside], self.local_dst[inside], k)
-
-
-def candidates(sl: EdgeSlice, cont: np.ndarray) -> np.ndarray:
-    """Each edge's weight plus the continuation ``cont`` at its
-    destination, saturated: a sentinel continuation stays that sentinel."""
-    cand = sl.wt + cont
-    np.copyto(cand, POS, where=cont >= POS)
-    np.copyto(cand, NEG, where=cont <= NEG)
-    return cand
 
 
 def _take(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -588,12 +542,6 @@ def _clamp(new: list, tables: Sequence[Optional[list]], up: bool) -> None:
                 new[i] = table[bisect.bisect_right(table, new[i]) - 1]
 
 
-def _member_index(sl: EdgeSlice, x: np.ndarray):
-    """Index of the slice's members along the last axis of ``x``; a plain
-    index on one vector, which numpy applies faster than ``(..., members)``."""
-    return sl.members if x.ndim == 1 else (..., sl.members)
-
-
 # Slices with fewer edges sweep in full: below about this many edges the
 # frontier's extra numpy calls cost more than the member updates they save
 # (see "Frontier sweeps" in the module docstring).
@@ -633,10 +581,10 @@ def fixpoint(
     tables: Optional[Sequence[Optional[list]]] = None,
     trace=None,
 ) -> int:
-    """Sweep the slice until its members are stable, updating ``x`` in
-    place; descending with ``cutoff``, ascending with ``lift``.  Calls
-    ``trace.append(x)`` after every sweep when given; the callee copies.
-    Returns the sweep count.  One vector on a slice of at least
+    """Sweep the slice until its members are stable, updating them in
+    ``x`` in place; descending with ``cutoff``, ascending with ``lift``.
+    Calls ``trace.append(x)`` after every sweep when given; the callee
+    copies.  Returns the sweep count.  One vector on a slice of at least
     ``FRONTIER_MIN_EDGES`` edges takes frontier sweeps, with the same
     iterates: after the first, a sweep recomputes only the members with
     an edge into one that just changed, the *dirty* ones (``None``: all).
@@ -647,18 +595,18 @@ def fixpoint(
     ``ytrans`` is gathered into column form once, at the start of the
     call, so it must not change during the call (no caller changes it:
     the total-payoff pass caps ``y`` before solving, then reads it)."""
+    k = len(sl.starts)
     if trace is None and x.ndim == 1 and len(sl.dst) <= SCALAR_MAX_EDGES:
-        sweeps, new = scalar_sweeps(sl.scalar, x, bound, cutoff=cutoff, lift=lift,
-                                    ytrans=ytrans, tables=tables, gather=sl.gather)
-        if sweeps > 1:
-            x[sl.members] = new
-        return sweeps
+        xs = x.tolist()
+        try:
+            return scalar_sweeps(sl.scalar, xs, bound, cutoff=cutoff, lift=lift, tables=tables,
+                                 caps=None if ytrans is None else ytrans.tolist())
+        finally:
+            x[:k] = xs[:k]
     cols, sign = sl.cols, sl.sign
     ycols = None if ytrans is None else _gather(cols, ytrans)
     frontier = x.ndim == 1 and len(sl.dst) >= FRONTIER_MIN_EDGES
-    k = len(sign)
-    ids = sl.members if isinstance(sl.members, np.ndarray) else None  # None: positions are ids
-    m = _member_index(sl, x)
+    m = (Ellipsis, slice(k))
     dirty = None
     sweeps = 0
     while True:
@@ -670,7 +618,7 @@ def fixpoint(
             sub, suby = _restrict(cols, ycols, dirty)
             new = _reduce(sub, sign[dirty], x, suby)
             _settle(new, cutoff, lift, None if tables is None else [tables[i] for i in dirty.tolist()])
-            at = dirty if ids is None else ids[dirty]
+            at = dirty
         moved = new != x[at]
         x[at] = new
         sweeps += 1
@@ -695,20 +643,16 @@ def fixpoint(
             dirty = None
 
 
-def scalar_sweeps(form: ScalarForm, x, bound: int, *, cutoff=None, lift=None,
-                  ytrans: Optional[np.ndarray] = None, tables=None,
-                  gather: Optional[np.ndarray] = None) -> Tuple[int, list]:
-    """The scalar sweep loop over ``form``, with ``fixpoint``'s arguments.
-    ``x`` is a list of values by vertex id, or a vector with ``gather``,
-    the form's ``ids`` as an index array (and then perhaps ``ytrans``);
-    one gather reads it at the members, then at the exits.  Returns the
-    sweep count and the members' last values, with the iterates, count
-    and bound errors of the numpy loop; it writes ``x`` only before it
-    raises, the members' values."""
-    is_max, edges, ids = form
+def scalar_sweeps(form: ScalarForm, xs: list, bound: int, *, cutoff=None, lift=None,
+                  caps: Optional[list] = None, tables=None) -> int:
+    """The scalar sweep loop over ``form``, with ``fixpoint``'s arguments
+    as lists: ``xs`` holds the values at the form's positions, its k
+    members first and then its exits, and ``caps`` is ``ytrans`` alike.
+    Returns the sweep count and leaves the members' last values in
+    ``xs``, also when it raises, with the iterates, count and bound errors
+    of the numpy loop."""
+    is_max, edges, _ = form
     k = len(is_max)
-    xs = [x[v] for v in ids] if gather is None else x[gather].tolist()
-    caps = None if ytrans is None else ytrans[gather].tolist()
     up = lift is not None
     # Each member's row: its sign, its start and its edges to members.
     # Exit edges read vertices that no sweep writes, so the start is the
@@ -727,7 +671,7 @@ def scalar_sweeps(form: ScalarForm, x, bound: int, *, cutoff=None, lift=None,
                 if c > v if mx else c < v:
                     v = c
         rows.append((mx, v, inner))
-    xs = xs[:k]
+    old = xs[:k]
     if caps is not None:
         caps = caps[:k]
     # The post-step drops values below ``lo`` to -inf and lifts those
@@ -735,7 +679,7 @@ def scalar_sweeps(form: ScalarForm, x, bound: int, *, cutoff=None, lift=None,
     lo, hi = (1 - _SNAP, int(lift)) if up else (int(cutoff), _SNAP - 1)
     sweeps = 0
     while True:
-        cont = xs if caps is None else [c if c < y else y for c, y in zip(xs, caps)]
+        cont = old if caps is None else [c if c < y else y for c, y in zip(old, caps)]
         new = []
         for mx, v, es in rows:
             for j, w in es:
@@ -746,18 +690,15 @@ def scalar_sweeps(form: ScalarForm, x, bound: int, *, cutoff=None, lift=None,
         if tables is not None:
             _clamp(new, tables, up)
         sweeps += 1
-        if new == xs:
-            return sweeps, xs
+        if new == old:
+            xs[:k] = new
+            return sweeps
         if sweeps > bound:
-            if gather is None:
-                for v, c in zip(ids, new):
-                    x[v] = c
-            else:
-                x[gather[:k]] = new
+            xs[:k] = new
             if tables is not None:
                 raise UnsoundOracleError("component failed to stabilize")
             raise AssertionError("value iteration exceeded its sweep bound")
-        xs = new
+        old = new
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -826,21 +767,20 @@ def nested_fixpoint(
     values above ``lift`` to +inf and stores the result in ``y``.  Returns
     (passes, inner sweeps), both counting the final confirming pass.
 
-    Successors outside the slice must be finished, with ``x`` equal to
-    ``y`` there, as a previous call leaves them.  The cap is then a no-op
-    outside the members, so a pass caps ``y`` in place on the members and
-    reads it as the cap: O(slice) per pass, not O(n).
+    The exits, the positions from the slice's k members on, must hold
+    finished values, equal in ``x`` and ``y``, as a previous call leaves
+    them.  The cap is then a no-op there, so a pass caps ``y`` in place on
+    the members and reads it as the cap: O(slice) per pass.
     """
-    m = _member_index(sl, x)
+    m = (Ellipsis, slice(len(sl.starts)))
     passes = sweeps = 0
     while True:
         prev = y[m].copy()
         y[m] = np.maximum(prev, 0)
         x[m] = POS
         sweeps += fixpoint(sl, x, inner_bound, cutoff=cutoff, ytrans=y)
-        new = x[m]
+        new = x[m]  # a view: the lift lands in x
         new[new > lift] = POS
-        x[m] = new
         passes += 1
         stable = not np.count_nonzero(new != prev)
         y[m] = new

@@ -22,20 +22,20 @@ built in O(1).  A component that takes a single pass (any reachability
 component, a certified total-payoff one) runs it through
 ``_component_pass``, which both solvers call.
 
-A solver holds its finished values twice (``_Finished``): in ``done``, a
-Python list by vertex id, and in its numpy vectors ``x`` (and ``y`` for
-total payoff).  A component of at most ``_engine.SCALAR_MAX_EDGES`` edges
-makes no numpy call of its own: the path oracle walks the layout's scalar
-form of it, reading exits from ``done``, and its pass sweeps the same
-form on lists, starting from ``done`` and writing its members back
-there.  The values of such components reach the vectors in one store
-per run of them, before the next numpy pass (a view's ``fixpoint``, an
-uncertified component's ``nested_fixpoint``), which reads exits from the
-vectors, and once at the end; a numpy pass writes its members into
-``done``.  The total-payoff solver certifies every component before its
-component loop, in one batched run of kernel sweeps over the layout's
-inside edges (a Jacobi Bellman-Ford with two weight rows, one per sign).
-So a solve costs time linear in |V| + |E| outside the sweeps.
+A solver holds its finished values once, in ``done``, a Python list by
+vertex id, +inf until a vertex's component is solved.  Every pass works
+on the component's local numbering (``_engine.ComponentLayout``): its
+members first, then one slot per exit edge, whose values it gathers from
+``done`` by the layout's ``ids``; it writes its members back there.  A
+component of at most ``_engine.SCALAR_MAX_EDGES`` edges makes no numpy
+call of its own: the path oracle walks the layout's scalar form of it,
+reading exits from ``done``, and its pass sweeps the same form on a
+list.  A larger one, or an uncertified total-payoff one (the nested
+iteration), sweeps a local vector over its view.  The total-payoff
+solver certifies every component before its component loop, in one
+batched run of kernel sweeps over the layout's inside edges (a Jacobi
+Bellman-Ford with two weight rows, one per sign).  So a solve costs time
+linear in |V| + |E| outside the sweeps.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def cycle_sign_certificates(layout: eng.ComponentLayout) -> List[Optional[str]]:
     Worst case O(K * E): a component with a cycle changes in every round
     for one of the signs, so one of K members, a ring, runs all K + 1.
     """
-    v0, v1, e0, e1 = layout.bounds.T
+    v0, v1, e0, e1 = layout.bounds.T[:4]
     sizes = v1 - v0
     W = int(np.abs(layout.wt).max(initial=0))
     fits = (sizes + 1) * W + 1 <= (int(eng.SNAP) - 1) // (sizes + 1)
@@ -278,19 +278,17 @@ def cycle_sign_certificates(layout: eng.ComponentLayout) -> List[Optional[str]]:
         return certs
     n = len(layout.members)
     comp = np.repeat(np.arange(len(sizes)), e1 - e0)  # of each edge
-    keep = layout.inside & fits[comp]
+    keep = (layout.ldst < sizes[comp]) & fits[comp]  # inside edges: to a member
     src = np.repeat(np.arange(n), np.diff(layout.starts + np.repeat(e0, sizes), append=len(comp)))
     stay = np.arange(n)
     src = np.concatenate((src[keep], stay))
     order = np.argsort(src, kind="stable")  # each vertex's stay loop after its edges
-    dst = np.concatenate(((layout.local_dst + v0[comp])[keep], stay))
+    dst = np.concatenate(((layout.ldst + v0[comp])[keep], stay))
     scaled = layout.wt[keep] * (sizes + 1)[comp[keep]]
     wt = np.zeros((2, len(src)), dtype=np.int64)  # the stay loops weigh 0
     wt[:, :len(scaled)] = scaled - 1, -scaled - 1
-    sl = eng.EdgeSlice(
-        slice(None), dst[order], wt[:, order], np.searchsorted(src[order], stay),
-        np.zeros(n, dtype=bool),
-    )
+    sl = eng.EdgeSlice(dst[order], wt[:, order], np.searchsorted(src[order], stay),
+                       np.zeros(n, dtype=bool))
     x = np.zeros((2, n), dtype=np.int64)
     for _ in range(int(sizes[fits].max()) + 1):
         new = eng.sweep(sl, x)
@@ -313,49 +311,6 @@ def _clamping(tables: List[Optional[List[int]]]) -> Optional[List[Optional[List[
     return None
 
 
-class _Finished:
-    """A solver's finished values.  ``done`` holds every vertex's by id,
-    +inf until its component is solved: a small component reads its exits
-    there and writes its members there (``add``).  The numpy vectors
-    (``x``, and ``y`` for total payoff), which views and the nested
-    iteration read, take the values of the small components solved since
-    their last store in one store (``flush``), before any numpy pass and
-    once at the end.  Components are solved in layout order, so those
-    values belong to the layout's members from position ``at`` on."""
-
-    def __init__(self, layout: eng.ComponentLayout, vectors: Tuple[np.ndarray, ...],
-                 done: list, at: int) -> None:
-        self.layout = layout
-        self.vectors = vectors
-        self.done = done
-        self.at = at
-        self.pending: list = []
-
-    def add(self, ids: list, values: list) -> None:
-        done = self.done
-        for v, c in zip(ids, values):
-            done[v] = c
-        self.pending += values
-
-    def flush(self) -> None:
-        if self.pending:
-            end = self.at + len(self.pending)
-            idx = self.layout.members[self.at:end]
-            for vec in self.vectors:
-                vec[idx] = self.pending
-            self.at, self.pending = end, []
-
-    def store(self, m: np.ndarray, values: list) -> None:
-        """The values of a component solved in numpy, after a ``flush``:
-        into the vectors at its members ``m`` and into ``done``."""
-        for vec in self.vectors:
-            vec[m] = values
-        done = self.done
-        for v, c in zip(m.tolist(), values):
-            done[v] = c
-        self.at += len(values)
-
-
 def solve_mcr_accelerated(
     arena: Arena, oracle: Oracle = simple_path_oracle
 ) -> McrResult:
@@ -372,21 +327,17 @@ def solve_mcr_accelerated(
     layout = scc_decompose(arena)
     ca = layout.ca
     (t,) = arena.targets
-    x = np.full(arena.n, eng.POS, dtype=np.int64)
-    x[t] = 0
     done = [_POS] * arena.n
-    done[t] = 0
-    fin = _Finished(layout, (x,), done, 1)  # component 0 is the target alone
+    done[t] = 0  # component 0 is the target alone
     stats = SolveStats()
     bound = sweep_bound(arena.n, ca.W) + 1
     for q in range(1, len(layout)):
         tables = _clamping(oracle(arena, layout, q, done))
         stats.outer_iterations += 1
-        stats.inner_iterations += _component_pass(fin, q, tables, bound, ca.cutoff)[0]
-    fin.flush()
+        stats.inner_iterations += _component_pass(layout, done, q, tables, bound, ca.cutoff)[0]
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
-    return McrResult(eng.from_array(arena, x), stats)
+    return McrResult(eng.from_array(arena, np.array(done, dtype=np.int64)), stats)
 
 
 def solve_tp_accelerated(
@@ -401,7 +352,7 @@ def solve_tp_accelerated(
     starting from above, so such components are re-solved from below with
     upward clamping.  Values above (n-1)W are then lifted to +inf.
     Everything else runs the plain nested iteration restricted to the
-    component.
+    component, on its view and local vectors.
 
     A certified component runs that pass as ``_component_pass``, on its
     layout's scalar form with no view when it has at most
@@ -422,10 +373,7 @@ def solve_tp_accelerated(
     ca = layout.ca
     n = arena.n
     lift_at = (n - 1) * ca.W
-    y = np.full(n, eng.NEG, dtype=np.int64)
-    x = np.full(n, eng.POS, dtype=np.int64)
     done = [_POS] * n
-    fin = _Finished(layout, (x, y), done, 0)
     stats = SolveStats()
     inner_bound = sweep_bound(n, ca.W) + 1
     outer_bound = k_bound(arena) + 1
@@ -433,31 +381,35 @@ def solve_tp_accelerated(
     for q in range(len(layout)):
         certificate = certs[q]
         if certificate is None:
-            fin.flush()
-            view = layout.view(q)
+            # The outer vector starts at -inf on the members; at the exits
+            # it equals x, the finished values.
+            view, ids, x = _local(layout, q, done)
+            k = len(view.starts)
+            y = x.copy()
+            y[:k] = eng.NEG
             outer, sweeps = eng.nested_fixpoint(
                 view, x, y, cutoff=ca.cutoff, lift=lift_at,
                 inner_bound=inner_bound, outer_bound=outer_bound,
             )
-            fin.store(view.members, y[view.members].tolist())
+            _store(done, ids, y[:k].tolist())
         else:
             tables = _clamping(oracle(arena, layout, q, done))
             sweeps, new = _component_pass(
-                fin, q, tables, inner_bound, ca.cutoff, lift_at, certificate == "negative")
+                layout, done, q, tables, inner_bound, ca.cutoff, lift_at, certificate == "negative")
             outer = 1 if max(new) == _NEG else 2
             if outer == 2 and outer_bound < 1:  # as nested_fixpoint after pass 1
                 raise AssertionError("outer iteration exceeded its pass bound")
             sweeps *= outer
         stats.outer_iterations += outer
         stats.inner_iterations += sweeps
-    fin.flush()
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
-    return TpResult(eng.from_array(arena, y), stats)
+    return TpResult(eng.from_array(arena, np.array(done, dtype=np.int64)), stats)
 
 
 def _component_pass(
-    fin: _Finished,
+    layout: eng.ComponentLayout,
+    done: list,
     q: int,
     tables: Optional[List[Optional[List[int]]]],
     bound: int,
@@ -469,40 +421,45 @@ def _component_pass(
     requests: the descent with ``cutoff`` from its members' start, +inf,
     as on every component not yet solved; and, on a 'negative' certificate
     (``resolve``), the ascent from -inf with the lift when a member stays
-    at +inf.  Given ``lift``, values above it then rise to +inf.  A
-    component of at most ``_engine.SCALAR_MAX_EDGES`` edges sweeps its
-    layout's scalar form with no view, reading and writing ``fin.done``
-    only; a larger one sweeps its view through ``fixpoint``, after a store
-    of the values it may read.  Returns the sweep count and the members'
-    values, which ``fin`` holds."""
-    layout = fin.layout
+    at +inf.  Given ``lift``, values above it then rise to +inf.  The pass
+    sweeps the component's local values, gathered from ``done``: a list
+    over its layout's scalar form when it has at most
+    ``_engine.SCALAR_MAX_EDGES`` edges, with no view, else a vector over
+    its view, through ``fixpoint``.  Returns the sweep count and the
+    members' values, which it writes to ``done``."""
     small = layout.edge_counts[q] <= eng.SCALAR_MAX_EDGES
     if small:
         sl = layout.scalar_form(q)
-        vec, m = fin.done, sl.ids[:len(sl.edges)]
-        run = eng.scalar_sweeps
+        ids, k, run = sl.ids, len(sl.edges), eng.scalar_sweeps
+        xs = [done[v] for v in ids]
     else:
-        fin.flush()
-        sl = layout.view(q)
-        vec, m = fin.vectors[0], sl.members
-
-        def run(*args, **kwargs):  # returns what scalar_sweeps returns
-            return eng.fixpoint(*args, **kwargs), vec[m].tolist()
-    sweeps, new = run(sl, vec, bound, cutoff=cutoff, tables=tables)
+        sl, ids, xs = _local(layout, q, done)
+        k, run = len(sl.starts), eng.fixpoint
+    sweeps = run(sl, xs, bound, cutoff=cutoff, tables=tables)
+    new = xs[:k] if small else xs[:k].tolist()
     if resolve and _POS in new:
         # Starting from above can strand vertices at +inf; approach the
         # same fixed point from below instead.
-        if small:
-            for v in m:
-                vec[v] = _NEG
-        else:
-            vec[m] = eng.NEG
-        more, new = run(sl, vec, bound, lift=lift, tables=tables)
-        sweeps += more
+        xs[:k] = [_NEG] * k
+        sweeps += run(sl, xs, bound, lift=lift, tables=tables)
+        new = xs[:k] if small else xs[:k].tolist()
     if lift is not None and max(new) > lift:
         new = [_POS if v > lift else v for v in new]
-    if small:
-        fin.add(m, new)
-    else:
-        fin.store(m, new)
+    _store(done, ids, new)
     return sweeps, new
+
+
+def _local(layout: eng.ComponentLayout, q: int,
+           done: list) -> Tuple[eng.EdgeSlice, list, np.ndarray]:
+    """Component q's view, its ``ids`` (its members, then its exits'
+    destinations) and the vector of their values in ``done``, which the
+    view sweeps."""
+    i0, i1 = layout.bounds[q, 4:].tolist()
+    ids = layout.ids[i0:i1].tolist()
+    return layout.view(q), ids, np.array([done[v] for v in ids], dtype=np.int64)
+
+
+def _store(done: list, ids: list, values: list) -> None:
+    """The members' values into ``done``, by the first of ``ids``."""
+    for v, c in zip(ids, values):
+        done[v] = c

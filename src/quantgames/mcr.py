@@ -147,7 +147,7 @@ def mp_sign(arena: Arena) -> Dict[int, Sign]:
     """
     n = arena.n
     ca = eng.CompiledArena(arena)
-    dual = eng.EdgeSlice(slice(None), ca.dst, -ca.wt, ca.starts, ~ca.is_max)
+    dual = eng.EdgeSlice(ca.dst, -ca.wt, ca.starts, ~ca.is_max)
     bound = sweep_bound(n, ca.W) + 1
     drops = []
     for sl in (ca, dual):

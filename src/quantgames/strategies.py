@@ -136,15 +136,20 @@ class TraceMissingError(ValueError):
     pass
 
 
-def _argmin(sl: eng.EdgeSlice, cont: np.ndarray, tiekey: np.ndarray, n: int) -> np.ndarray:
-    """Per member of ``sl`` (along the last axis), the successor that
-    minimizes (weight + ``cont``, ``tiekey``), sentinels saturated.
+def _argmin(wt: np.ndarray, starts: np.ndarray, cont: np.ndarray, tiekey: np.ndarray,
+            n: int) -> np.ndarray:
+    """Per member (along the last axis), the successor that minimizes
+    (weight + ``cont``, ``tiekey``), sentinels saturated: member i owns the
+    edges ``starts[i]`` up to the next member's start, of weights ``wt``.
     ``tiekey`` is distinct among a member's edges, below ``POS``, and
     congruent to the edge's destination modulo ``n``."""
-    val = eng.candidates(sl, cont)
-    best = np.minimum.reduceat(val, sl.starts, axis=-1)
-    key = np.where(val == np.repeat(best, eng.out_degrees(sl), axis=-1), tiekey, eng.POS)
-    return np.minimum.reduceat(key, sl.starts, axis=-1) % n
+    val = wt + cont
+    np.copyto(val, eng.POS, where=cont >= eng.POS)
+    np.copyto(val, eng.NEG, where=cont <= eng.NEG)
+    best = np.minimum.reduceat(val, starts, axis=-1)
+    deg = np.diff(starts, append=len(wt))
+    key = np.where(val == np.repeat(best, deg, axis=-1), tiekey, eng.POS)
+    return np.minimum.reduceat(key, starts, axis=-1) % n
 
 
 BLOCK_ENTRIES = 1 << 18  # candidate entries per block of the rewind table
@@ -177,14 +182,17 @@ def extract_min_mcr(
     n = arena.n
     att = compute_attractor(arena, arena.targets)
     cols = [v for v in range(n) if arena.owners[v] is Player.MIN and not arena.is_target(v)]
-    labels = np.ones(n, dtype=np.int64)
-    labels[cols] = 0
-    sl = eng.ComponentLayout(eng.CompiledArena(arena), labels).view(0)
+    mine = np.zeros(n, dtype=bool)
+    mine[cols] = True
+    # The rows of the sorted edge array from ``cols``, and each one's first row.
+    edges = arena.edge_array
+    src, dst, wt = edges[mine[edges[:, 0]]].T
+    starts = np.searchsorted(src, np.flatnonzero(mine))
 
     changed = raw[1:] != raw[:-1]
     last = np.where(changed.any(axis=0), len(changed) - changed[::-1].argmax(axis=0), 0)
-    against = np.where(last > 0, last - 1, len(raw) - 1)[cols]
-    pick1 = _argmin(sl, raw[np.repeat(against, eng.out_degrees(sl)), sl.dst], sl.dst, n)
+    against = np.where(last > 0, last - 1, len(raw) - 1)
+    pick1 = _argmin(wt, starts, raw[against[src], dst], dst, n)
     choice1 = dict(zip(cols, pick1.tolist()))
     sigma1 = MemorylessStrategy(Player.MIN, choice1)
 
@@ -194,13 +202,14 @@ def extract_min_mcr(
 
     rank = np.full(n, n + 1, dtype=np.int64)
     rank[list(att.rank)] = list(att.rank.values())
-    tiekey = rank[sl.dst] * n + sl.dst
+    tiekey = rank[dst] * n + dst
     # Row k is the argmin against x_k; the machine reads rows 0..sweeps-1.
     read = raw[:sweeps]
     table = np.empty((sweeps, len(cols)), dtype=np.int64)
-    step = max(1, BLOCK_ENTRIES // max(len(sl.dst), 1))
+    step = max(1, BLOCK_ENTRIES // max(len(dst), 1))
     for lo in range(0, sweeps, step):
-        table[lo : lo + step] = _argmin(sl, read[lo : lo + step].take(sl.dst, axis=1), tiekey, n)
+        block = read[lo : lo + step].take(dst, axis=1)
+        table[lo : lo + step] = _argmin(wt, starts, block, tiekey, n)
     # Rows change at few iterates, so only the first row of each run of
     # equal rows goes through the (slow) row-wise np.unique.
     heads = np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])

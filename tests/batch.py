@@ -148,7 +148,7 @@ def tp_shapes(nv: int) -> Iterator[Shape]:
 
 def _slice(shape: Shape) -> eng.EdgeSlice:
     """The whole-graph slice with one weight row per assignment."""
-    return eng.EdgeSlice(slice(None), shape.dst, shape.wfull(), shape.starts, shape.is_max)
+    return eng.EdgeSlice(shape.dst, shape.wfull(), shape.starts, shape.is_max)
 
 
 def solve_mcr_batch(shape: Shape) -> np.ndarray:
@@ -373,7 +373,7 @@ def mp_sign_batch(shape: Shape, region: Sequence[int]) -> np.ndarray:
     cols = np.array(keep, dtype=np.int64)[order]
     m = len(region)
     starts = np.searchsorted(src, np.arange(m, dtype=np.int64))
-    sl = eng.EdgeSlice(slice(None), dst, shape.wfull()[:, cols], starts, shape.is_max[region])
+    sl = eng.EdgeSlice(dst, shape.wfull()[:, cols], starts, shape.is_max[region])
     steps = 4 * m * m * 2 + 1
     x = np.zeros((shape.rows, m), dtype=np.int64)
     for _ in range(steps):

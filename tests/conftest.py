@@ -42,12 +42,23 @@ def components(layout: eng.ComponentLayout) -> tuple:
     return tuple(tuple(members[v0:v1]) for v0, v1 in layout.bounds[:, :2].tolist())
 
 
-def subset_view(ca: eng.CompiledArena, members) -> eng.ComponentView:
-    """The slice of any member set: a layout labelling the members 0 and
-    every other vertex 1, and its view of component 0."""
+def local(layout: eng.ComponentLayout, q: int, *vectors) -> tuple:
+    """Component q's view, the vertex at each of its positions (its
+    members, then one destination per exit edge) and each whole-arena
+    vector at those vertices, along the last axis: the local vectors the
+    view sweeps.  The k members' values go back to a whole-arena vector by
+    ``vec[..., ids[:k]] = loc[..., :k]``."""
+    i0, i1 = layout.bounds[q, 4:].tolist()
+    ids = layout.ids[i0:i1]
+    return (layout.view(q), ids) + tuple(np.asarray(v)[..., ids] for v in vectors)
+
+
+def subset_view(ca: eng.CompiledArena, members, *vectors) -> tuple:
+    """``local`` for any member set: a layout labelling the members 0 and
+    every other vertex 1, and its component 0."""
     labels = np.ones(ca.n, dtype=np.int64)
     labels[np.asarray(members, dtype=np.int64)] = 0
-    return eng.ComponentLayout(ca, labels).view(0)
+    return local(eng.ComponentLayout(ca, labels), 0, *vectors)
 
 
 def prune_to_attractor(arena: Arena) -> tuple:

@@ -4,9 +4,10 @@
 and arguments as the kernel's, but work one edge at a time on Python ints
 and lists, with no column form, frontier, scalar form or numpy reduction.
 Each reads one weight row of a slice (``row``; None for 1-D weights), and
-its vectors ``x``, ``y`` and ``ytrans`` are whole-arena lists (or arrays,
-read by index) of that row.  ``fixpoint`` and ``nested_fixpoint`` update
-``x`` and ``y`` in place, as the kernel does.
+its vectors ``x``, ``y`` and ``ytrans`` are lists (or arrays, read by
+index) of that row over the slice's positions: its k members at 0..k-1,
+then its exits.  ``fixpoint`` and ``nested_fixpoint`` update the members
+of ``x`` and ``y`` in place, as the kernel does.
 
 The semantics, in kernel order:
 
@@ -38,13 +39,6 @@ from quantgames import _engine as eng
 from quantgames._engine import UnsoundOracleError
 
 POS, NEG, SNAP = int(eng.POS), int(eng.NEG), int(eng.SNAP)
-
-
-def members(sl) -> list:
-    """The slice's member vertex ids."""
-    if isinstance(sl.members, slice):
-        return list(range(len(sl.starts)))
-    return sl.members.tolist()
 
 
 def out_edges(sl, row=None) -> list:
@@ -94,7 +88,7 @@ def fixpoint(sl, x, bound, *, cutoff=None, lift=None, ytrans=None, tables=None, 
              row=None) -> int:
     """Sweep until the members are stable; returns the sweep count.  Calls
     ``trace.append`` with a copy of ``x`` after every sweep when given."""
-    ms = members(sl)
+    ms = range(len(sl.starts))
     is_max, edges = sl.is_max.tolist(), out_edges(sl, row)
     cutoff = None if cutoff is None else int(cutoff)
     lift = None if lift is None else int(lift)
@@ -123,7 +117,7 @@ def nested_fixpoint(sl, x, y, *, cutoff, lift, inner_bound, outer_bound, row=Non
                     inner_counts=None):
     """The outer total-payoff loop; returns (passes, inner sweeps).  With
     ``inner_counts`` (a list), appends each pass's sweep count."""
-    ms = members(sl)
+    ms = range(len(sl.starts))
     lift = int(lift)
     passes = sweeps = 0
     while True:

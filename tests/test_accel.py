@@ -28,7 +28,7 @@ from quantgames.extvalue import MINUS_INF, PLUS_INF
 from quantgames.mcr import SolveStats, solve_mcr
 from quantgames.tp import solve_tp
 
-from conftest import MIXED, components, fig2a, layered, single_vertex, skewed_arena
+from conftest import MIXED, components, fig2a, layered, local, single_vertex, skewed_arena
 from test_differential import block_arena
 
 
@@ -116,11 +116,22 @@ def reference_layout(ca, components):
     local = np.zeros(ca.n, dtype=np.int64)
     local[order] = pos
     dst = ca.dst[edge_idx]
+    inside = comp_of[dst] == np.repeat(comp, deg)
+    # Each component's members, then one slot per exit edge, edge by edge.
+    ldst, ids, istart = local[dst], [], [0]
+    for c in range(len(sizes)):
+        ids += order[vstart[c]:vstart[c + 1]].tolist()
+        for e in range(estart[c], estart[c + 1]):
+            if not inside[e]:
+                ldst[e] = len(ids) - istart[c]
+                ids.append(dst[e])
+        istart.append(len(ids))
     return {
         "members": order, "is_max": ca.is_max[order], "sign": ca.sign[order],
-        "starts": ecum[:-1] - np.repeat(estart[:-1], sizes), "dst": dst, "wt": ca.wt[edge_idx],
-        "inside": comp_of[dst] == np.repeat(comp, deg), "local_dst": local[dst],
-        "bounds": np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:]), axis=1),
+        "starts": ecum[:-1] - np.repeat(estart[:-1], sizes), "wt": ca.wt[edge_idx],
+        "ldst": ldst, "ids": np.array(ids, dtype=np.int64),
+        "bounds": np.stack((vstart[:-1], vstart[1:], estart[:-1], estart[1:],
+                            istart[:-1], istart[1:]), axis=1),
         "edge_counts": (estart[1:] - estart[:-1]).tolist(), "comp_of": comp_of,
     }
 
@@ -140,8 +151,8 @@ def test_layout_from_labels_matches_the_tuple_layout():
         labels = list(range(q)) + [rng.randrange(q) for _ in range(arena.n - q)]
         rng.shuffle(labels)
         cases.append((arena, labels))
-    fields = eng.ComponentLayout.VERTEX_FIELDS + eng.ComponentLayout.EDGE_FIELDS
-    fields += ("bounds", "edge_counts", "comp_of")
+    fields = ("members", "is_max", "sign", "starts", "wt", "ldst", "ids", "bounds",
+              "edge_counts", "comp_of")
     for arena, labels in cases:
         ca = eng.CompiledArena(arena)
         layout = eng.ComponentLayout(ca, labels)
@@ -541,34 +552,36 @@ def two_pass_reference(arena, seen=None, oracle=simple_path_oracle):
     counts = []
     try:
         for q, cert in enumerate(cycle_sign_certificates(layout)):
-            view = layout.view(q)
+            view, ids, xl, yl = local(layout, q, x, y)
+            m = slice(len(view.starts))
             if cert is None:
                 counts.append(eng.nested_fixpoint(
-                    view, x, y, cutoff=ca.cutoff, lift=lift_at,
+                    view, xl, yl, cutoff=ca.cutoff, lift=lift_at,
                     inner_bound=inner_bound, outer_bound=outer_bound,
                 ))
+                x[ids[m]], y[ids[m]] = xl[m], yl[m]
                 continue
             seen.add(cert)
             tables = accel._clamping(oracle(arena, layout, q, x))
-            m = view.members
             passes = sweeps = 0
             while True:
-                prev = y[m].copy()
-                x[m] = eng.POS
-                sweeps += eng.fixpoint(view, x, inner_bound, cutoff=ca.cutoff, tables=tables)
-                if cert == "negative" and (x[m] >= eng.POS).any():
+                prev = yl[m].copy()
+                xl[m] = eng.POS
+                sweeps += eng.fixpoint(view, xl, inner_bound, cutoff=ca.cutoff, tables=tables)
+                if cert == "negative" and (xl[m] >= eng.POS).any():
                     seen.add("from below")
-                    x[m] = eng.NEG
-                    sweeps += eng.fixpoint(view, x, inner_bound, lift=lift_at, tables=tables)
-                new = x[m]
+                    xl[m] = eng.NEG
+                    sweeps += eng.fixpoint(view, xl, inner_bound, lift=lift_at, tables=tables)
+                new = xl[m]
                 new[new > lift_at] = eng.POS
-                x[m] = new
-                y[m] = new
+                xl[m] = new
+                yl[m] = new
                 passes += 1
                 if np.array_equal(new, prev):
                     break
                 if passes > outer_bound:
                     raise AssertionError("outer iteration exceeded its pass bound")
+            x[ids[m]], y[ids[m]] = xl[m], yl[m]
             seen.add(f"outer {passes}")
             counts.append((passes, sweeps))
     except (AssertionError, UnsoundOracleError) as exc:
@@ -669,22 +682,24 @@ def test_certified_components_run_one_pass(monkeypatch):
     assert (calls.count("fixpoint"), len(calls)) == (2002, 2002)
 
 
-def scalar_reference(view):
-    """The scalar form built from the view's own arrays alone."""
-    k = len(view.starts)
-    ids = view.members.tolist()
+def scalar_reference(ca, members):
+    """The scalar form of the sorted ``members`` built from the compiled
+    arena's edges alone: members at their rank, each exit edge at the
+    next slot."""
+    ids = sorted(members)
+    k = len(ids)
     position = dict(zip(ids, range(k)))
-    ends = view.starts.tolist() + [len(view.dst)]
-    dst, wt = view.dst.tolist(), view.wt.tolist()
+    ends = ca.starts.tolist() + [len(ca.dst)]
+    dst, wt = ca.dst.tolist(), ca.wt.tolist()
     edges = [[] for _ in range(k)]
     for i in range(k):
-        for e in range(ends[i], ends[i + 1]):
+        for e in range(ends[ids[i]], ends[ids[i] + 1]):
             j = position.get(dst[e])
             if j is None:
                 j = len(ids)
                 ids.append(dst[e])
             edges[i].append((j, wt[e]))
-    return eng.ScalarForm(view.is_max.tolist(), edges, ids)
+    return eng.ScalarForm(ca.is_max[sorted(members)].tolist(), edges, ids)
 
 
 def held_run(layout):
@@ -698,9 +713,11 @@ def held_run(layout):
 
 
 def test_layout_scalar_forms_match_each_views_own():
-    """A layout builds the scalar forms a run at a time; each equals the
-    form of that view's own arrays, whatever order the views take them
-    in, and a second view of a component gets it again.  The layout
+    """A layout builds the scalar forms a run at a time, whatever order
+    they are asked for in, and again for a second request; each equals
+    the form built from the compiled arena's edges, and the component's
+    view and ``ids`` number it alike: the view's destinations are the
+    form's positions, and the layout's ``ids`` its ``ids``.  The layout
     holds the forms of the run it built last only."""
     rng = random.Random(72)
     arenas = [layered(200, 50)]
@@ -709,16 +726,80 @@ def test_layout_scalar_forms_match_each_views_own():
     taken = 0
     for arena in arenas:
         layout = scc_decompose(arena)
+        members = components(layout)
         order = list(range(len(layout)))
         if rng.random() < 0.5:
             rng.shuffle(order)
         for q in order + order[:3]:
-            view = layout.view(q)
-            assert view.scalar == scalar_reference(view)
-            assert view.gather.tolist() == view.scalar.ids
+            form = layout.scalar_form(q)
+            assert form == scalar_reference(layout.ca, members[q])
+            view, ids = local(layout, q)
+            assert view.scalar[:2] == form[:2]
+            assert view.dst.tolist() == [j for es in form.edges for j, _ in es]
+            assert ids.tolist() == form.ids
             taken += 1
             assert q in held_run(layout)
     assert taken > 1000
+
+
+def test_views_and_scalar_forms_share_one_numbering():
+    """On every component of 400 seeded random arenas (normalized MCR and
+    TP alternating, up to 40 vertices), the view's destinations are the
+    positions of the layout's scalar form and the layout's ``ids`` its
+    ``ids``: members first, then one slot per exit edge."""
+    rng = random.Random(25)
+    comps = 0
+    for i in range(400):
+        objective = (Objective.MCR, Objective.TP)[i % 2]
+        arena = random_arena(rng, 40, 5, objective)
+        if objective is Objective.MCR:
+            arena = normalize_target(arena)
+        layout = scc_decompose(arena)
+        for q in range(len(layout)):
+            form = layout.scalar_form(q)
+            view, ids = local(layout, q)
+            assert view.dst.tolist() == [j for es in form.edges for j, _ in es]
+            assert ids.tolist() == form.ids
+            comps += 1
+    assert comps > 5000
+
+
+def two_exit_rings(objective):
+    """The sink v0 on a zero loop (the MCR target), then two rings of 26
+    vertices above the scalar floor, each with an edge to the next vertex
+    and a self-loop per vertex, and two exit edges from different members
+    to v0, 54 edges in all: a 'positive' ring of Min vertices on +1 edges
+    and a 'zero' one, uncertified in TP."""
+    owners, edges = [Player.MIN], [(0, 0, 0)]
+    for r, w in enumerate((1, 0)):
+        b = 1 + 26 * r
+        owners += [Player.MIN] * 26
+        edges += [e for i in range(26) for e in ((b + i, b + (i + 1) % 26, w), (b + i, b + i, w))]
+        edges += [(b + 3, 0, 2), (b + 17, 0, -2)]
+    arena = make_arena([f"v{i}" for i in range(len(owners))], owners, edges,
+                       [0] if objective is Objective.MCR else [], objective)
+    return normalize_target(arena) if objective is Objective.MCR else arena
+
+
+@pytest.mark.parametrize("objective", [Objective.TP, Objective.MCR])
+def test_two_exits_to_one_vertex_take_two_slots(objective):
+    """A component above the floor with two exit edges to the same vertex
+    numbers them k and k + 1, both at that vertex in ``ids``, and its
+    solves under scc and scc+paths equal the plain one."""
+    arena = two_exit_rings(objective)
+    layout = scc_decompose(arena)
+    rings = [q for q in range(len(layout)) if layout.edge_counts[q] == 54]
+    assert len(rings) == 2
+    for q in rings:
+        view, ids = local(layout, q)
+        assert view.dst[view.dst >= 26].tolist() == [26, 27]
+        assert ids[26:].tolist() == [0, 0]
+    if objective is Objective.TP:
+        plain, solve = solve_tp(arena), solve_tp_accelerated
+    else:
+        plain, solve = solve_mcr(arena), solve_mcr_accelerated
+    for oracle in (no_clamp_oracle, simple_path_oracle):
+        assert solve(arena, oracle).values == plain.values
 
 
 def test_layout_holds_one_run_of_forms(monkeypatch):
@@ -804,8 +885,8 @@ def test_trivial_components_get_no_tables(monkeypatch):
 def branch_run(arena, solve, oracle, floor, monkeypatch):
     """``solve(arena, oracle)`` with ``SCALAR_MAX_EDGES`` at ``floor``,
     through a wrapper of ``accel._component_pass`` that requires the +inf
-    start in ``x`` and in the list of finished values at the component's
-    members on entry.  Returns what each
+    start in the list of finished values at the component's members on
+    entry.  Returns what each
     component's pass or nested iteration returned or raised, in order,
     then each component's counts and the values (none after an error);
     and the steps, each 'nested', 'list' or 'view', a pass followed by
@@ -833,11 +914,9 @@ def branch_run(arena, solve, oracle, floor, monkeypatch):
             return run(*args, **kwargs)
         return call
 
-    def entered(fin, q, *args):
-        layout = fin.layout
+    def entered(layout, done, q, *args):
         v0, v1 = layout.bounds[q, :2].tolist()
-        m = layout.members[v0:v1]
-        starts = fin.vectors[0][m].tolist() + [fin.done[v] for v in m.tolist()]
+        starts = [done[v] for v in layout.members[v0:v1].tolist()]
         if set(starts) != {eng.POS}:
             pytest.fail(f"component {q} does not start at +inf: {arena}")  # the solve catches asserts
         return "list" if layout.edge_counts[q] <= floor else "view"
@@ -857,9 +936,8 @@ def branch_run(arena, solve, oracle, floor, monkeypatch):
 @pytest.mark.parametrize("bound", [None, 2], ids=["bounds", "short-bound"])
 @pytest.mark.parametrize("oracle", [no_clamp_oracle, simple_path_oracle], ids=["scc", "paths"])
 def test_component_pass_branches_agree(monkeypatch, oracle, bound):
-    """Every component pass finds its members at +inf in ``x`` and in the
-    list of finished values, where the solve started them, with no store
-    of its own.  On chains of blocks
+    """Every component pass finds its members at +inf in the list of
+    finished values, where the solve started them.  On chains of blocks
     whose uncertified components and 'negative' re-solves from below come
     before certified ones, a solve with the scalar floor at 4 edges mixes
     list and view passes; it returns what the all-view (floor 0) and
@@ -927,8 +1005,8 @@ def alternating_arena(rng, objective):
 
 def mcr_reference(arena, oracle):
     """The accelerated reachability solve with every component on its view:
-    its oracle reads ``x``, and ``fixpoint`` gathers the component's
-    members and exits from ``x``, sweeps and stores its values there."""
+    its oracle reads ``x``, and ``fixpoint`` sweeps the component's members
+    and exits gathered from ``x``, whose members are then stored there."""
     layout = scc_decompose(arena)
     ca = layout.ca
     x = np.full(arena.n, eng.POS, dtype=np.int64)
@@ -938,8 +1016,10 @@ def mcr_reference(arena, oracle):
     try:
         for q in range(1, len(layout)):
             tables = accel._clamping(oracle(arena, layout, q, x))
-            counts.append((1, eng.fixpoint(layout.view(q), x, bound, cutoff=ca.cutoff,
-                                           tables=tables)))
+            view, ids, xl = local(layout, q, x)
+            counts.append((1, eng.fixpoint(view, xl, bound, cutoff=ca.cutoff, tables=tables)))
+            k = len(view.starts)
+            x[ids[:k]] = xl[:k]
     except (AssertionError, UnsoundOracleError) as exc:
         return type(exc)
     return counts, eng.from_array(arena, x).values
@@ -949,9 +1029,9 @@ def mcr_reference(arena, oracle):
 def test_small_components_between_numpy_passes_match_the_numpy_reference(monkeypatch, oracle):
     """Small components solved on the list of finished values, between
     components above the floor and uncertified total-payoff components,
-    which read ``x`` (and ``y``) after the store that precedes them: each
-    solve equals the per-component numpy reference, where every component
-    gathers ``x``, sweeps and stores.  Values, each component's (passes,
+    which gather their local vectors from that list: each solve equals the
+    per-component numpy reference, where every component gathers from the
+    whole-arena ``x`` (and ``y``), sweeps and stores.  Values, each component's (passes,
     sweeps), k_e/k_i, and under short bounds the error type."""
     monkeypatch.setattr(accel, "SolveStats", ComponentCounts)
     rng = random.Random(2121)

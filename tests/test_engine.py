@@ -19,7 +19,7 @@ from quantgames.mcr import solve_mcr
 from quantgames.tp import solve_tp
 
 import kernel_reference as ref
-from conftest import components, layered, subset_view
+from conftest import components, layered, local, subset_view
 
 POS, NEG = eng.POS, eng.NEG
 
@@ -49,8 +49,8 @@ def check_sweeps_against_reference(seed, wmax, vmax):
         )
         x2 = np.stack([random_vector(rng, n, vmax) for _ in range(rows)])
         y2 = np.stack([random_vector(rng, n, vmax) for _ in range(rows)])
-        one = eng.EdgeSlice(slice(None), dst, wt2[0], starts, is_max)
-        batch = eng.EdgeSlice(slice(None), dst, wt2, starts, is_max)
+        one = eng.EdgeSlice(dst, wt2[0], starts, is_max)
+        batch = eng.EdgeSlice(dst, wt2, starts, is_max)
         for cap in (False, True):
             got = eng.sweep(one, x2[0], y2[0] if cap else None)
             assert got.tolist() == ref.sweep(one, x2[0], y2[0] if cap else None)
@@ -80,19 +80,23 @@ def reference_view(ca, members):
     return idx, starts
 
 
-def assert_view_matches_reference(view, ca, members):
+def assert_view_matches_reference(view, ids, ca, members):
+    """The view and its ``ids`` against the slice built one member at a
+    time: members at 0..k-1, each exit edge at the next slot in edge order."""
     idx, starts = reference_view(ca, members)
-    assert view.members.tolist() == sorted(members)
+    k = len(members)
+    dst = ca.dst[idx].tolist()
+    assert ids[:k].tolist() == sorted(members)
     assert view.starts.tolist() == starts
-    assert view.dst.tolist() == ca.dst[idx].tolist()
+    assert ids[view.dst].tolist() == dst
     assert view.wt.tolist() == ca.wt[idx].tolist()
     assert view.is_max.tolist() == ca.is_max[sorted(members)].tolist()
     # The certificate's fields: which edges stay inside, and where to.
     local = {v: i for i, v in enumerate(sorted(members))}
-    assert view.inside.tolist() == [d in local for d in view.dst.tolist()]
-    assert view.local_dst[view.inside].tolist() == [
-        local[d] for d in view.dst.tolist() if d in local
-    ]
+    inside = view.dst < k
+    assert inside.tolist() == [d in local for d in dst]
+    assert view.dst[inside].tolist() == [local[d] for d in dst if d in local]
+    assert view.dst[~inside].tolist() == list(range(k, len(ids)))
 
 
 def test_component_view_slices_and_sweeps_its_members():
@@ -100,9 +104,9 @@ def test_component_view_slices_and_sweeps_its_members():
     for _ in range(150):
         ca = eng.CompiledArena(random_arena(rng, 8, 5, Objective.TP))
         members = rng.sample(range(ca.n), rng.randint(1, ca.n))
-        view = subset_view(ca, members)
-        assert_view_matches_reference(view, ca, members)
         x, y = random_vector(rng, ca.n), random_vector(rng, ca.n)
+        view, ids, x, y = subset_view(ca, members, x, y)
+        assert_view_matches_reference(view, ids, ca, members)
         for ytrans in (None, y):
             assert eng.sweep(view, x, ytrans).tolist() == ref.sweep(view, x, ytrans)
 
@@ -115,10 +119,11 @@ def test_component_layout_views_are_slices_of_one_layout():
         layout = scc_decompose(arena)
         ca = layout.ca
         for q, members in enumerate(components(layout)):
-            view = layout.view(q)
-            assert_view_matches_reference(view, ca, members)
-            for name in layout.VERTEX_FIELDS + layout.EDGE_FIELDS:
-                assert np.shares_memory(getattr(view, name), getattr(layout, name)), name
+            view, ids = local(layout, q)
+            assert_view_matches_reference(view, ids, ca, members)
+            for mine, whole in (("dst", "ldst"), ("wt", "wt"), ("starts", "starts"),
+                                ("is_max", "is_max"), ("sign", "sign")):
+                assert np.shares_memory(getattr(view, mine), getattr(layout, whole)), mine
 
 
 def check_skewed_slice(rng, sl, n):
@@ -156,7 +161,7 @@ def test_skewed_slices_overflow_and_match_reference():
         wt2 = np.array([[rng.randint(-20, 20) for _ in range(len(dst))] for _ in range(rows)],
                        dtype=np.int64)
         for wt in (wt2[0], wt2):
-            sl = eng.EdgeSlice(slice(None), dst, wt, starts, is_max)
+            sl = eng.EdgeSlice(dst, wt, starts, is_max)
             assert sl.cols.overflow is not None
             assert sl.cols.width <= 2 * len(dst) // n + 1
             check_skewed_slice(rng, sl, n)
@@ -187,10 +192,10 @@ def test_layout_views_with_overflow_match_reference():
     ca = layout.ca
     spilled = 0
     for q, members in enumerate(components(layout)):
-        view = layout.view(q)
-        assert_view_matches_reference(view, ca, members)
-        spilled += view.cols.overflow is not None
         x, y = random_vector(rng, ca.n), random_vector(rng, ca.n)
+        view, ids, x, y = local(layout, q, x, y)
+        assert_view_matches_reference(view, ids, ca, members)
+        spilled += view.cols.overflow is not None
         for ytrans in (None, y):
             assert eng.sweep(view, x, ytrans).tolist() == ref.sweep(view, x, ytrans)
     assert spilled == 2
@@ -237,15 +242,15 @@ def test_star_columns_stay_within_twice_the_edges(monkeypatch):
     x = random_vector(rng, n)
     assert eng.sweep(ca, x).tolist() == ref.sweep(ca, x)
     # The leaves alone have bounded degree: their sweep is elementwise.
-    leaf_view = subset_view(ca, leaves)
+    leaf_view, _, leaf_x = subset_view(ca, leaves, x)
     spy = ReduceatSpy(np.maximum)
     monkeypatch.setattr(np, "maximum", spy)
-    got = eng.sweep(leaf_view, x)
+    got = eng.sweep(leaf_view, leaf_x)
     assert spy.reduceat_calls == 0
     eng.sweep(ca, x)
     assert spy.reduceat_calls == 1  # the hub's overflow
     monkeypatch.undo()
-    assert got.tolist() == ref.sweep(leaf_view, x)
+    assert got.tolist() == ref.sweep(leaf_view, leaf_x)
 
 
 def ring_chain(kinds, objective):

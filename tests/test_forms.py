@@ -41,7 +41,7 @@ from quantgames.mcr import mp_sign, solve_mcr
 from quantgames.tp import solve_tp
 
 import kernel_reference as ref
-from conftest import skewed_arena
+from conftest import local, skewed_arena
 
 NEVER = 10**18
 FORMS = {
@@ -80,14 +80,15 @@ def big_weight_arena(rng: random.Random, n: int, objective: Objective):
 
 def slices(rng, arena, views):
     """The whole-arena slice, then component views: the largest one when
-    ``views`` is None, else up to ``views`` at random."""
+    ``views`` is None, else up to ``views`` at random; each with the
+    vertex at each of its positions."""
     layout = accel.scc_decompose(arena)
     ca = layout.ca
     if views is None:
         picked = [int(np.diff(layout.bounds[:, :2]).argmax())]  # the largest
     else:
         picked = rng.sample(range(len(layout)), min(views, len(layout)))
-    return ca, [ca] + [layout.view(q) for q in picked]
+    return ca, [(ca, np.arange(ca.n))] + [local(layout, q) for q in picked]
 
 
 def random_inputs(rng, n, k, wide, y_neg=True):
@@ -134,8 +135,9 @@ def fixpoint_cases(corpus):
         else:
             arena = big_weight_arena(rng, rng.randint(2, 20), Objective.TP)
         ca, sls = slices(rng, arena, views)
-        for sl in sls:
+        for sl, ids in sls:
             x0, y, tables = random_inputs(rng, arena.n, len(sl.starts), int(ca.W) * arena.n, y_neg)
+            x0, y = x0[ids], y[ids]  # the slice's local vectors
             kw = {"cutoff": ca.cutoff} if rng.random() < 0.5 else {"lift": -ca.cutoff}
             kw["ytrans"] = y if rng.random() < 0.5 else None
             kw["tables"] = tables if rng.random() < 0.5 else None
@@ -164,7 +166,7 @@ def random_rows_slice(rng, n, rows, wmax):
     is_max = np.array([rng.random() < 0.5 for _ in range(n)])
     wt = np.array([[rng.randint(-wmax, wmax) for _ in range(len(dst))] for _ in range(rows)],
                   dtype=np.int64)
-    return eng.EdgeSlice(slice(None), dst, wt, starts, is_max)
+    return eng.EdgeSlice(dst, wt, starts, is_max)
 
 
 def row_bars(sl):
@@ -232,13 +234,16 @@ def test_nested_fixpoint_matches_reference(form):
         for nested in (ref.nested_fixpoint, eng.nested_fixpoint):
             x = np.full(arena.n, eng.POS, dtype=np.int64)
             y = np.full(arena.n, eng.NEG, dtype=np.int64)
-            if nested is ref.nested_fixpoint:
-                x, y = x.tolist(), y.tolist()
             counts = []
             for q in range(len(layout)):
-                counts.append(nested_run(nested, layout.view(q), x, y, **bounds))
+                view, ids, xl, yl = local(layout, q, x, y)
+                if nested is ref.nested_fixpoint:
+                    xl, yl = xl.tolist(), yl.tolist()
+                counts.append(nested_run(nested, view, xl, yl, **bounds))
                 if isinstance(counts[-1][0], type):
                     break
+                k = len(view.starts)
+                x[ids[:k]], y[ids[:k]] = counts[-1][1][:k], counts[-1][2][:k]
             runs.append(counts)
         assert runs[0] == runs[1]
         outcomes.add(runs[0][-1][0] if isinstance(runs[0][-1][0], type) else "stable")

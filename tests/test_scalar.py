@@ -87,10 +87,12 @@ def test_oracle_bound_errors_ignore_the_floor(monkeypatch):
 
 def test_default_floor_is_scalar_on_small_components(monkeypatch):
     """At the default floor the layered table's components sweep in scalar
-    form and never take their column form, and the counts stay frozen."""
+    form and never take their column form (one weight row; the cycle-sign
+    certificate's batch has two), and the counts stay frozen."""
     taken = []
-    form = eng.ComponentView.cols.func
-    monkeypatch.setattr(eng.ComponentView, "cols", property(lambda v: taken.append(1) or form(v)))
+    form = eng.EdgeSlice.cols.func
+    monkeypatch.setattr(eng.EdgeSlice, "cols",
+                        property(lambda v: (v.wt.ndim == 1 and taken.append(1)) or form(v)))
     res = solve_tp_accelerated(layered(10, 7))
     assert (res.stats.outer_iterations, res.stats.inner_iterations) == (4 * 10 + 2, 14 * 10 + 4)
     assert taken == []
