@@ -23,8 +23,8 @@ from .gamefile import (
 )
 from .mcr import (
     IterationTrace,
-    McrResult,
     Sign,
+    SolveResult,
     SolveStats,
     mp_sign,
     mp_to_mcr,
@@ -51,7 +51,7 @@ from .strategies import (
     play_out,
     project_tp_min,
 )
-from .tp import TpResult, build_game_Y, build_unfolding, classify_tp_infinities, k_bound, solve_tp
+from .tp import build_game_Y, build_unfolding, classify_tp_infinities, k_bound, solve_tp
 from .accel import (
     no_clamp_oracle,
     scc_decompose,

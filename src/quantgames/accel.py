@@ -48,8 +48,8 @@ import numpy as np
 
 from . import _engine as eng
 from .arena import Arena, ArenaError, Objective, is_normalized_mcr, validate
-from .mcr import McrResult, SolveStats, sweep_bound
-from .tp import TpResult, k_bound
+from .mcr import SolveResult, SolveStats, finish, sweep_bound
+from .tp import k_bound
 
 UnsoundOracleError = eng.UnsoundOracleError
 
@@ -130,15 +130,15 @@ def scc_decompose(arena: Arena) -> eng.ComponentLayout:
     as lists but 8 bytes an entry, not a list slot plus an int object, and
     writes the labels into one."""
     validate(arena)
-    src, dst = arena.edge_array.T[:2]
-    ends = np.searchsorted(src, np.arange(arena.n + 1))
-    labels = _tarjan_sccs(*(array.array("q", a.astype(np.int64).tobytes()) for a in (ends, dst)))
+    ca = eng.CompiledArena(arena)
+    ends = np.append(ca.starts, len(ca.dst))
+    labels = _tarjan_sccs(*(array.array("q", a.astype(np.int64).tobytes()) for a in (ends, ca.dst)))
     comp_of = np.frombuffer(labels, dtype=np.int64)
     if is_normalized_mcr(arena):
         (t,) = arena.targets
         comp_of += comp_of < comp_of[t]
         comp_of[t] = 0
-    return eng.ComponentLayout(eng.CompiledArena(arena), comp_of)
+    return eng.ComponentLayout(ca, comp_of)
 
 
 def no_clamp_oracle(
@@ -313,7 +313,7 @@ def _clamping(tables: List[Optional[List[int]]]) -> Optional[List[Optional[List[
 
 def solve_mcr_accelerated(
     arena: Arena, oracle: Oracle = simple_path_oracle
-) -> McrResult:
+) -> SolveResult:
     """Per-component reachability solve with candidate clamping.
 
     Identical output to the plain solver; stats count one outer unit per
@@ -321,6 +321,7 @@ def solve_mcr_accelerated(
     component takes one ``_component_pass``: on its scalar form when it
     has at most ``_engine.SCALAR_MAX_EDGES`` edges, else on its view.
     """
+    validate(arena)
     if not is_normalized_mcr(arena):
         raise ArenaError("solve_mcr_accelerated expects a normalized MCR arena")
     started = time.perf_counter()
@@ -335,14 +336,12 @@ def solve_mcr_accelerated(
         tables = _clamping(oracle(arena, layout, q, done))
         stats.outer_iterations += 1
         stats.inner_iterations += _component_pass(layout, done, q, tables, bound, ca.cutoff)[0]
-    stats.sweeps = stats.inner_iterations
-    stats.wall_ms = int((time.perf_counter() - started) * 1000)
-    return McrResult(eng.from_array(arena, np.array(done, dtype=np.int64)), stats)
+    return finish(arena, done, stats, started)
 
 
 def solve_tp_accelerated(
     arena: Arena, oracle: Oracle = simple_path_oracle
-) -> TpResult:
+) -> SolveResult:
     """Per-component total-payoff solve.
 
     Components whose internal cycles all share a strict sign are solved by
@@ -366,6 +365,7 @@ def solve_tp_accelerated(
     sweeps to the same values; it is counted in ``k_e``/``k_i`` and held to
     the pass bound, but not run.
     """
+    validate(arena)
     if arena.objective is not Objective.TP:
         raise ArenaError("solve_tp_accelerated expects a TP arena")
     started = time.perf_counter()
@@ -402,9 +402,7 @@ def solve_tp_accelerated(
             sweeps *= outer
         stats.outer_iterations += outer
         stats.inner_iterations += sweeps
-    stats.sweeps = stats.inner_iterations
-    stats.wall_ms = int((time.perf_counter() - started) * 1000)
-    return TpResult(eng.from_array(arena, np.array(done, dtype=np.int64)), stats)
+    return finish(arena, done, stats, started)
 
 
 def _component_pass(

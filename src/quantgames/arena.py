@@ -2,7 +2,7 @@
 
 An arena is immutable after construction.  ``validate`` enforces the model
 invariants (deadlock-freeness, weight and size caps, simple edges); every
-solver in this package assumes a validated arena.
+solver in this package validates its arena.
 
 ``Arena.edge_array`` is the stored form of the edges: ``[E, 3]`` int64
 rows ``(src, dst, w)``, sorted and read-only.  Validation, the compiled

@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: solve, strategy, check, gen, bench, play, convert.  Output is
-deterministic byte-for-byte across runs unless --stats adds wall-clock
-fields.  Exit codes: 0 ok, 1 check mismatch, 2 parse/validation error,
-bad argument, unreadable/unwritable file or stdin closed during ``play``.
+Subcommands: solve, strategy, check, gen, bench, play, convert.  All that
+solve do it one way: a reachability game is first rewired to one target
+(a fresh vertex if need be), and --accel, where offered, picks the
+per-component solver.  Output is deterministic byte-for-byte across runs
+unless --stats adds wall-clock fields.  Exit codes: 0 ok, 1 check
+mismatch, 2 parse/validation error, bad argument, unreadable/unwritable
+file or stdin closed during ``play``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import functools
 import hashlib
 import random
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .arena import (
     normalize_target,
 )
 from .extvalue import MINUS_INF, to_json
-from .mcr import SolveStats, solve_mcr
+from .mcr import SolveResult, SolveStats, solve_mcr
 from .oracle import mcr_oracle, tp_oracle
 from .strategies import (
     DECISION_TABLE_CAP,
@@ -39,6 +42,7 @@ from .strategies import (
     extract_max_memoryless,
     extract_max_tp,
     extract_min_mcr,
+    extract_min_sigma1,
     make_switching,
     project_tp_min,
     strategy_json,
@@ -49,22 +53,30 @@ from .tp import build_game_Y, solve_tp
 ORACLES = {"none": None, "scc": accel_mod.no_clamp_oracle, "scc+paths": accel_mod.simple_path_oracle}
 
 
-def _solve_dispatch(arena: Arena, accel: str):
-    """Solve per the arena's objective; returns the values on the input's
-    vertices and the stats."""
+def _solve(arena: Arena, accel: str = "none", trace: bool = False) -> Tuple[Arena, SolveResult]:
+    """Solve ``arena`` per its objective, reachability after
+    ``normalize_target``, with the oracle ``accel`` names in ``ORACLES``,
+    recording the iterates when ``trace``.  Returns the solved game and
+    its result."""
+    if trace and arena.objective is not Objective.MCR:
+        raise ValueError("--trace is only available for mcr games")
+    if trace and accel != "none":
+        raise ValueError("--trace records the plain solve; it cannot be used with --accel")
     oracle = ORACLES[accel]
     if arena.objective is Objective.MCR:
-        norm = normalize_target(arena)
+        game = normalize_target(arena)
         if oracle is None:
-            res = solve_mcr(norm)
-        else:
-            res = accel_mod.solve_mcr_accelerated(norm, oracle)
-        return ValueVector(arena, res.values.values[: arena.n]), res.stats
+            return game, solve_mcr(game, with_trace=trace)
+        return game, accel_mod.solve_mcr_accelerated(game, oracle)
     if oracle is None:
-        res = solve_tp(arena)
-    else:
-        res = accel_mod.solve_tp_accelerated(arena, oracle)
-    return res.values, res.stats
+        return arena, solve_tp(arena)
+    return arena, accel_mod.solve_tp_accelerated(arena, oracle)
+
+
+def _input_values(arena: Arena, res: SolveResult) -> ValueVector:
+    """The solved values on the vertices of ``arena``, the input: a fresh
+    target that normalization added is left out."""
+    return ValueVector(arena, res.values.values[: arena.n])
 
 
 def _print_values(values: ValueVector) -> None:
@@ -84,27 +96,17 @@ def _print_stats(stats: SolveStats) -> None:
 
 def cmd_solve(args) -> int:
     arena = _load(args.file)
-    if args.trace and arena.objective is not Objective.MCR:
-        sys.stderr.write("error: --trace is only available for mcr games\n")
-        return 2
-    if args.trace and args.accel != "none":
-        sys.stderr.write("error: --trace records the plain solve; it cannot be used with --accel\n")
-        return 2
-    if args.trace and arena.objective is Objective.MCR:
-        norm = normalize_target(arena)
-        res = solve_mcr(norm, with_trace=True)
+    _, res = _solve(arena, args.accel, bool(args.trace))
+    if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             write_trace(fh, res.trace.raw)
-        values = ValueVector(arena, res.values.values[: arena.n])
-        stats = res.stats
-    else:
-        values, stats = _solve_dispatch(arena, args.accel)
+    values = _input_values(arena, res)
     if args.json:
-        sys.stdout.buffer.write(gamefile.write_results_json(values, stats))
+        sys.stdout.buffer.write(gamefile.write_results_json(values, res.stats))
     else:
         _print_values(values)
         if args.stats:
-            _print_stats(stats)
+            _print_stats(res.stats)
     return 0
 
 
@@ -137,28 +139,21 @@ def _strategies(arena: Arena, player: str):
     the order ``qg strategy`` prints them: 'max', then 'min', or
     'min_sigma1' and 'min_sigma2' when a value is -inf, and for
     reachability 'min_moore', the rewind Moore machine."""
+    mcr = arena.objective is Objective.MCR
+    game, res = _solve(arena, trace=mcr)
     tools = {}
-    if arena.objective is Objective.MCR:
-        game = normalize_target(arena)
-        res = solve_mcr(game, with_trace=True)
-        if player in ("max", "both"):
-            tools["max"] = extract_max_memoryless(game, res.values)
-        if player in ("min", "both"):
-            sigma1, sigma2, sigma_star = extract_min_mcr(game, res)
-            if all(v is not MINUS_INF for v in res.values):
-                tools["min"] = make_switching(sigma1, sigma2, res.values, game)
-            else:
-                tools["min_sigma1"], tools["min_sigma2"] = sigma1, sigma2
-            tools["min_moore"] = sigma_star
-    else:
-        game = arena
-        res = solve_tp(arena)
-        if player in ("max", "both"):
-            tools["max"] = extract_max_tp(arena, res.values)
-        if player in ("min", "both"):
-            gy = build_game_Y(arena, res.values)
-            gy_sigma1, _, _ = extract_min_mcr(gy, solve_mcr(gy, with_trace=True))
-            tools["min"] = project_tp_min(arena, gy_sigma1)
+    if player in ("max", "both"):
+        tools["max"] = (extract_max_memoryless if mcr else extract_max_tp)(game, res.values)
+    if player in ("min", "both") and mcr:
+        sigma1, sigma2, sigma_star = extract_min_mcr(game, res)
+        if all(v is not MINUS_INF for v in res.values):
+            tools["min"] = make_switching(sigma1, sigma2, res.values, game)
+        else:
+            tools["min_sigma1"], tools["min_sigma2"] = sigma1, sigma2
+        tools["min_moore"] = sigma_star
+    elif player in ("min", "both"):
+        gy, gy_res = _solve(build_game_Y(arena, res.values), trace=True)
+        tools["min"] = project_tp_min(arena, extract_min_sigma1(gy, gy_res))
     return game, res.values, tools
 
 
@@ -198,14 +193,9 @@ def random_arena(rng: random.Random, vmax: int, wmax: int, objective: Objective)
 
 def _check_one(arena: Arena) -> bool:
     """Solver agrees with the brute-force reference on this arena."""
-    if arena.objective is Objective.MCR:
-        norm = normalize_target(arena)
-        got = solve_mcr(norm).values
-        want = mcr_oracle(norm)
-    else:
-        got = solve_tp(arena).values
-        want = tp_oracle(arena)
-    return list(got) == list(want)
+    game, res = _solve(arena)
+    want = mcr_oracle(game) if game.objective is Objective.MCR else tp_oracle(game)
+    return list(res.values) == list(want)
 
 
 def _minimize(arena: Arena, still_fails=None) -> Arena:
@@ -266,18 +256,32 @@ def _induced(arena: Arena, keep: List[int]) -> Optional[Arena]:
         return None
 
 
+# The keys of ``qg check --random`` and their defaults.
+RANDOM_DEFAULTS = {"seed": 0, "count": 100, "vmax": 5, "wmax": 3}
+
+
+def _random_entry(text: str) -> Tuple[str, int]:
+    """One ``key=value`` entry of ``qg check --random``: a key of
+    ``RANDOM_DEFAULTS`` and an integer."""
+    key, _, value = text.partition("=")
+    try:
+        if key in RANDOM_DEFAULTS:
+            return key, int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is not key=value with an integer value and a key of {', '.join(RANDOM_DEFAULTS)}"
+    )
+
+
 def cmd_check(args) -> int:
     arenas: List[Arena] = []
     if args.random:
-        params = dict(kv.split("=", 1) for kv in args.random)
-        seed = int(params.get("seed", 0))
-        count = int(params.get("count", 100))
-        vmax = int(params.get("vmax", 5))
-        wmax = int(params.get("wmax", 3))
-        rng = random.Random(seed)
-        for i in range(count):
+        params = {**RANDOM_DEFAULTS, **dict(args.random)}
+        rng = random.Random(params["seed"])
+        for i in range(params["count"]):
             objective = Objective.MCR if i % 2 == 0 else Objective.TP
-            arenas.append(random_arena(rng, vmax, wmax, objective))
+            arenas.append(random_arena(rng, params["vmax"], params["wmax"], objective))
     else:
         arenas.append(_load(args.file))
     for i, arena in enumerate(arenas):
@@ -297,12 +301,7 @@ def cmd_gen(args) -> int:
         n=args.n,
         objective=Objective(args.objective) if args.objective else None,
     )
-    blob = gamefile.serialize(gamefile.generate(spec))
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(blob)
-    else:
-        sys.stdout.buffer.write(blob)
+    _emit(gamefile.serialize(gamefile.generate(spec)), args.output)
     return 0
 
 
@@ -317,17 +316,13 @@ def cmd_bench(args) -> int:
         for n in [int(x) for x in args.n_list.split(",")]:
             spec = gamefile.FamilySpec(args.family, W=W, n=n)
             arena = gamefile.generate(spec)
-            values, stats = _solve_dispatch(arena, args.accel)
+            _, res = _solve(arena, args.accel)
+            stats, values = res.stats, _input_values(arena, res)
             rows.append(
                 f"{args.family},{W},{n},{args.accel},{stats.outer_iterations},"
                 f"{stats.inner_iterations},{stats.wall_ms},{_values_hash(values)}"
             )
-    csv = "\n".join(rows) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _emit(("\n".join(rows) + "\n").encode(), args.csv)
     return 0
 
 
@@ -376,16 +371,18 @@ def cmd_play(args) -> int:
 
 def cmd_convert(args) -> int:
     arena = _load(args.file)
-    annot = None
-    if args.annotate:
-        annot, _ = _solve_dispatch(arena, "none")
-    blob = gamefile.export_dot(arena, annot)
-    if args.output:
-        with open(args.output, "wb") as fh:
+    annot = _input_values(arena, _solve(arena)[1]) if args.annotate else None
+    _emit(gamefile.export_dot(arena, annot), args.output)
+    return 0
+
+
+def _emit(blob: bytes, path: Optional[str]) -> None:
+    """``blob`` into the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "wb") as fh:
             fh.write(blob)
     else:
         sys.stdout.buffer.write(blob)
-    return 0
 
 
 def _load(path: str) -> Arena:
@@ -414,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_strategy)
 
     p = sub.add_parser("check", help="cross-validate against the reference solver")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--random", nargs="+", metavar="key=value")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?")
+    source.add_argument("--random", nargs="+", metavar="key=value", type=_random_entry)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="emit a generated example arena")

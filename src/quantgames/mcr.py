@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -46,68 +46,69 @@ class SolveStats:
     COUNTING_CONVENTION = "repeat-body"
 
 
-@dataclass
 class IterationTrace:
-    """Recorded iterate sequence x_0, x_1, ..., x_sweeps; pointwise
-    non-increasing.  Row k of the int64 matrix ``raw`` is x_k, with the
-    ``_engine`` sentinels for +-inf: 8 bytes per vertex per sweep.
-    Indexing and ``vectors`` build ``ValueVector``s on demand."""
+    """Recorded iterate sequence x_0, x_1, ..., x_sweeps, pointwise
+    non-increasing, as ``fixpoint`` appends it.  Row k of the int64 matrix
+    ``raw`` is x_k, with the ``_engine`` sentinels for +-inf: 8 bytes per
+    vertex per sweep; indexing builds ``ValueVector``s.  The matrix grows in
+    place by a quarter (``ndarray.resize``), never holding two copies, and
+    ``finish`` trims it to the rows stored before the values are built."""
 
-    arena: Arena
-    raw: np.ndarray
+    def __init__(self, arena: Arena, x0: np.ndarray) -> None:
+        self.arena = arena
+        self.raw = np.empty((64, len(x0)), dtype=np.int64)
+        self._rows = 0
+        self.append(x0)
+
+    def append(self, x: np.ndarray) -> None:
+        if self._rows == len(self.raw):
+            self.raw.resize((self._rows + self._rows // 4, self.raw.shape[1]), refcheck=False)
+        self.raw[self._rows] = x
+        self._rows += 1
+
+    def trim(self) -> None:
+        self.raw.resize((self._rows, self.raw.shape[1]), refcheck=False)
 
     def __len__(self) -> int:
-        return len(self.raw)
+        return self._rows
 
     def __getitem__(self, i: int) -> ValueVector:
         return eng.from_array(self.arena, self.raw[i])
 
-    @property
-    def vectors(self) -> List[ValueVector]:
-        return [self[i] for i in range(len(self))]
-
-
-class _TraceRows:
-    """The int64 matrix ``fixpoint`` appends the iterates to.  It grows in
-    place by a quarter (``ndarray.resize``), so it never holds two copies
-    and its capacity stays within 1.25 times the rows stored."""
-
-    def __init__(self, x0: np.ndarray) -> None:
-        self.raw = np.empty((64, len(x0)), dtype=np.int64)
-        self.rows = 0
-        self.append(x0)
-
-    def append(self, x: np.ndarray) -> None:
-        if self.rows == len(self.raw):
-            self.raw.resize((self.rows + self.rows // 4, self.raw.shape[1]), refcheck=False)
-        self.raw[self.rows] = x
-        self.rows += 1
-
-    def matrix(self) -> np.ndarray:
-        self.raw.resize((self.rows, self.raw.shape[1]), refcheck=False)
-        return self.raw
-
 
 @dataclass
-class McrResult:
+class SolveResult:
+    """The values, loop counts and, from a traced ``solve_mcr``, iterates."""
+
     values: ValueVector
     stats: SolveStats
     trace: Optional[IterationTrace] = None
 
 
+def finish(arena: Arena, raw, stats: SolveStats, started: float,
+           trace: Optional[IterationTrace] = None) -> SolveResult:
+    """Every solver's epilogue: sweeps are the inner loop bodies, the clock
+    runs from ``started``, and one conversion reads the raw int64 values."""
+    stats.sweeps = stats.inner_iterations
+    stats.wall_ms = int((time.perf_counter() - started) * 1000)
+    if trace is not None:
+        trace.trim()
+    return SolveResult(eng.from_array(arena, np.asarray(raw, dtype=np.int64)), stats, trace)
+
+
 def sweep_bound(n: int, W: int) -> int:
-    """Upper bound on sweeps until stabilization (finite case plus the
-    per-vertex -inf drops)."""
+    """Sweeps until stabilization, at most: the finite descent plus each -inf drop."""
     return (2 * n - 1) * W * n + 2 * n
 
 
-def solve_mcr(arena: Arena, *, with_trace: bool = False) -> McrResult:
+def solve_mcr(arena: Arena, *, with_trace: bool = False) -> SolveResult:
     """Solve a normalized min-cost reachability game exactly.
 
     The target keeps value 0; vertices that cannot be forced into the
     target are +inf; vertices Min can improve below -(|V|-1)W are -inf;
     all other values are the greatest fixed point of the update operator.
     """
+    validate(arena)
     if not is_normalized_mcr(arena):
         raise ArenaError("solve_mcr expects a normalized MCR arena")
     started = time.perf_counter()
@@ -115,12 +116,9 @@ def solve_mcr(arena: Arena, *, with_trace: bool = False) -> McrResult:
     ca = eng.CompiledArena(arena)
     x = np.full(arena.n, eng.POS, dtype=np.int64)
     x[t] = 0
-    rows = _TraceRows(x) if with_trace else None
-    sweeps = eng.fixpoint(ca, x, sweep_bound(arena.n, ca.W) + 1, cutoff=ca.cutoff, trace=rows)
-    stats = SolveStats(sweeps=sweeps, inner_iterations=sweeps, outer_iterations=1)
-    stats.wall_ms = int((time.perf_counter() - started) * 1000)
-    trace = IterationTrace(arena, rows.matrix()) if with_trace else None
-    return McrResult(eng.from_array(arena, x), stats, trace)
+    trace = IterationTrace(arena, x) if with_trace else None
+    sweeps = eng.fixpoint(ca, x, sweep_bound(arena.n, ca.W) + 1, cutoff=ca.cutoff, trace=trace)
+    return finish(arena, x, SolveStats(inner_iterations=sweeps, outer_iterations=1), started, trace)
 
 
 class Sign(Enum):
@@ -145,6 +143,7 @@ def mp_sign(arena: Arena) -> Dict[int, Sign]:
     swapped, weights negated) negates every mean payoff, so there reaching
     -inf means MP > 0.
     """
+    validate(arena)
     n = arena.n
     ca = eng.CompiledArena(arena)
     dual = eng.EdgeSlice(ca.dst, -ca.wt, ca.starts, ~ca.is_max)

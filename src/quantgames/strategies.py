@@ -25,7 +25,7 @@ from . import _engine as eng
 from .arena import Arena, Objective, Player, ValueVector, max_abs_weight
 from .attractor import backward_attractor, compute_attractor
 from .extvalue import ExtValue, MINUS_INF, PLUS_INF, ext_add, is_finite
-from .mcr import McrResult
+from .mcr import SolveResult
 from .oracle import (
     Lasso,
     TooManyStrategiesError,
@@ -115,6 +115,11 @@ def _move(arena: Arena, machine: MooreStrategy, m: Hashable, v: int) -> int:
         raise
 
 
+def _owned(arena: Arena, player: Player) -> List[int]:
+    """The vertices of ``player`` outside the targets, ascending."""
+    return [v for v in range(arena.n) if arena.owners[v] is player and not arena.is_target(v)]
+
+
 def extract_max_memoryless(arena: Arena, values: ValueVector) -> MemorylessStrategy:
     """Max's memoryless optimum from solved values: at each Max vertex
     outside the targets, the argmax successor of weight + value, ties to
@@ -126,8 +131,7 @@ def extract_max_memoryless(arena: Arena, values: ValueVector) -> MemorylessStrat
     """
     choice = {
         v: max(arena.successors(v), key=lambda e: ext_add(e[1], values[e[0]]))[0]
-        for v in range(arena.n)
-        if arena.owners[v] is Player.MAX and not arena.is_target(v)
+        for v in _owned(arena, Player.MAX)
     }
     return MemorylessStrategy(Player.MAX, choice)
 
@@ -155,48 +159,62 @@ def _argmin(wt: np.ndarray, starts: np.ndarray, cont: np.ndarray, tiekey: np.nda
 BLOCK_ENTRIES = 1 << 18  # candidate entries per block of the rewind table
 
 
+def _min_rows(arena: Arena) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Min's non-target vertices ``cols`` and the rows of the sorted edge
+    array from them, ``src``, ``dst`` and ``wt``, with each one's first
+    row ``starts``."""
+    cols = _owned(arena, Player.MIN)
+    mine = np.zeros(arena.n, dtype=bool)
+    mine[cols] = True
+    edges = arena.edge_array
+    src, dst, wt = edges[mine[edges[:, 0]]].T
+    return cols, src, dst, wt, np.searchsorted(src, np.flatnonzero(mine))
+
+
+def extract_min_sigma1(arena: Arena, result: SolveResult, rows: tuple = ()) -> MemorylessStrategy:
+    """sigma1 of ``extract_min_mcr`` alone, from a traced reachability
+    solve: at each Min vertex, the argmin of weight + value against the
+    iterate preceding the vertex's last change in the trace (the last
+    iterate if it never changed), value ties to the smallest successor.
+    The last changes come from one comparison of consecutive rows.
+    ``rows`` is ``_min_rows(arena)`` when the caller holds it."""
+    if result.trace is None:
+        raise TraceMissingError("solve_mcr must be run with with_trace=True")
+    raw = result.trace.raw
+    cols, src, dst, wt, starts = rows or _min_rows(arena)
+    changed = raw[1:] != raw[:-1]
+    last = np.where(changed.any(axis=0), len(changed) - changed[::-1].argmax(axis=0), 0)
+    against = np.where(last > 0, last - 1, len(raw) - 1)
+    pick1 = _argmin(wt, starts, raw[against[src], dst], dst, arena.n)
+    return MemorylessStrategy(Player.MIN, dict(zip(cols, pick1.tolist())))
+
+
 def extract_min_mcr(
-    arena: Arena, result: McrResult
+    arena: Arena, result: SolveResult
 ) -> Tuple[MemorylessStrategy, MemorylessStrategy, MooreStrategy]:
     """Min's strategy trio from a traced reachability solve.
 
-    sigma1 plays, at each Min vertex, the argmin of weight + value against
-    the iterate preceding the vertex's last change in the trace (the last
-    iterate if it never changed), value ties to the smallest successor.
-    sigma2 is the attractor reach strategy, completed by sigma1 off the
-    attractor.  The Moore strategy is the rewind machine: it counts play
-    length m and plays the argmin against iterate x_{sweeps - m} (x_0 once
-    m passes sweeps), value ties to the successor of smallest attractor
-    rank, then smallest index, so it never idles in a zero-weight cycle;
-    it reaches the target within ``sweeps`` steps at optimal cost.
+    sigma1 is ``extract_min_sigma1``'s.  sigma2 is the attractor reach
+    strategy, completed by sigma1 off the attractor.  The Moore strategy
+    is the rewind machine: it counts play length m and plays the argmin
+    against iterate x_{sweeps - m} (x_0 once m passes sweeps), value ties
+    to the successor of smallest attractor rank, then smallest index, so
+    it never idles in a zero-weight cycle; it reaches the target within
+    ``sweeps`` steps at optimal cost.
 
-    Everything is computed from the trace matrix: the last changes by one
-    comparison of consecutive rows, the rewind machine's decision table
-    (one row per iterate) by two segmented minima per block of iterates.
-    A machine whose rows are all equal collapses to one state.
+    Everything is computed from the trace matrix: the rewind machine's
+    decision table (one row per iterate) by two segmented minima per
+    block of iterates.  A machine whose rows are all equal collapses to
+    one state.
     """
-    if result.trace is None:
-        raise TraceMissingError("solve_mcr must be run with with_trace=True")
+    rows = _min_rows(arena)
+    sigma1 = extract_min_sigma1(arena, result, rows)
+    cols, _, dst, wt, starts = rows
     raw = result.trace.raw
     sweeps = result.stats.sweeps
     n = arena.n
     att = compute_attractor(arena, arena.targets)
-    cols = [v for v in range(n) if arena.owners[v] is Player.MIN and not arena.is_target(v)]
-    mine = np.zeros(n, dtype=bool)
-    mine[cols] = True
-    # The rows of the sorted edge array from ``cols``, and each one's first row.
-    edges = arena.edge_array
-    src, dst, wt = edges[mine[edges[:, 0]]].T
-    starts = np.searchsorted(src, np.flatnonzero(mine))
-
-    changed = raw[1:] != raw[:-1]
-    last = np.where(changed.any(axis=0), len(changed) - changed[::-1].argmax(axis=0), 0)
-    against = np.where(last > 0, last - 1, len(raw) - 1)
-    pick1 = _argmin(wt, starts, raw[against[src], dst], dst, n)
-    choice1 = dict(zip(cols, pick1.tolist()))
-    sigma1 = MemorylessStrategy(Player.MIN, choice1)
-
-    choice2 = dict(choice1)
+    choice2 = dict(sigma1.choice)
     choice2.update(att.min_reach)
     sigma2 = MemorylessStrategy(Player.MIN, choice2)
 
@@ -461,11 +479,7 @@ def extract_max_tp(arena: Arena, values: ValueVector) -> MemorylessStrategy:
     zero cycles can tie), so value-preserving choice combinations are
     searched and certified against Min's enumerated memoryless replies.
     """
-    owned = [
-        v
-        for v in range(arena.n)
-        if arena.owners[v] is Player.MAX and not arena.is_target(v)
-    ]
+    owned = _owned(arena, Player.MAX)
     option_sets = []
     for v in owned:
         opts = []
@@ -541,9 +555,7 @@ def _decision_table(strategy: MooreStrategy, arena: Arena) -> DecisionTable:
     at the player's vertices outside the targets."""
     if strategy.table is not None:
         return strategy.table
-    cols = [
-        v for v in range(arena.n) if arena.owners[v] is strategy.player and not arena.is_target(v)
-    ]
+    cols = _owned(arena, strategy.player)
     index: Dict[Tuple[int, ...], int] = {}
     row_of = [
         index.setdefault(tuple(strategy.decide(m, v) for v in cols), len(index))

@@ -12,7 +12,6 @@ their new vertices through ``arena.fresh_names``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -32,13 +31,7 @@ from .arena import (
     validate,
     vertex_cap,
 )
-from .mcr import Sign, SolveStats, mp_sign, sweep_bound
-
-
-@dataclass
-class TpResult:
-    values: ValueVector
-    stats: SolveStats
+from .mcr import Sign, SolveResult, SolveStats, finish, mp_sign, sweep_bound
 
 
 def k_bound(arena: Arena) -> int:
@@ -47,15 +40,15 @@ def k_bound(arena: Arena) -> int:
     return n * (2 * (n - 1) * max_abs_weight(arena) + 1)
 
 
-def solve_tp(arena: Arena) -> TpResult:
+def solve_tp(arena: Arena) -> SolveResult:
     """Solve a total-payoff game exactly.
 
     stats.outer_iterations counts outer bodies, stats.inner_iterations the
     total inner bodies (both include the final stabilizing pass).
     """
+    validate(arena)
     if arena.objective is not Objective.TP:
         raise ArenaError("solve_tp expects a TP arena")
-    validate(arena)
     started = time.perf_counter()
     ca = eng.CompiledArena(arena)
     n = arena.n
@@ -65,9 +58,7 @@ def solve_tp(arena: Arena) -> TpResult:
         ca, x, y, cutoff=ca.cutoff, lift=(n - 1) * ca.W,
         inner_bound=sweep_bound(n, ca.W) + 1, outer_bound=k_bound(arena) + 1,
     )
-    stats = SolveStats(sweeps=inner, inner_iterations=inner, outer_iterations=outer)
-    stats.wall_ms = int((time.perf_counter() - started) * 1000)
-    return TpResult(eng.from_array(arena, y), stats)
+    return finish(arena, y, SolveStats(inner_iterations=inner, outer_iterations=outer), started)
 
 
 def classify_tp_infinities(arena: Arena) -> Dict[int, str]:

@@ -233,7 +233,7 @@ def test_criterion_1_fig2a_solve():
     elapsed = time.perf_counter() - t0
     res = solve_mcr(arena, with_trace=True)
     assert list(res.values) == [-50, -50, 0]
-    head = [tuple(vec.values[:2]) for vec in res.trace.vectors[:5]]
+    head = [tuple(vec.values[:2]) for vec in list(res.trace)[:5]]
     assert head == [
         (PLUS_INF, PLUS_INF),
         (PLUS_INF, 0),

@@ -433,3 +433,41 @@ def test_strategy_notes_a_dropped_decision_table(tmp_path, capsys):
                 f"note: min_moore: the Moore machine has {states} states, above the cap "
                 "of 4096; its decision table is left out\n"
             )
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "one of the arguments file --random is required"),
+    (["FILE", "--random", "seed=1"], "argument --random: not allowed with argument file"),
+    (["--random", "seeed=3"], "argument --random: 'seeed=3' is not key=value"),
+    (["--random", "count"], "argument --random: 'count' is not key=value"),
+    (["--random", "seed=7", "count=x"], "argument --random: 'count=x' is not key=value"),
+])
+def test_check_refuses_argument_faults(tmp_path, capsys, args, message):
+    path = _gen(tmp_path, "fig1a")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["check"] + [path if a == "FILE" else a for a in args])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: qg check ")
+    assert f"qg check: error: {message}" in err
+    if "key=value" in message:
+        assert err.endswith("a key of seed, count, vmax, wmax\n")
+
+
+def test_tp_min_strategy_builds_no_rewind_machine(tmp_path, capsys, monkeypatch):
+    # Min's total-payoff strategy is sigma1 of the stop-request game alone:
+    # no attractor, so no rewind machine, is built for it.
+    from quantgames import strategies
+
+    path = _gen(tmp_path, "fig1a")
+    capsys.readouterr()
+    assert run(["strategy", path, "--player", "min"]) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("compute_attractor was called")
+
+    monkeypatch.setattr(strategies, "compute_attractor", refuse)
+    assert run(["strategy", path, "--player", "min"]) == 0
+    assert capsys.readouterr().out == want

@@ -12,15 +12,20 @@ import pytest
 
 from quantgames import arena as arena_mod
 from quantgames import cli
+from quantgames.accel import solve_mcr_accelerated, solve_tp_accelerated
 from quantgames.arena import (
     Arena,
     CapExceededError,
+    DeadlockVertexError,
     Objective,
     Player,
+    WeightOverflowError,
     normalize_target,
     validate,
 )
 from quantgames.gamefile import parse
+from quantgames.mcr import mp_sign, solve_mcr
+from quantgames.tp import solve_tp
 
 MAX, MIN = Player.MAX, Player.MIN
 MCR, TP = Objective.MCR, Objective.TP
@@ -420,6 +425,33 @@ def test_a_recorded_validation_does_not_hide_a_lower_cap(monkeypatch):
         validate(arena)
     monkeypatch.setenv("QG_MAX_VERTICES", "3")
     validate(arena)
+
+
+# Each solver entry and the objective of the arena it takes.
+ENTRIES = {
+    "solve_mcr": (solve_mcr, MCR),
+    "solve_mcr_accelerated": (solve_mcr_accelerated, MCR),
+    "solve_tp": (solve_tp, TP),
+    "solve_tp_accelerated": (solve_tp_accelerated, TP),
+    "mp_sign": (mp_sign, TP),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("fault, error", [
+    ("deadlock", DeadlockVertexError), ("overflow", WeightOverflowError),
+])
+def test_every_solver_validates_its_arena_first(entry, fault, error):
+    # a -> t, b -> a and the target t's zero loop; the fault drops b's
+    # edge, or weighs a's edge 10**30, past int64.
+    solve, objective = ENTRIES[entry]
+    edges = [(0, 2, 10**30 if fault == "overflow" else 1), (2, 2, 0)]
+    if fault != "deadlock":
+        edges.append((1, 0, 1))
+    targets = frozenset((2,)) if objective is MCR else frozenset()
+    arena = Arena(("a", "b", "t"), (MIN, MAX, MAX), tuple(edges), targets, objective)
+    with pytest.raises(error):
+        solve(arena)
 
 
 MULTI_TARGET = (

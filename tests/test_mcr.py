@@ -32,14 +32,14 @@ def test_fig2a_values_and_trace():
     arena = fig2a(50)
     res = solve_mcr(arena, with_trace=True)
     assert list(res.values) == [-50, -50, 0]
-    head = [tuple(vec.values[:2]) for vec in res.trace.vectors[:4]]
+    head = [tuple(vec.values[:2]) for vec in list(res.trace)[:4]]
     assert head == [
         (PLUS_INF, PLUS_INF),
         (PLUS_INF, 0),
         (-1, 0),
         (-1, -1),
     ]
-    assert res.trace.vectors[4].values[:2] == [-2, -1]
+    assert res.trace[4].values[:2] == [-2, -1]
     assert res.stats.sweeps == 2 * 50 + 2
     assert res.stats.inner_iterations == res.stats.sweeps
     assert res.stats.outer_iterations == 1
@@ -81,7 +81,7 @@ def test_trace_non_increasing_and_bounded():
         res = solve_mcr(arena, with_trace=True)
         n, W = arena.n, max(abs(w) for _, _, w in arena.edges)
         assert res.stats.sweeps <= sweep_bound(n, W)
-        vecs = res.trace.vectors
+        vecs = list(res.trace)
         for a, b in zip(vecs, vecs[1:]):
             assert b.pointwise_le(a)
         # after |V| sweeps every finite iterate sits in the proven window

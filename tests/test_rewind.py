@@ -31,7 +31,7 @@ from conftest import fig2a, layered
 
 def reference_min_mcr(arena, result):
     """(sigma1 choice, sigma2 choice, decide, size) by the scalar rules."""
-    trace = result.trace.vectors
+    trace = list(result.trace)
     sweeps = result.stats.sweeps
     att = compute_attractor(arena, arena.targets)
 
