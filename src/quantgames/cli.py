@@ -140,10 +140,11 @@ def _strategies(arena: Arena, player: str):
     'min_sigma1' and 'min_sigma2' when a value is -inf, and for
     reachability 'min_moore', the rewind Moore machine."""
     mcr = arena.objective is Objective.MCR
-    game, res = _solve(arena, trace=mcr)
+    game, res = _solve(arena, trace=mcr and player != "max")  # Min's strategies alone read the iterates
     tools = {}
     if player in ("max", "both"):
-        tools["max"] = (extract_max_memoryless if mcr else extract_max_tp)(game, res.values)
+        extract_max = extract_max_memoryless if mcr else extract_max_tp
+        tools["max"] = extract_max(game, res.values)
     if player in ("min", "both") and mcr:
         sigma1, sigma2, sigma_star = extract_min_mcr(game, res)
         if all(v is not MINUS_INF for v in res.values):
@@ -198,10 +199,8 @@ def _check_one(arena: Arena) -> bool:
     return list(res.values) == list(want)
 
 
-def _minimize(arena: Arena, still_fails=None) -> Arena:
+def _minimize(arena: Arena, still_fails=lambda sub: not _check_one(sub)) -> Arena:
     """Greedy vertex deletion preserving validity and the failure."""
-    if still_fails is None:
-        still_fails = lambda sub: not _check_one(sub)
     current = arena
     improved = True
     while improved and current.n > 1:
@@ -256,34 +255,36 @@ def _induced(arena: Arena, keep: List[int]) -> Optional[Arena]:
         return None
 
 
-# The keys of ``qg check --random`` and their defaults.
+# The keys of ``qg check --random``, their defaults and their least values.
 RANDOM_DEFAULTS = {"seed": 0, "count": 100, "vmax": 5, "wmax": 3}
+RANDOM_LEAST = {"count": 1, "vmax": 1, "wmax": 0}
 
 
 def _random_entry(text: str) -> Tuple[str, int]:
     """One ``key=value`` entry of ``qg check --random``: a key of
-    ``RANDOM_DEFAULTS`` and an integer."""
+    ``RANDOM_DEFAULTS`` and an integer, at least its ``RANDOM_LEAST``."""
     key, _, value = text.partition("=")
     try:
-        if key in RANDOM_DEFAULTS:
-            return key, int(value)
+        number = int(value) if key in RANDOM_DEFAULTS else None
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"{text!r} is not key=value with an integer value and a key of {', '.join(RANDOM_DEFAULTS)}"
-    )
+        number = None
+    if number is None:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not key=value with an integer value and a key of {', '.join(RANDOM_DEFAULTS)}"
+        )
+    if number < RANDOM_LEAST.get(key, number):
+        raise argparse.ArgumentTypeError(f"{key} must be at least {RANDOM_LEAST[key]}, not {number}")
+    return key, number
 
 
 def cmd_check(args) -> int:
-    arenas: List[Arena] = []
+    arenas = [_load(args.file)] if args.file else []
     if args.random:
         params = {**RANDOM_DEFAULTS, **dict(args.random)}
         rng = random.Random(params["seed"])
         for i in range(params["count"]):
             objective = Objective.MCR if i % 2 == 0 else Objective.TP
             arenas.append(random_arena(rng, params["vmax"], params["wmax"], objective))
-    else:
-        arenas.append(_load(args.file))
     for i, arena in enumerate(arenas):
         if not _check_one(arena):
             small = _minimize(arena)

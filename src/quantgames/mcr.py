@@ -85,10 +85,9 @@ class SolveResult:
     trace: Optional[IterationTrace] = None
 
 
-def finish(arena: Arena, raw, stats: SolveStats, started: float,
-           trace: Optional[IterationTrace] = None) -> SolveResult:
+def finish(arena: Arena, raw, stats: SolveStats, started: float, trace=None) -> SolveResult:
     """Every solver's epilogue: sweeps are the inner loop bodies, the clock
-    runs from ``started``, and one conversion reads the raw int64 values."""
+    runs from ``started``, a trace is trimmed and one conversion reads ``raw``."""
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
     if trace is not None:
@@ -97,7 +96,8 @@ def finish(arena: Arena, raw, stats: SolveStats, started: float,
 
 
 def sweep_bound(n: int, W: int) -> int:
-    """Sweeps until stabilization, at most: the finite descent plus each -inf drop."""
+    """Upper bound on sweeps until stabilization (finite case plus the
+    per-vertex -inf drops)."""
     return (2 * n - 1) * W * n + 2 * n
 
 

@@ -171,17 +171,16 @@ def _min_rows(arena: Arena) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarr
     return cols, src, dst, wt, np.searchsorted(src, np.flatnonzero(mine))
 
 
-def extract_min_sigma1(arena: Arena, result: SolveResult, rows: tuple = ()) -> MemorylessStrategy:
+def extract_min_sigma1(arena: Arena, result: SolveResult) -> MemorylessStrategy:
     """sigma1 of ``extract_min_mcr`` alone, from a traced reachability
     solve: at each Min vertex, the argmin of weight + value against the
     iterate preceding the vertex's last change in the trace (the last
     iterate if it never changed), value ties to the smallest successor.
-    The last changes come from one comparison of consecutive rows.
-    ``rows`` is ``_min_rows(arena)`` when the caller holds it."""
+    The last changes come from one comparison of consecutive rows."""
     if result.trace is None:
         raise TraceMissingError("solve_mcr must be run with with_trace=True")
     raw = result.trace.raw
-    cols, src, dst, wt, starts = rows or _min_rows(arena)
+    cols, src, dst, wt, starts = _min_rows(arena)
     changed = raw[1:] != raw[:-1]
     last = np.where(changed.any(axis=0), len(changed) - changed[::-1].argmax(axis=0), 0)
     against = np.where(last > 0, last - 1, len(raw) - 1)
@@ -207,9 +206,8 @@ def extract_min_mcr(
     block of iterates.  A machine whose rows are all equal collapses to
     one state.
     """
-    rows = _min_rows(arena)
-    sigma1 = extract_min_sigma1(arena, result, rows)
-    cols, _, dst, wt, starts = rows
+    sigma1 = extract_min_sigma1(arena, result)
+    cols, _, dst, wt, starts = _min_rows(arena)
     raw = result.trace.raw
     sweeps = result.stats.sweeps
     n = arena.n

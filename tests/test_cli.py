@@ -441,6 +441,10 @@ def test_strategy_notes_a_dropped_decision_table(tmp_path, capsys):
     (["--random", "seeed=3"], "argument --random: 'seeed=3' is not key=value"),
     (["--random", "count"], "argument --random: 'count' is not key=value"),
     (["--random", "seed=7", "count=x"], "argument --random: 'count=x' is not key=value"),
+    (["--random", "count=-4"], "argument --random: count must be at least 1, not -4"),
+    (["--random", "count=0"], "argument --random: count must be at least 1, not 0"),
+    (["--random", "vmax=0"], "argument --random: vmax must be at least 1, not 0"),
+    (["--random", "wmax=-1"], "argument --random: wmax must be at least 0, not -1"),
 ])
 def test_check_refuses_argument_faults(tmp_path, capsys, args, message):
     path = _gen(tmp_path, "fig1a")
@@ -471,3 +475,22 @@ def test_tp_min_strategy_builds_no_rewind_machine(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(strategies, "compute_attractor", refuse)
     assert run(["strategy", path, "--player", "min"]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_only_min_strategies_trace_the_reachability_solve(tmp_path, capsys, monkeypatch):
+    # Max's strategy reads the values alone, so it is extracted from an
+    # untraced solve; Min's read the iterates.
+    from quantgames import cli
+    from quantgames.mcr import solve_mcr
+
+    path = _gen(tmp_path, "fig2a", W=3)
+    traced = []
+
+    def recording(game, with_trace=False):
+        traced.append(with_trace)
+        return solve_mcr(game, with_trace=with_trace)
+
+    monkeypatch.setattr(cli, "solve_mcr", recording)
+    for player in ("max", "min", "both"):
+        assert run(["strategy", path, "--player", player]) == 0
+    assert traced == [False, True, True]
