@@ -168,13 +168,12 @@ from __future__ import annotations
 
 import bisect
 import functools
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arena import Arena, Player, ValueVector, max_abs_weight
+from .arena import Arena, ValueVector, max_abs_weight
 from .extvalue import ExtValue, MINUS_INF, PLUS_INF
 
 POS = np.int64(2**62)
@@ -360,10 +359,7 @@ class CompiledArena(EdgeSlice):
             dst,
             wt,
             np.searchsorted(self.src, np.arange(n, dtype=np.int64)),
-            # The partial looks ``Player.MAX`` up once, not once per vertex
-            # (an enum member lookup costs about 0.2 us).
-            np.fromiter(map(functools.partial(operator.is_, Player.MAX), arena.owners),
-                        dtype=bool, count=n),
+            arena.is_max,
         )
         self.cutoff = np.int64(-(n - 1) * self.W)
 

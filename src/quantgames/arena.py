@@ -14,16 +14,23 @@ from it on first use.  An arena built from tuples, as the generators and
 tests do, keeps them and builds the array on first use instead.  The
 per-vertex successor tuples and the name -> index dict behind
 ``Arena.index`` are also built lazily, so a plain reachability solve from
-a file builds none of them.  A successful ``validate`` records the vertex
-cap it checked against on the arena, and a later call under the same cap
-returns at once.  The bulk parser and ``normalize_target`` record that
-cap on the arenas they build valid by construction, so ``_check`` never
-runs on them.
+a file builds none of them.  ``Arena.is_max``, the owners as a read-only
+bool array, is the form the compiled solver arrays, ``make_bipartite``
+and the attractor read; the bulk parser and ``normalize_target`` hand in
+the one they computed, and any other arena builds it from ``owners`` on
+first use.  A successful ``validate`` records the vertex cap it checked
+against on the arena, and a later call under the same cap returns at
+once.  The bulk parser and ``normalize_target`` build their arenas valid
+by construction, with their rows already sorted: they pass that cap to
+the constructor, which records it and takes the rows without proving the
+sort again, so ``_check`` never runs on them.  Rows from any other caller
+are checked, and sorted if need be.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import re
 from functools import partial
@@ -107,11 +114,17 @@ class Arena:
     ``index`` is an optional name -> index dict the caller already holds.
     Arenas are immutable and compare equal when their names, owners,
     sorted edges, targets and objective are equal.
+
+    ``_is_max`` and ``_cap`` are for the builders of arenas valid by
+    construction, the bulk parser and ``normalize_target``: the owners'
+    Max flags as a bool array, and the vertex cap the arena is valid
+    under.  With ``_cap`` the rows are taken as sorted, unchecked, and the
+    cap is recorded, so ``validate`` returns at once under it.
     """
 
     __slots__ = (
         "names", "owners", "targets", "objective",
-        "_edges", "_edge_array", "_succ", "_index", "_validated_cap",
+        "_edges", "_edge_array", "_succ", "_index", "_is_max", "_validated_cap",
     )
 
     def __init__(
@@ -122,6 +135,9 @@ class Arena:
         targets: frozenset,
         objective: Objective,
         index: Optional[Dict[str, int]] = None,
+        *,
+        _is_max: Optional[np.ndarray] = None,
+        _cap: Optional[int] = None,
     ) -> None:
         init = partial(object.__setattr__, self)
         init("names", names)
@@ -130,13 +146,14 @@ class Arena:
         init("objective", objective)
         if isinstance(edges, np.ndarray):
             init("_edges", None)
-            init("_edge_array", _sorted_rows(edges))
+            init("_edge_array", _read_only(edges if _cap else _sorted_rows(edges)))
         else:
             init("_edges", tuple(sorted(edges)))
             init("_edge_array", None)
         init("_succ", None)
         init("_index", index)
-        init("_validated_cap", None)
+        init("_is_max", None if _is_max is None else _read_only(_is_max))
+        init("_validated_cap", _cap)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: Arena is immutable")
@@ -191,6 +208,19 @@ class Arena:
         return self._edge_array
 
     @property
+    def is_max(self) -> np.ndarray:
+        """A read-only bool array, True at the Max vertices: given by the
+        bulk parser and ``normalize_target``, else built from ``owners``
+        on first use."""
+        if self._is_max is None:
+            # The partial looks ``Player.MAX`` up once, not once per vertex
+            # (an enum member lookup costs about 0.2 us).
+            is_max = partial(operator.is_, Player.MAX)
+            flags = np.fromiter(map(is_max, self.owners), dtype=bool, count=self.n)
+            object.__setattr__(self, "_is_max", _read_only(flags))
+        return self._is_max
+
+    @property
     def n(self) -> int:
         return len(self.names)
 
@@ -233,13 +263,18 @@ class Arena:
 
 
 def _sorted_rows(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of the ``[E, 3]`` int64 rows ``arr``, sorted as
-    their tuples would be; sorted input is not copied."""
+    """The ``[E, 3]`` int64 rows ``arr``, sorted as their tuples would
+    be; sorted input is not copied."""
     if arr.dtype != np.int64 or arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("an edge array must be int64 of shape [E, 3]")
     s, d = arr[:, 0], arr[:, 1]
     if not ((s[1:] > s[:-1]) | ((s[1:] == s[:-1]) & (d[1:] > d[:-1]))).all():
         arr = arr[np.lexsort(arr.T[::-1])]
+    return arr
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``."""
     view = arr.view()
     view.flags.writeable = False
     return view
@@ -267,15 +302,7 @@ def validate(arena: Arena) -> None:
     if arena._validated_cap == cap:
         return
     _check(arena, cap)
-    _proven(arena, cap)
-
-
-def _proven(arena: Arena, cap: int) -> Arena:
-    """Record that ``arena`` passes ``_check`` under ``cap``, and return
-    it: in ``validate`` after ``_check``, and on the arenas that the bulk
-    parser and ``normalize_target`` build valid by construction."""
     object.__setattr__(arena, "_validated_cap", cap)
-    return arena
 
 
 def _check(arena: Arena, cap: int) -> None:
@@ -396,10 +423,11 @@ def normalize_target(arena: Arena) -> Arena:
     it with the forwarding row, drops the others and appends the fresh
     target's loop, so the rows stay sorted.
 
-    The result is valid by construction, and recorded so (``validate``
-    returns at once on it): the input is valid, the fresh name matches
-    ``NAME_RE`` and is not taken, every vertex keeps or gains exactly one
-    row per successor, and the fresh target's loop is its only row.
+    The result is valid by construction, and built so: ``validate``
+    returns at once on it and its sorted rows are not checked again.  The
+    input is valid, the fresh name matches ``NAME_RE`` and is not taken,
+    every vertex keeps or gains exactly one row per successor, and the
+    fresh target's loop is its only row.
     """
     if arena.objective is not Objective.MCR:
         raise ArenaError("normalize_target expects an MCR arena")
@@ -415,6 +443,7 @@ def normalize_target(arena: Arena) -> Arena:
     t = arena.n
     names = arena.names + tuple(fresh_names(arena.names, ["t"]))
     owners = arena.owners + (Player.MAX,)
+    is_max = np.append(arena.is_max, True)
     arr = arena.edge_array
     src = arr[:, 0]
     olds = np.array(sorted(arena.targets), dtype=np.int64)
@@ -427,7 +456,7 @@ def normalize_target(arena: Arena) -> Arena:
     np.compress(keep, arr, axis=0, out=edges[:-1])
     edges[np.searchsorted(edges[:-1, 0], olds), 1:] = (t, 0)
     edges[-1] = (t, t, 0)
-    return _proven(Arena(names, owners, edges, frozenset((t,)), Objective.MCR), cap)
+    return Arena(names, owners, edges, frozenset((t,)), Objective.MCR, _is_max=is_max, _cap=cap)
 
 
 class ValueVector:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Sequence
 
-from .arena import Arena, Objective, Player
+from .arena import Arena, Objective
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,12 @@ def compute_attractor(arena: Arena, from_set: Iterable[int]) -> AttractorResult:
     for s, d, _ in arena.edges:
         preds[d].append(s)
     out_degree = [len(arena.successors(v)) for v in range(arena.n)]
-    is_max = [owner is Player.MAX for owner in arena.owners]
+    is_max = arena.is_max.tolist()
     rank = backward_attractor(preds, out_degree, is_max, sorted(set(from_set)))
     attracted = frozenset(rank)
     min_reach: Dict[int, int] = {}
     for v in attracted:
-        if arena.owners[v] is Player.MIN and rank[v] > 0:
+        if not is_max[v] and rank[v] > 0:
             best = min(
                 (rank[d], d)
                 for d, _ in arena.successors(v)

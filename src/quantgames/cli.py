@@ -79,11 +79,19 @@ def _input_values(arena: Arena, res: SolveResult) -> ValueVector:
     return ValueVector(arena, res.values.values[: arena.n])
 
 
-def _print_values(values: ValueVector) -> None:
-    """One line per vertex, its name padded to the longest, in one write:
-    ``str`` of an infinity is ``+inf``/``-inf``, as ``to_json`` gives."""
-    width = max(len(n) for n in values.arena.names)
-    sys.stdout.write("".join([f"{name:<{width}}  {v}\n" for name, v in values.items()]))
+def _print_values(names: Sequence[str], raw: np.ndarray) -> None:
+    """One line per vertex, its name padded to the longest and its value
+    in the int64 vector ``raw`` as ``to_json`` writes it (``+inf``/``-inf``
+    at the sentinels), in one join and one write; each distinct value is
+    formatted once (``gamefile._value_texts``)."""
+    lens = list(map(len, names))
+    width = max(lens)
+    pads = [" " * (width - k) for k in range(width + 1)]
+    parts = [None] * (3 * len(names))
+    parts[::3] = names
+    parts[1::3] = map(pads.__getitem__, lens)
+    parts[2::3] = gamefile._value_texts(raw, "  %s\n", ("-inf", "+inf"))
+    sys.stdout.write("".join(parts))
 
 
 def _print_stats(stats: SolveStats) -> None:
@@ -100,11 +108,11 @@ def cmd_solve(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             write_trace(fh, res.trace.raw)
-    values = _input_values(arena, res)
+    raw = res.raw[: arena.n]  # the input's vertices: a fresh target is left out
     if args.json:
-        sys.stdout.buffer.write(gamefile.write_results_json(values, res.stats))
+        sys.stdout.buffer.write(gamefile._results_json(arena.names, raw, res.stats))
     else:
-        _print_values(values)
+        _print_values(arena.names, raw)
         if args.stats:
             _print_stats(res.stats)
     return 0
@@ -135,8 +143,8 @@ def write_trace(fh, raw: np.ndarray) -> None:
 def _strategies(arena: Arena, player: str):
     """Solve ``arena`` and extract the optimal strategies of ``player``
     ('max', 'min' or 'both').  Returns the solved game (the normalized
-    arena for reachability), its values and the strategies by label, in
-    the order ``qg strategy`` prints them: 'max', then 'min', or
+    arena for reachability), its ``SolveResult`` and the strategies by
+    label, in the order ``qg strategy`` prints them: 'max', then 'min', or
     'min_sigma1' and 'min_sigma2' when a value is -inf, and for
     reachability 'min_moore', the rewind Moore machine."""
     mcr = arena.objective is Objective.MCR
@@ -155,7 +163,7 @@ def _strategies(arena: Arena, player: str):
     elif player in ("min", "both"):
         gy, gy_res = _solve(build_game_Y(arena, res.values), trace=True)
         tools["min"] = project_tp_min(arena, extract_min_sigma1(gy, gy_res))
-    return game, res.values, tools
+    return game, res, tools
 
 
 def cmd_strategy(args) -> int:
@@ -331,7 +339,8 @@ def cmd_play(args) -> int:
     arena = _load(args.file)
     human = Player.MAX if args.side == "max" else Player.MIN
     side = "min" if human is Player.MAX else "max"  # the tool's
-    game, values, tools = _strategies(arena, side)
+    game, res, tools = _strategies(arena, side)
+    values = res.values
     tool = tools[side] if side in tools else tools["min_sigma1"]
     machine = _as_moore(tool)
     try:
@@ -341,7 +350,7 @@ def cmd_play(args) -> int:
     state = machine.update(machine.initial, v)
     running = 0
     print(f"playing as {human.value}; tool answers optimally. values: ")
-    _print_values(values)
+    _print_values(game.names, res.raw)
     for _ in range(args.max_rounds):
         print(
             f"at {game.names[v]} (owner {game.owners[v].value}), "

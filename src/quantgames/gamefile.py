@@ -35,7 +35,17 @@ goes to the line parser (``_scan_lines``), which splits each line with
 reference and the only one that raises ``GameSyntaxError``,
 ``UndeclaredVertexError``, ``DuplicateVertexError`` or an ``ArenaError``,
 or warns of merged parallel edges; token columns are computed only on
-its error path.
+its error path.  The bulk path hands the arena its edge rows, which its
+last sort ordered, and the owners' Max flags it read, so the arena
+neither proves the sort again nor rebuilds the flags from the owners.
+
+Output.  ``qg solve`` writes values from the solver's int64 vector
+(``_engine`` sentinels for +-inf) with no ``ExtValue`` in between.
+``_value_texts`` formats each distinct value once (``np.unique``) into a
+text that carries its separators, and the results document
+(``_results_json``) and the listing (``cli._print_values``) join those
+texts with the names in one ``"".join``.  ``write_results_json`` takes a
+``ValueVector`` and writes the same bytes through the same path.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import json
 import string
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,11 +64,11 @@ from .arena import (
     CapExceededError,
     Objective,
     Player,
-    _proven,
     make_arena,
     validate,
     vertex_cap,
 )
+from ._engine import NEG, POS, to_array
 from .extvalue import to_json
 
 
@@ -106,7 +116,8 @@ def parse(text: Union[str, bytes]) -> Arena:
     cap = vertex_cap()
     parts = _scan_bulk(text, cap)
     if parts is not None:
-        return _proven(Arena(*parts), cap)
+        *parts, is_max = parts
+        return Arena(*parts, _is_max=is_max, _cap=cap)
     arena = Arena(*_scan_lines(text.decode("utf-8") if isinstance(text, bytes) else text))
     validate(arena)
     return arena
@@ -153,8 +164,9 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _scan_bulk(text: Union[str, bytes], cap: Optional[int] = None):
-    """The parts of an arena read from a clean file in bulk, or None when
-    the file needs the line parser.
+    """The parts of an arena read from a clean file in bulk (names,
+    owners, sorted edge rows, targets, objective) and the owners' Max
+    flags as a bool array, or None when the file needs the line parser.
 
     Clean is defined in the module docstring; for a clean file the result
     equals the line parser's, and every check below proves a part of it.
@@ -214,7 +226,7 @@ def _scan_bulk(text: Union[str, bytes], cap: Optional[int] = None):
     vertices = _scan_vertices(vblock.replace(b" target\n", b"+\n"))
     if vertices is None:
         return None
-    names, owners, targets, table = vertices
+    names, owners, is_max, targets, table = vertices
     objective = Objective(text[len("objective "):nl].decode())
     cap = vertex_cap() if cap is None else cap
     if len(names) > cap or (objective is Objective.MCR and not targets):
@@ -222,7 +234,7 @@ def _scan_bulk(text: Union[str, bytes], cap: Optional[int] = None):
     edges = _scan_edges(text, k, table)
     if edges is None:
         return None
-    return names, owners, edges, targets, objective
+    return names, owners, edges, targets, objective, is_max
 
 
 def _separators(raw: np.ndarray, pattern: np.ndarray):
@@ -263,8 +275,8 @@ def _fold(words: np.ndarray) -> np.ndarray:
 
 
 def _scan_vertices(vblock: bytes):
-    """Names, owners, targets and the name table of the vertex block,
-    with ``" target\\n"`` rewritten to ``"+\\n"``, or None."""
+    """Names, owners, their Max flags, targets and the name table of the
+    vertex block, with ``" target\\n"`` rewritten to ``"+\\n"``, or None."""
     sep = _separators(np.frombuffer(vblock, np.uint8), _VERTEX_LINE)
     # Every line starts with "vertex ": a line "vertex target" became
     # "vertex+" and fails here.
@@ -294,7 +306,7 @@ def _scan_vertices(vblock: bytes):
     joined[np.arange(len(lens)), lens] = ord("\n")
     names = tuple(joined[joined != 0].tobytes().decode("ascii").split())
     owners = tuple(_PLAYERS[is_max.view(np.uint8)].tolist())
-    return names, owners, frozenset(np.flatnonzero(is_target).tolist()), table
+    return names, owners, is_max, frozenset(np.flatnonzero(is_target).tolist()), table
 
 
 # Bytes of the edge block read at a time, cut at a line end, so that the
@@ -592,12 +604,33 @@ def generate(spec: FamilySpec) -> Arena:
     return arena
 
 
-def write_results_json(values, stats) -> bytes:
-    """Results document: values keyed by name in index order, then stats.
-    The bytes are those of ``json.dumps(doc, indent=2)``; the
-    values block is written with one join, since valid names need no
-    escaping and an extended integer prints as its JSON literal once the
-    infinities are quoted."""
+def _value_texts(raw: np.ndarray, form: str, infinities: Tuple[str, str]) -> List[str]:
+    """``form % text`` for each entry of the int64 vector ``raw``, in
+    order, where a value's text is its digits, or ``infinities`` (-inf's,
+    then +inf's) at or beyond a sentinel, as ``_engine.from_array`` reads
+    it.  Each distinct value is formatted once, and the entries take their
+    texts from that table by the index ``np.unique`` returns."""
+    distinct, at = np.unique(raw, return_inverse=True)
+    lo = int(np.searchsorted(distinct, NEG, "right"))
+    hi = int(np.searchsorted(distinct, POS, "left"))
+    minus, plus = (form % word for word in infinities)
+    texts = [minus] * lo + [form % x for x in distinct[lo:hi].tolist()] + [plus] * (len(distinct) - hi)
+    return np.array(texts, dtype=object).take(at).tolist()
+
+
+# What follows a value in the values block of the results document,
+# unless it is the last.
+_JSON_SEP = ',\n    "'
+
+
+def _results_json(names: Sequence[str], raw: np.ndarray, stats) -> bytes:
+    """The results document of the int64 values ``raw`` (sentinels for
+    the infinities) on the vertices ``names``: values keyed by name in
+    index order, then stats.  The bytes are those of ``json.dumps(doc,
+    indent=2)``; the values block is one join of the names with their
+    values' texts, separators included (``_value_texts``), since valid
+    names need no escaping and the infinities print as ``"-inf"`` and
+    ``"+inf"``."""
     doc = {
         "stats": {
             "outer_iterations": stats.outer_iterations,
@@ -606,8 +639,18 @@ def write_results_json(values, stats) -> bytes:
             "wall_ms": stats.wall_ms,
         },
     }
-    pairs = map('": '.join, zip(values.arena.names, map(str, values.values)))
-    body = ',\n    "'.join(pairs).replace(": -inf", ': "-inf"').replace(": +inf", ': "+inf"')
-    block = '{\n    "' + body + "\n  }" if len(values) else "{}"
+    block = "{}"
+    if len(names):
+        parts = [None] * (2 * len(names))
+        parts[::2] = names
+        parts[1::2] = _value_texts(raw, '": %s' + _JSON_SEP, ('"-inf"', '"+inf"'))
+        parts[-1] = parts[-1][: -len(_JSON_SEP)]
+        block = '{\n    "' + "".join(parts) + "\n  }"
     rest = json.dumps(doc, indent=2)[len("{\n"):]
     return ('{\n  "values": ' + block + ",\n" + rest + "\n").encode("utf-8")
+
+
+def write_results_json(values, stats) -> bytes:
+    """Results document of the ``ValueVector`` ``values`` and the
+    ``SolveStats`` ``stats``: ``_results_json`` of the values as int64."""
+    return _results_json(values.arena.names, to_array(values.values), stats)

@@ -11,8 +11,10 @@ reduction is built on the input's int64 edge array.
 
 from __future__ import annotations
 
+import functools
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional
 
@@ -46,23 +48,51 @@ class SolveStats:
     COUNTING_CONVENTION = "repeat-body"
 
 
+DEFAULT_TRACE_CAP = 2**30
+
+
+def trace_cap() -> int:
+    """Maximum bytes of a trace's matrix; override with QG_MAX_TRACE_BYTES."""
+    raw = os.environ.get("QG_MAX_TRACE_BYTES")
+    return int(raw) if raw else DEFAULT_TRACE_CAP
+
+
+class TraceCapError(ValueError):
+    """A traced solve would grow its trace past ``trace_cap()`` bytes."""
+
+    def __init__(self, sweeps: int, cap: int) -> None:
+        super().__init__(
+            f"the trace reached its cap of {cap} bytes (QG_MAX_TRACE_BYTES) after {sweeps} sweeps"
+        )
+        self.sweeps = sweeps
+        self.cap = cap
+
+
 class IterationTrace:
     """Recorded iterate sequence x_0, x_1, ..., x_sweeps, pointwise
     non-increasing, as ``fixpoint`` appends it.  Row k of the int64 matrix
     ``raw`` is x_k, with the ``_engine`` sentinels for +-inf: 8 bytes per
     vertex per sweep; indexing builds ``ValueVector``s.  The matrix grows in
-    place by a quarter (``ndarray.resize``), never holding two copies, and
-    ``finish`` trims it to the rows stored before the values are built."""
+    place by a quarter (``ndarray.resize``), from 64 rows, never holding two
+    copies, and ``finish`` trims it to the rows stored before the values
+    are built.  It never grows past ``trace_cap()`` bytes: the growth is
+    clamped to the cap, and an append to a full matrix at the cap raises
+    ``TraceCapError``.  Only growing checks the cap, so the appends in
+    between cost nothing more."""
 
     def __init__(self, arena: Arena, x0: np.ndarray) -> None:
         self.arena = arena
-        self.raw = np.empty((64, len(x0)), dtype=np.int64)
+        self.raw = np.empty((0, len(x0)), dtype=np.int64)
         self._rows = 0
         self.append(x0)
 
     def append(self, x: np.ndarray) -> None:
         if self._rows == len(self.raw):
-            self.raw.resize((self._rows + self._rows // 4, self.raw.shape[1]), refcheck=False)
+            cap = trace_cap()
+            rows = min(max(64, self._rows + self._rows // 4), cap // (8 * len(x)))
+            if rows <= self._rows:
+                raise TraceCapError(self._rows, cap)
+            self.raw.resize((rows, len(x)), refcheck=False)
         self.raw[self._rows] = x
         self._rows += 1
 
@@ -76,23 +106,34 @@ class IterationTrace:
         return eng.from_array(self.arena, self.raw[i])
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
-    """The values, loop counts and, from a traced ``solve_mcr``, iterates."""
+    """The values of the solved game ``arena`` as the int64 vector
+    ``raw`` (the ``_engine`` sentinels for +-inf), the loop counts and,
+    from a traced ``solve_mcr``, the iterates.  ``values``, the
+    ``ValueVector``, is built from ``raw`` when it is first read."""
 
-    values: ValueVector
+    arena: Arena = field(repr=False)
+    raw: np.ndarray
     stats: SolveStats
     trace: Optional[IterationTrace] = None
+
+    @functools.cached_property
+    def values(self) -> ValueVector:
+        return eng.from_array(self.arena, self.raw)
 
 
 def finish(arena: Arena, raw, stats: SolveStats, started: float, trace=None) -> SolveResult:
     """Every solver's epilogue: sweeps are the inner loop bodies, the clock
-    runs from ``started``, a trace is trimmed and one conversion reads ``raw``."""
+    runs from ``started``, a trace is trimmed and ``raw`` is kept as a
+    read-only int64 vector."""
     stats.sweeps = stats.inner_iterations
     stats.wall_ms = int((time.perf_counter() - started) * 1000)
     if trace is not None:
         trace.trim()
-    return SolveResult(eng.from_array(arena, np.asarray(raw, dtype=np.int64)), stats, trace)
+    raw = np.asarray(raw, dtype=np.int64)
+    raw.flags.writeable = False
+    return SolveResult(arena, raw, stats, trace)
 
 
 def sweep_bound(n: int, W: int) -> int:
@@ -166,7 +207,7 @@ def make_bipartite(arena: Arena) -> Arena:
     """
     validate(arena)
     src, dst, _ = arena.edge_array.T
-    is_max = np.array([o is Player.MAX for o in arena.owners])
+    is_max = arena.is_max
     same = np.flatnonzero(is_max[src] == is_max[dst])
     pairs = arena.edge_array[same, :2].tolist()
     relays = np.arange(arena.n, arena.n + len(same))
@@ -190,6 +231,6 @@ def mp_to_mcr(arena: Arena) -> Arena:
     t = bip.n
     names = bip.names + tuple(fresh_names(bip.names, ["t"]))
     owners = bip.owners + (Player.MAX,)
-    mins = np.flatnonzero([o is Player.MIN for o in bip.owners])
+    mins = np.flatnonzero(~bip.is_max)
     edges = np.concatenate((bip.edge_array, edge_rows(mins, t), edge_rows(t, t)))
     return make_arena(names, owners, edges, [t], Objective.MCR)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+import string
 
 import numpy as np
 import pytest
 
 from quantgames import _engine as eng
-from quantgames.arena import Arena, Objective, Player, make_arena
+from quantgames.arena import Arena, Objective, Player, ValueVector, make_arena
 from quantgames.attractor import compute_attractor
+from quantgames.extvalue import MINUS_INF, PLUS_INF
 from quantgames.gamefile import FamilySpec, generate
 
 
@@ -107,3 +109,29 @@ def skewed_arena(rng: random.Random, n: int, wmax: int, objective: Objective) ->
     owners = [rng.choice([Player.MAX, Player.MIN]) for _ in range(n)]
     targets = rng.sample(range(n), rng.randint(1, min(3, n))) if objective is Objective.MCR else []
     return make_arena([f"v{i}" for i in range(n)], owners, edges, targets, objective)
+
+
+def value_vectors(seed: int = 5):
+    """Value vectors for the output writers' differential tests: on
+    arenas of 1 (three of them), 2, 3, 40 and 257 vertices named with 1 to
+    40 bytes, vectors of mixed values, of one finite value, all +inf, all
+    -inf and of +-10**15 alone."""
+    rng = random.Random(seed)
+    chars = string.ascii_letters + string.digits + "_"
+    for n in (1, 1, 1, 2, 3, 40, 257):
+        offset = rng.randrange(40)
+        names = []
+        while len(names) < n:
+            name = "".join(rng.choices(chars, k=1 + (len(names) + offset) % 40))
+            if name not in names:
+                names.append(name)
+        arena = make_arena(names, [Player.MAX] * n, [(v, v, 0) for v in range(n)])
+        equal = rng.randint(-(10**15), 10**15)
+        for fill in (
+            lambda: rng.choice([PLUS_INF, MINUS_INF, 0, 10**15, -(10**15), rng.randint(-(10**15), 10**15)]),
+            lambda: equal,
+            lambda: PLUS_INF,
+            lambda: MINUS_INF,
+            lambda: rng.choice([10**15, -(10**15)]),
+        ):
+            yield ValueVector(arena, [fill() for _ in range(n)])

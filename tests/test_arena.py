@@ -160,6 +160,38 @@ def test_sorted_array_is_kept_without_a_copy_and_read_only():
         Arena(("a",), (Player.MAX,), rows.astype(np.int32), frozenset(), Objective.TP)
 
 
+def test_only_the_builders_valid_by_construction_skip_the_sort_check(monkeypatch):
+    from quantgames import arena as arena_mod
+    from quantgames.gamefile import parse, serialize
+
+    sorted_rows = arena_mod._sorted_rows
+    checked = []
+    monkeypatch.setattr(arena_mod, "_sorted_rows", lambda rows: checked.append(len(rows)) or sorted_rows(rows))
+    rng = random.Random(12)
+    for _ in range(30):
+        arena = random_arena(rng, 9, 5, Objective.MCR)
+        rows = arena.edge_array[rng.sample(range(len(arena.edges)), len(arena.edges))]
+        shuffled = make_arena(arena.names, arena.owners, rows, arena.targets, Objective.MCR)
+        assert checked == [len(rows)]
+        assert shuffled.edge_array.tolist() == sorted(rows.tolist()) == arena.edge_array.tolist()
+        assert shuffled == arena and not shuffled.edge_array.flags.writeable
+        checked.clear()
+        # The bulk parser and normalize_target sort their rows themselves.
+        normalize_target(parse(serialize(arena)))
+        assert checked == []
+
+
+def test_is_max_is_read_only_and_follows_the_owners():
+    rng = random.Random(4)
+    for _ in range(20):
+        arena = random_arena(rng, 8, 3, Objective.MCR)
+        assert arena._is_max is None  # built on first use
+        for game in (arena, normalize_target(arena)):
+            assert game.is_max.tolist() == [o is Player.MAX for o in game.owners]
+            assert game.is_max.dtype == bool and not game.is_max.flags.writeable
+            assert game.is_max is game.is_max
+
+
 def test_arena_is_immutable_and_copies_by_value():
     import copy
     import pickle
@@ -243,6 +275,7 @@ def test_normalized_arenas_are_proven_and_pass_check():
     for arena, shape in corpus:
         norm = normalize_target(arena)
         assert norm._validated_cap == cap
+        assert norm.is_max.tolist() == [o is Player.MAX for o in norm.owners]
         _check(norm, cap)
         if norm is arena:
             continue

@@ -2,9 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from quantgames import _engine as eng
 from quantgames.cli import run
+
+from conftest import value_vectors
 
 QG = [sys.executable, "-m", "quantgames.cli"]
 
@@ -405,14 +409,39 @@ def test_value_listing_matches_the_per_line_form(capsys):
 
     names = ["a", "long_name", "mid", "t", "x" * 12]
     arena = make_arena(names, [Player.MAX] * 5, [(v, v, 0) for v in range(5)])
-    values = ValueVector(arena, [PLUS_INF, -7, MINUS_INF, 0, 10**15])
-    width = max(map(len, names))
-    for name, v in values.items():
-        print(f"{name:<{width}}  {to_json(v)}")
+    cases = [ValueVector(arena, [PLUS_INF, -7, MINUS_INF, 0, 10**15])] + list(value_vectors())
+    listings = []
+    for values in cases:
+        width = max(map(len, values.arena.names))
+        for name, v in values.items():
+            print(f"{name:<{width}}  {to_json(v)}")
+        listings.append(capsys.readouterr().out)
+        raw = eng.to_array(values.values)
+        # A value beyond a sentinel reads as that infinity, as in from_array.
+        beyond = np.where(raw >= eng.POS, eng.POS + 3, np.where(raw <= eng.NEG, eng.NEG - 5, raw))
+        for vector in (raw, beyond):
+            cli._print_values(values.arena.names, vector)
+            assert capsys.readouterr().out == listings[-1]
+    assert "+inf\n" in listings[0] and "-inf\n" in listings[0]
+
+
+@pytest.mark.parametrize("argv", [["strategy"], ["solve", "--trace", "trace.tsv"]])
+def test_trace_cap_refuses_with_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # fig2a, W=50: 3 vertices, 24 bytes a row, 102 sweeps, so 103 rows
+    # (2,472 bytes) hold the whole trace.
+    path = _gen(tmp_path, "fig2a", W=50)
+    argv = [argv[0], path, *[str(tmp_path / a) if a.endswith(".tsv") else a for a in argv[1:]]]
+    assert run(argv) == 0
     want = capsys.readouterr().out
-    cli._print_values(values)
+    for cap, sweeps in ((1000, 41), (2471, 102), (23, 0)):
+        monkeypatch.setenv("QG_MAX_TRACE_BYTES", str(cap))
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: the trace reached its cap of {cap} bytes (QG_MAX_TRACE_BYTES) after {sweeps} sweeps\n"
+        )
+    monkeypatch.setenv("QG_MAX_TRACE_BYTES", "2472")
+    assert run(argv) == 0
     assert capsys.readouterr().out == want
-    assert "+inf\n" in want and "-inf\n" in want
 
 
 def test_strategy_notes_a_dropped_decision_table(tmp_path, capsys):

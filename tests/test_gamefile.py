@@ -20,7 +20,7 @@ from quantgames.gamefile import (
 from quantgames.mcr import solve_mcr
 from quantgames.arena import ValueVector, normalize_target
 
-from conftest import fig2a, layered
+from conftest import fig2a, layered, value_vectors
 
 FIG2A_TEXT = """\
 objective mcr
@@ -195,21 +195,26 @@ def test_results_json_bytes_equal_json_dumps():
     from quantgames.mcr import SolveStats
 
     rng = random.Random(9)
+    cases = []
     for n in (1, 2, 7, 300):
         arena = layered(n, 3)
         values = ValueVector(
             arena,
             [rng.choice([PLUS_INF, MINUS_INF, 0, rng.randint(-10**15, 10**15)]) for _ in range(arena.n)],
         )
-        stats = SolveStats(outer_iterations=n, inner_iterations=2 * n, sweeps=3, wall_ms=1.25)
+        cases.append((values, SolveStats(outer_iterations=n, inner_iterations=2 * n, sweeps=3, wall_ms=1.25)))
+    stats = SolveStats(outer_iterations=4, inner_iterations=9, sweeps=9, wall_ms=3)
+    cases += [(values, stats) for values in value_vectors()]
+    for values, stats in cases:
         doc = {
             "values": {name: to_json(v) for name, v in values.items()},
             "stats": {
-                "outer_iterations": n,
-                "inner_iterations": 2 * n,
-                "sweeps": 3,
-                "wall_ms": 1.25,
+                "outer_iterations": stats.outer_iterations,
+                "inner_iterations": stats.inner_iterations,
+                "sweeps": stats.sweeps,
+                "wall_ms": stats.wall_ms,
             },
         }
         want = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
         assert write_results_json(values, stats) == want
+    assert len(cases) == 4 + 35

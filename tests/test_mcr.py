@@ -105,12 +105,34 @@ def test_trace_is_one_int64_matrix(monkeypatch):
     calls = []
     monkeypatch.setattr(eng, "from_array", lambda a, y: calls.append(len(y)) or real(a, y))
     res = solve_mcr(arena, with_trace=True)
-    assert calls == [arena.n]  # the final values only
+    assert calls == []  # neither the iterates nor the final values yet
+    res.values, res.values
+    assert calls == [arena.n]  # the final values, once, when first read
     raw = res.trace.raw
     assert raw.dtype == np.int64 and raw.shape == (res.stats.sweeps + 1, arena.n)
     assert len(raw) > 64  # the buffer grew past its first 64 rows
     assert np.array_equal(raw, np.array(rows))
     assert len(res.trace) == len(rows) and list(res.trace[-1]) == list(res.values)
+
+
+@pytest.mark.parametrize("solver", ["solve_mcr", "solve_mcr_accelerated", "solve_tp", "solve_tp_accelerated"])
+def test_values_are_built_from_raw_when_first_read(solver):
+    from quantgames import accel
+
+    solve = getattr(accel, solver, None) or {"solve_mcr": solve_mcr, "solve_tp": tp_mod.solve_tp}[solver]
+    objective = Objective.MCR if "mcr" in solver else Objective.TP
+    rng = random.Random(27)
+    kinds = set()
+    for _ in range(40):
+        arena = random_arena(rng, 7, 4, objective)
+        game = normalize_target(arena) if objective is Objective.MCR else arena
+        res = solve(game)
+        assert "values" not in vars(res)  # the solve builds no ExtValue
+        assert res.raw.dtype == np.int64 and not res.raw.flags.writeable
+        assert res.values == eng.from_array(game, res.raw) and res.values.arena is game
+        assert res.values is res.values
+        kinds.update(v if v in (PLUS_INF, MINUS_INF) else int for v in res.values)
+    assert kinds == {PLUS_INF, MINUS_INF, int}
 
 
 def test_converged_values_are_fixed_point():

@@ -16,7 +16,7 @@ import pytest
 
 from quantgames import arena as arena_mod
 from quantgames import cli, gamefile
-from quantgames.arena import Arena, validate, vertex_cap
+from quantgames.arena import Arena, Player, validate, vertex_cap
 from quantgames.gamefile import FamilySpec, generate, parse, serialize
 
 _ATTRS = ("line", "col", "expected", "name", "edge", "vertex")
@@ -52,6 +52,8 @@ def assert_same_arena(got, want):
     assert np.array_equal(got.edge_array, want.edge_array)
     assert got.edges == want.edges
     assert got == want
+    assert got.is_max.tolist() == want.is_max.tolist() == [o is Player.MAX for o in got.owners]
+    assert not got.is_max.flags.writeable
     for v in (0, got.n - 1):
         assert got.index(got.names[v]) == v
 
