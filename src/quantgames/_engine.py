@@ -23,25 +23,26 @@ exit; ``ComponentLayout.view`` gives the slice of one strongly connected
 component, in the component's local numbering.  Contract:
 
 - ``sweep`` is one Jacobi pass: the members' new values, all computed from
-  the old vector.  Exits are read, never written.  It
-  does one reduction, not a max and a min: each candidate is multiplied by
-  its member's sign (+1 for a Max vertex, -1 for a Min vertex), one
-  maximum is taken per member, and the result is multiplied by the sign
-  again, since min(a) = -max(-a).  The sign is folded into the weights
-  when the slice is built, so a candidate costs one multiply and one add.
-  Saturation survives the sign flip only because ``NEG == -POS``.
+  the old vector.  Exits are read, never written.  It takes one maximum,
+  not a max and a min, since min(a) = -max(-a): it gathers from the
+  *signed buffer* [z, -z] (z = min(x, ytrans), or x), a Max member's
+  edges from z and a Min member's from -z with their weights negated, so
+  one gather and one add give each candidate signed, and it multiplies
+  each member's maximum by its sign (+1 Max, -1 Min).  Saturation
+  survives the negation only because ``NEG == -POS``.
   ``accel.cycle_sign_certificates`` runs it for a counted number of
   rounds, where a fixpoint would not stop.
-- ``fixpoint`` sweeps until the members stop changing.  After each sweep a
+- ``fixpoint`` sweeps until the members stop changing.  It builds the signed
+  buffer once a call, and after each sweep rewrites only the members'
+  entries (one minimum with ``ytrans``, one negation).  Each sweep's
   post-step touches the members only: values below ``cutoff`` drop to -inf
-  (descending) or values above ``lift`` rise to +inf (ascending), fused
-  with the sentinel snap on the other side, then the optional candidate
-  tables clamp them.  The returned count includes the final sweep that
-  confirms stabilization.  Members still changing after more than
-  ``bound`` sweeps raise ``UnsoundOracleError`` when tables clamp,
-  ``AssertionError`` otherwise.  From +inf with ``ytrans`` = 0 and the
-  cutoff, it is the stop-request fixpoint that ``mcr.mp_sign`` reads
-  mean-payoff signs from.
+  (descending) or values above ``lift`` rise to +inf (ascending), fused with
+  the sentinel snap on the other side, then the optional candidate tables
+  clamp them.  The returned count includes the final sweep that confirms
+  stabilization.  Members still changing after more than ``bound`` sweeps
+  raise ``UnsoundOracleError`` when tables clamp, ``AssertionError``
+  otherwise.  From +inf with ``ytrans`` = 0 and the cutoff, it is the
+  stop-request fixpoint that ``mcr.mp_sign`` reads mean-payoff signs from.
 - ``nested_fixpoint`` is the outer total-payoff loop (the stop-request
   solve, lift, compare with the previous outer vector), counted and
   bounded the same way by ``outer_bound``, raising ``AssertionError``.  A
@@ -53,26 +54,24 @@ Bell and Garland, "Implementing sparse matrix-vector multiplication on
 throughput-oriented processors" (SC 2009), not in CSR order.  A slice of
 k members and E edges has width D = min(max out-degree, ceil(2E/k)), and
 its ``cols`` (a ``ColumnForm``, built by ``_column_form`` on the first
-numpy sweep of the slice and kept) hold its destinations, edge signs and
-signed weights as row-major ``[D, k]`` tables ``cdst``, ``csign`` and
-``cswt``: row j holds each member's j-th out-edge, and a member with
-fewer than D edges repeats its last one.  A repeated candidate changes
-neither a max nor a min, so the padding is exact.  ``csign`` repeats the
-member signs down the rows, so that the sign multiply meets an array of
-its own shape; a broadcast multiply costs about 1 us more per call on
-small slices.
+numpy sweep of the slice and kept) hold its edges as row-major ``[D, k]``
+tables: row j holds each member's j-th out-edge, and a member with fewer
+than D edges repeats its last one.  A repeated candidate changes neither
+a max nor a min, so the padding is exact.  ``cdst`` holds each edge's
+position in the signed buffer, its destination d for a Max member and
+``span`` + d for a Min member, and ``cswt`` its weight times the member's
+sign; ``span``, max(k, largest destination + 1), is the length of vector
+the slice reads.
 
 The per-member maximum is then a halving over the rows: ``np.maximum`` of
 the top half of the live rows into the bottom half, ceil(log2 D) calls in
-all (one for D = 2), the last writing a fresh array.  Each call is
-elementwise over whole rows, where ``np.maximum.reduceat`` pays a fixed
-cost per member however short its edge list.  Edges past column D go to a
-CSR ``overflow`` that only members with more than D edges use; one
-``reduceat`` over it runs only when it is not empty.  Each table holds
-D*k <= 2E + k entries, even on a star graph, and the overflow at most E.
-The tables replace the CSR signed weights and edge signs, which only the
-sweep read; ``dst``, ``wt`` and ``starts`` stay for the scalar form, the
-in-edge index and the certificate.
+all (one for D = 2), each in place.  Each call is elementwise over whole
+rows, where ``np.maximum.reduceat`` pays a fixed cost per member however
+short its edge list.  Edges past column D go to a CSR ``overflow`` that
+only members with more than D edges use; one ``reduceat`` over it runs
+only when it is not empty.  Each table holds D*k <= 2E + k entries, even on
+a star graph, and the overflow at most E.  ``dst``, ``wt`` and ``starts``
+stay for the scalar form, the in-edge index and the certificate.
 
 Component layout.  ``ComponentLayout`` copies the compiled edge arrays
 once, sorted by component from one label per vertex: vertices by label,
@@ -93,34 +92,34 @@ one, and a view above the floor builds it once for all the passes of its
 ``nested_fixpoint``.
 
 Frontier sweeps.  On one vector over a slice of at least
-``FRONTIER_MIN_EDGES`` edges, ``fixpoint`` keeps a worklist of the
-members that can change, as the mean-payoff solver of Brim, Chaloupka,
-Doyen, Gentilini and Raskin ("Faster algorithms for mean-payoff games",
-FMSD 2011) keeps its inconsistent vertices.  A sweep computes a member
-from its successors' values, ``ytrans`` (fixed for the call), its table
-and ``cutoff``/``lift``.  So a member none of whose successors changed in
-the last sweep gets back the value it holds, and only the *dirty*
-members, those with an edge into a member that just changed, are
-recomputed: their columns are taken from the column form and reduced,
-snapped and clamped as in a full sweep.  Every iterate, trace row, sweep
-count, stop test and bound error is the same as with full sweeps.  The
-first sweep stays full, since the start vector is not the output of any
-sweep; a sweep after one that changed an eighth of the members, or with a
-third of them dirty, runs in full too, which costs less then.  The
-dirty set comes from the slice's in-edge index, built on first use from
-its edges between members: an exit leads to a finished vertex that no
-sweep of the slice changes.  The floor is tested once per call, and one loop
-serves both forms: a full sweep is a frontier sweep with every member
-dirty.  The floor sits at the measured crossover: on seeded random
-reachability arenas the two loops cost the same at about 4,000 edges,
-and below it the frontier's extra numpy calls (20-30 us a sweep) cost
-more than the member updates they save.  ``sweep`` stays full, and so do
-weight-row batches.
+``FRONTIER_MIN_EDGES`` edges, ``fixpoint`` keeps a worklist of the members
+that can change, as the mean-payoff solver of Brim, Chaloupka, Doyen,
+Gentilini and Raskin ("Faster algorithms for mean-payoff games", FMSD
+2011) keeps its inconsistent vertices.  A sweep computes a member from its
+successors' values, ``ytrans`` (fixed for the call), its table and
+``cutoff``/``lift``.  So a member none of whose successors changed in the
+last sweep gets back the value it holds, and only the *dirty* members,
+those with an edge into a member that just changed, are recomputed: their
+columns are taken from the column form and reduced, snapped and clamped as
+in a full sweep, and only their entries of the signed buffer are
+rewritten.  Every iterate, trace row, sweep count, stop test and bound
+error is the same as with full sweeps.  The first sweep stays full, since
+the start vector is not the output of any sweep; a sweep after one that
+changed an eighth of the members, or with a third of them dirty, runs in
+full too, which costs less then.  The dirty set comes from the slice's
+in-edge index, built on first use from its edges between members: an exit
+leads to a finished vertex that no sweep of the slice changes.  The floor
+is tested once per call, and one loop serves both forms: a full sweep is a
+frontier sweep with every member dirty.  The floor sits near the measured
+crossover: on seeded random reachability arenas the two loops cost the
+same at about 3,000 edges, and below it the frontier's extra numpy calls
+(about 19 us a sweep) cost more than the member updates they save.
+``sweep`` stays full, and so do weight-row batches.
 
-Scalar sweeps.  A numpy sweep makes about fifteen array calls (take,
-minimum, sign multiply, add, maximum, sign multiply, snaps, compare,
-store, count), which cost about 6-14 us whatever the slice size (on one
-core of a 2-vCPU x86 VM, as are the times below), so on the one- and
+Scalar sweeps.  A numpy sweep makes about thirteen array calls (take,
+add, maximum, sign multiply, snaps, compare, store, buffer refresh,
+count), which cost about 6-7.5 us whatever the slice size (on one core
+of a 2-vCPU x86 VM, as are the times below), so on the one- and
 two-vertex components of a chain condensation that fixed cost is nearly
 all of a solve.  On one vector over a slice of at most
 ``SCALAR_MAX_EDGES`` edges, and without a trace, ``fixpoint`` therefore
@@ -155,9 +154,9 @@ more than one run.  On a 20,000-vertex random reachability game with
 nearly all of them at once, raised the peak memory of the process around
 the solve by about 2 MB (3.5%) over runs of 64.  The floor sits at the
 measured crossover: on seeded random reachability arenas a scalar sweep
-costs 2.2-2.8 us at up to 11 edges against 6-7 us in numpy, and the two
-meet at about 48 edges, where a numpy sweep costs 7.5-8 us whatever the
-size.  ``sweep``, weight-row batches and traced solves stay in numpy.
+costs 2.2-3.1 us at up to 11 edges against 6.8-7.5 us in numpy, and the
+two meet at about 48 edges, where a numpy sweep costs 7-7.5 us whatever
+the size.  ``sweep``, weight-row batches and traced solves stay in numpy.
 
 Every operation broadcasts over a leading axis of weight rows: with ``wt``
 of shape ``[rows, E]``, vectors ``[rows, n]`` and ``cutoff``/``lift``
@@ -183,8 +182,8 @@ _POS, _NEG, _SNAP = int(POS), int(NEG), int(SNAP)  # for scalar sweeps
 # A Max member's scalar sweep starts below every candidate, a Min member's above.
 _BELOW, _ABOVE = -(2**64), 2**64
 
-_ROW0 = (Ellipsis, 0, slice(None))  # row 0 of a [..., D, k] column table
-_ROW1 = (Ellipsis, 1, slice(None))
+# The snap bounds as 0-d arrays, which numpy compares faster than scalars.
+_SNAP0, _NSNAP0 = np.array(SNAP), np.array(-SNAP)
 
 
 class UnsoundOracleError(RuntimeError):
@@ -195,26 +194,25 @@ class Overflow(NamedTuple):
     """The out-edges past a slice's column width, in CSR form over the
     members that have them: ``members`` are positions within the slice,
     member i's edges run from ``starts[i]`` to ``starts[i + 1]``, and
-    ``sign`` repeats each member's sign over its edges."""
+    ``dst`` and ``swt`` are signed as the column form's tables."""
 
     members: np.ndarray
     dst: np.ndarray
     swt: np.ndarray
-    sign: np.ndarray
     starts: np.ndarray
 
 
 class ColumnForm(NamedTuple):
     """What a sweep reads of a slice (see the module docstring): the
-    ``[width, k]`` tables of destinations ``cdst``, edge signs ``csign``
-    and signed weights ``cswt``, the halving steps ``folds``, and the
-    ``overflow``, None when empty."""
+    ``[width, k]`` tables of signed-buffer positions ``cdst`` and signed
+    weights ``cswt``, the halving steps ``folds``, the ``span`` of vector
+    positions the slice reads, and the ``overflow``, None when empty."""
 
     cdst: np.ndarray
-    csign: np.ndarray
     cswt: np.ndarray
     folds: tuple
     width: int
+    span: int
     overflow: Optional[Overflow]
 
 
@@ -321,18 +319,21 @@ def _column_form(dst, wt, sign, deg) -> ColumnForm:
     k members and E edges give width D = max(1, min(max degree,
     ceil(2E/k))) and row-major ``[D, k]`` tables, row j holding each
     member's j-th edge, its last edge repeated past its degree.  Edges past
-    column D go to the overflow, in member order.  ``cswt`` and the
-    overflow's ``swt`` are ``wt`` times each edge's sign, with any leading
-    axis of weight rows.
+    column D go to the overflow, in member order.  Positions are in the
+    signed buffer, and ``cswt`` and the overflow's ``swt`` are ``wt``
+    times each edge's sign, with any leading axis of weight rows.
     """
     k = len(deg)
+    span = max(k, int(dst.max(initial=-1)) + 1)
+    shift = (sign < 0) * span  # a Min member reads the negated half
     ends = np.cumsum(deg)
     top = int(deg.max(initial=0))
     width = max(1, min(top, -(-2 * len(dst) // max(k, 1))))
     cidx = np.minimum((ends - deg) + np.arange(width)[:, None], ends - 1)
-    csign = np.repeat(sign[None, :], width, axis=0)
+    cdst = dst.take(cidx)
+    cdst += shift
     cswt = _take(wt, cidx)
-    cswt *= csign
+    cswt *= sign
     overflow = None
     if width < top:
         extra = deg - width
@@ -340,9 +341,9 @@ def _column_form(dst, wt, sign, deg) -> ColumnForm:
         extra = extra[ov]
         ocum = np.cumsum(extra)
         oidx = np.repeat(ends[ov] - ocum, extra) + np.arange(ocum[-1])
-        osign = np.repeat(sign[ov], extra)
-        overflow = Overflow(ov, dst[oidx], _take(wt, oidx) * osign, osign, ocum - extra)
-    return ColumnForm(dst.take(cidx), csign, cswt, _halving(width), width, overflow)
+        overflow = Overflow(ov, dst[oidx] + np.repeat(shift[ov], extra),
+                            _take(wt, oidx) * np.repeat(sign[ov], extra), ocum - extra)
+    return ColumnForm(cdst, cswt, _halving(width), width, span, overflow)
 
 
 class CompiledArena(EdgeSlice):
@@ -479,31 +480,27 @@ def _take(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return v.take(idx) if v.ndim == 1 else v.take(idx, axis=-1)
 
 
-def _gather(cols: ColumnForm, y: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``y`` at the destinations of the column form and of the overflow."""
-    ovf = cols.overflow
-    return _take(y, cols.cdst), None if ovf is None else _take(y, ovf.dst)
+def _signed(span: int, x: np.ndarray, ytrans: Optional[np.ndarray]) -> np.ndarray:
+    """The signed buffer ``[z, -z]`` of the first ``span`` positions of
+    ``x``, along the last axis: z = min(x, ytrans), or x without ``ytrans``."""
+    z = x[..., :span] if ytrans is None else np.minimum(x[..., :span], ytrans[..., :span])
+    return np.concatenate((z, -z), axis=-1)
 
 
-def _reduce(cols: ColumnForm, sign: np.ndarray, x: np.ndarray, ycols) -> np.ndarray:
-    """The new values of the members of ``cols`` (signs ``sign``) before
-    the sentinel snap: values at or beyond +-``SNAP`` stand for the
-    sentinel on their side.  ``ycols`` is ``_gather(cols, ytrans)`` or
-    None."""
-    cdst, csign, cswt, folds, width, ovf = cols
-    cont = _take(x, cdst)
-    if ycols is not None:
-        np.minimum(cont, ycols[0], out=cont)
-    cont *= csign
+def _reduce(cols: ColumnForm, sign: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The new values of the members of ``cols`` (signs ``sign``) from the
+    signed buffer ``buf``, before the sentinel snap: values at or beyond
+    +-``SNAP`` stand for the sentinel on their side."""
+    cdst, cswt, folds, width, _, ovf = cols
+    cont = _take(buf, cdst)
     cont += cswt
     for lo, hi in folds:
         np.maximum(cont[lo], cont[hi], out=cont[lo])
-    best = cont[_ROW0] if width == 1 else np.maximum(cont[_ROW0], cont[_ROW1])
+    best = cont[..., 0, :]
+    if width > 1:
+        np.maximum(best, cont[..., 1, :], out=best)
     if ovf is not None:
-        more = _take(x, ovf.dst)
-        if ycols is not None:
-            np.minimum(more, ycols[1], out=more)
-        more *= ovf.sign
+        more = _take(buf, ovf.dst)
         more += ovf.swt
         at = (Ellipsis, ovf.members)
         best[at] = np.maximum(best[at], np.maximum.reduceat(more, ovf.starts, axis=-1))
@@ -519,9 +516,9 @@ def sweep(sl: EdgeSlice, x: np.ndarray, ytrans: Optional[np.ndarray] = None) -> 
     the continuation is x itself.
     """
     cols = sl.cols
-    new = _reduce(cols, sl.sign, x, None if ytrans is None else _gather(cols, ytrans))
-    new[new >= SNAP] = POS
-    new[new <= -SNAP] = NEG
+    new = _reduce(cols, sl.sign, _signed(cols.span, x, ytrans))
+    new[new >= _SNAP0] = POS
+    new[new <= _NSNAP0] = NEG
     return new
 
 
@@ -556,10 +553,10 @@ def _settle(new: np.ndarray, cutoff, lift, tables) -> None:
     # sentinel; one more masked copy restores the other.
     if lift is None:
         new[new < cutoff] = NEG
-        new[new >= SNAP] = POS
+        new[new >= _SNAP0] = POS
     else:
         new[new > lift] = POS
-        new[new <= -SNAP] = NEG
+        new[new <= _NSNAP0] = NEG
     if tables is not None:
         vals = new.tolist()
         _clamp(vals, tables, up=lift is not None)
@@ -588,9 +585,10 @@ def fixpoint(
     sweeps on Python ints, with the same iterates too.  ``tables`` hold a
     sorted list of ints, or None, per member.
 
-    ``ytrans`` is gathered into column form once, at the start of the
-    call, so it must not change during the call (no caller changes it:
-    the total-payoff pass caps ``y`` before solving, then reads it)."""
+    ``ytrans`` is read into the signed buffer at the start of the call,
+    and at the members again after each sweep, so it must not change
+    during the call (no caller changes it: the total-payoff pass caps
+    ``y`` before solving, then reads it)."""
     k = len(sl.starts)
     if trace is None and x.ndim == 1 and len(sl.dst) <= SCALAR_MAX_EDGES:
         xs = x.tolist()
@@ -599,24 +597,34 @@ def fixpoint(
                                  caps=None if ytrans is None else ytrans.tolist())
         finally:
             x[:k] = xs[:k]
-    cols, sign = sl.cols, sl.sign
-    ycols = None if ytrans is None else _gather(cols, ytrans)
+    cols, sign, span = sl.cols, sl.sign, sl.cols.span
+    # 0-d arrays (or [rows, 1] columns), which compare faster than scalars.
+    cutoff, lift = (None if b is None else np.asarray(b) for b in (cutoff, lift))
+    buf = _signed(span, x, ytrans)
+    xm, zm, nm = x[..., :k], buf[..., :k], buf[..., span:span + k]
+    ym = None if ytrans is None else ytrans[..., :k]
     frontier = x.ndim == 1 and len(sl.dst) >= FRONTIER_MIN_EDGES
-    m = (Ellipsis, slice(k))
     dirty = None
     sweeps = 0
     while True:
         if dirty is None:
-            new = _reduce(cols, sign, x, ycols)
+            new = _reduce(cols, sign, buf)
             _settle(new, cutoff, lift, tables)
-            at = m
+            moved = new != xm
+            xm[...] = new
+            if ym is None:
+                zm[...] = new
+            else:
+                np.minimum(new, ym, out=zm)
+            np.negative(zm, out=nm)
         else:
-            sub, suby = _restrict(cols, ycols, dirty)
-            new = _reduce(sub, sign[dirty], x, suby)
+            new = _reduce(_restrict(cols, dirty), sign[dirty], buf)
             _settle(new, cutoff, lift, None if tables is None else [tables[i] for i in dirty.tolist()])
-            at = dirty
-        moved = new != x[at]
-        x[at] = new
+            moved = new != x[dirty]
+            x[dirty] = new
+            z = new if ytrans is None else np.minimum(new, ytrans[dirty])
+            buf[dirty] = z
+            buf[dirty + span] = -z
         sweeps += 1
         if trace is not None:
             trace.append(x)
@@ -721,12 +729,11 @@ def _distinct(a: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _restrict(cols: ColumnForm, ycols, dirty: np.ndarray):
-    """The column form of the members at the sorted positions ``dirty``,
-    and ``ycols`` cut to match: a ``take`` of their columns and of their
-    overflow edges, if any."""
+def _restrict(cols: ColumnForm, dirty: np.ndarray) -> ColumnForm:
+    """The column form of the members at the sorted positions ``dirty``:
+    a ``take`` of their columns and of their overflow edges, if any."""
     ovf = cols.overflow
-    sub_ovf = oidx = None
+    sub_ovf = None
     if ovf is not None:
         j = ovf.members.searchsorted(dirty)
         hit = np.flatnonzero(ovf.members.take(j, mode="clip") == dirty)
@@ -735,14 +742,9 @@ def _restrict(cols: ColumnForm, ycols, dirty: np.ndarray):
             hi = np.append(ovf.starts[1:], len(ovf.dst))[j[hit]]
             oidx = _ranges(lo, hi)
             ostarts = (hi - lo).cumsum() - (hi - lo)
-            sub_ovf = Overflow(hit, ovf.dst[oidx], ovf.swt[oidx], ovf.sign[oidx], ostarts)
-    sub = ColumnForm(
-        cols.cdst.take(dirty, axis=1), cols.csign.take(dirty, axis=1),
-        cols.cswt.take(dirty, axis=1), cols.folds, cols.width, sub_ovf,
-    )
-    if ycols is None:
-        return sub, None
-    return sub, (ycols[0].take(dirty, axis=1), None if oidx is None else ycols[1][oidx])
+            sub_ovf = Overflow(hit, ovf.dst[oidx], ovf.swt[oidx], ostarts)
+    return ColumnForm(cols.cdst.take(dirty, axis=1), cols.cswt.take(dirty, axis=1),
+                      cols.folds, cols.width, cols.span, sub_ovf)
 
 
 def nested_fixpoint(

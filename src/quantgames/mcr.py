@@ -52,9 +52,18 @@ DEFAULT_TRACE_CAP = 2**30
 
 
 def trace_cap() -> int:
-    """Maximum bytes of a trace's matrix; override with QG_MAX_TRACE_BYTES."""
+    """Maximum bytes of a trace's matrix; override with QG_MAX_TRACE_BYTES,
+    a whole number of at least 1, else ``ValueError``."""
     raw = os.environ.get("QG_MAX_TRACE_BYTES")
-    return int(raw) if raw else DEFAULT_TRACE_CAP
+    if not raw:
+        return DEFAULT_TRACE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"QG_MAX_TRACE_BYTES={raw!r} is not a whole number of bytes of at least 1")
+    return cap
 
 
 class TraceCapError(ValueError):

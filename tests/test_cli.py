@@ -444,6 +444,22 @@ def test_trace_cap_refuses_with_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("argv", [["strategy"], ["solve", "--trace", "trace.tsv"]])
+def test_trace_cap_refuses_a_bad_setting_by_name(tmp_path, capsys, monkeypatch, argv):
+    # Not a whole number, or below 1: refused with exit 2, naming the
+    # variable and its value, before the solve records a sweep.
+    path = _gen(tmp_path, "fig2a", W=3)
+    argv = [argv[0], path, *[str(tmp_path / a) if a.endswith(".tsv") else a for a in argv[1:]]]
+    for raw in ("abc", "1e9", "2.5", "-5", "0"):
+        monkeypatch.setenv("QG_MAX_TRACE_BYTES", raw)
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: QG_MAX_TRACE_BYTES={raw!r} is not a whole number of bytes of at least 1\n"
+        )
+    monkeypatch.setenv("QG_MAX_TRACE_BYTES", " 1000000 ")
+    assert run(argv) == 0
+
+
 def test_strategy_notes_a_dropped_decision_table(tmp_path, capsys):
     # fig2a's rewind machine has 2W + 4 states; the table is written up
     # to 4,096 states.

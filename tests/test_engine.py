@@ -235,7 +235,7 @@ def test_star_columns_stay_within_twice_the_edges(monkeypatch):
     layout = scc_decompose(arena)
     slices = [ca] + [layout.view(q) for q in range(len(layout))]
     for sl in slices:
-        for name in ("cdst", "csign", "cswt"):
+        for name in ("cdst", "cswt"):
             assert getattr(sl.cols, name).size <= 2 * len(sl.dst) + len(sl.starts)
     assert ca.cols.overflow is not None and len(ca.cols.overflow.dst) <= E
     rng = random.Random(77)

@@ -14,9 +14,9 @@ Kernel cases compare ``fixpoint`` and ``nested_fixpoint`` in each form
 with the per-edge reference of ``kernel_reference``: the final vectors,
 the counts, the error type and, where the form records one, the trace.
 They run on whole arenas and component views, on one vector and on
-weight rows (row by row), with ``cutoff`` or ``lift``, ``ytrans`` with
-both sentinels, oracle tables that clamp and bounds that cut a call
-short.  The solver cases, which require the same values, counts, traces
+weight rows (row by row), on slices whose edges spill into the overflow,
+with ``cutoff`` or ``lift``, ``ytrans`` with both sentinels, oracle
+tables that clamp and bounds that cut a call short.  The solver cases, which require the same values, counts, traces
 and bound errors from all three forms, are in ``tests/test_frontier.py``
 (the small corpora) and ``tests/test_scalar.py`` (weights at the cap);
 their helpers are here.
@@ -157,10 +157,13 @@ def test_fixpoint_matches_reference(form, corpus):
     assert outcomes == {"stable", AssertionError, UnsoundOracleError}
 
 
-def random_rows_slice(rng, n, rows, wmax):
+def random_rows_slice(rng, n, rows, wmax, hub=False):
     """A whole-graph slice of n vertices, out-degree 1-3, with ``rows``
-    weight rows in +-wmax."""
+    weight rows in +-wmax; with ``hub``, one member of degree 4n-6n, whose
+    edges past the column width spill into the overflow once n >= 4."""
     degrees = [rng.randint(1, 3) for _ in range(n)]
+    if hub:
+        degrees[rng.randrange(n)] = rng.randint(4 * n, 6 * n)
     dst = np.array([rng.randrange(n) for _ in range(sum(degrees))], dtype=np.int64)
     starts = np.cumsum([0] + degrees[:-1]).astype(np.int64)
     is_max = np.array([rng.random() < 0.5 for _ in range(n)])
@@ -175,36 +178,69 @@ def row_bars(sl):
     return -(len(sl.starts) - 1) * W, (len(sl.starts) - 1) * W
 
 
+def batch_run(sl, x0, y, down, bound):
+    """One batched ``fixpoint`` call on the weight rows of ``sl`` against
+    the reference row by row: a batch stops when its slowest row is
+    stable, so its count is the largest row count, each row ends as the
+    reference leaves it, and its trace repeats a row's fixed point after
+    that row is stable.  Returns how the batch ended."""
+    cutoff, lift = row_bars(sl)
+    want = []
+    for r in range(len(x0)):
+        kw = {"cutoff": cutoff[r, 0]} if down else {"lift": lift[r, 0]}
+        want.append(kernel_run(ref.fixpoint, sl, x0[r].tolist(), bound, True, row=r,
+                               ytrans=None if y is None else y[r], **kw))
+    kw = {"cutoff": cutoff} if down else {"lift": lift}
+    end, x, trace = kernel_run(eng.fixpoint, sl, x0.copy(), bound, True, ytrans=y, **kw)
+    errors = [w[0] for w in want if isinstance(w[0], type)]
+    assert end == (errors[0] if errors else max(w[0] for w in want))
+    for r, (_, xr, tr) in enumerate(want):
+        assert x[r] == xr
+        assert [t[r] for t in trace] == [tr[min(s, len(tr) - 1)] for s in range(len(trace))]
+    return end if isinstance(end, type) else "stable"
+
+
 def test_fixpoint_weight_rows_match_reference(form):
-    """A batch stops when its slowest row is stable: its count is the
-    largest row count, each row ends as the reference leaves it, and its
-    trace repeats a row's fixed point after that row is stable."""
     rng = random.Random(14)
     outcomes = set()
     for _ in range(80):
         n, rows = rng.randint(1, 9), rng.randint(1, 4)
         sl = random_rows_slice(rng, n, rows, rng.choice((2, 20)))
-        cutoff, lift = row_bars(sl)
         x0 = np.stack([random_inputs(rng, n, 0, 30)[0] for _ in range(rows)])
         y = np.stack([random_inputs(rng, n, 0, 30)[1] for _ in range(rows)])
         down = rng.random() < 0.5
         capped = rng.random() < 0.5
         bound = rng.choice((0, 2, 300))
-        want = []
-        for r in range(rows):
-            kw = {"cutoff": cutoff[r, 0]} if down else {"lift": lift[r, 0]}
-            want.append(kernel_run(ref.fixpoint, sl, x0[r].tolist(), bound, True, row=r,
-                                   ytrans=y[r] if capped else None, **kw))
-        kw = {"cutoff": cutoff} if down else {"lift": lift}
-        end, x, trace = kernel_run(eng.fixpoint, sl, x0.copy(), bound, True,
-                                   ytrans=y if capped else None, **kw)
-        errors = [w[0] for w in want if isinstance(w[0], type)]
-        assert end == (errors[0] if errors else max(w[0] for w in want))
-        for r, (_, xr, tr) in enumerate(want):
-            assert x[r] == xr
-            assert [t[r] for t in trace] == [tr[min(s, len(tr) - 1)] for s in range(len(trace))]
-        outcomes.add(end if isinstance(end, type) else "stable")
+        outcomes.add(batch_run(sl, x0, y if capped else None, down, bound))
     assert outcomes == {"stable", AssertionError}
+
+
+def test_overflow_weight_rows_match_reference(form):
+    """Slices whose hub spills into the overflow, with start vectors and
+    ``ytrans`` holding both sentinels, so the overflow's edges gather
+    capped continuations from both halves of the signed buffer: a batch
+    of weight rows, then each row alone on one vector, in every form."""
+    rng = random.Random(16)
+    outcomes = set()
+    both = 0  # cases whose ytrans holds both sentinels
+    for _ in range(60):
+        n, rows = rng.randint(4, 9), rng.randint(1, 4)
+        sl = random_rows_slice(rng, n, rows, rng.choice((2, 20)), hub=True)
+        assert sl.cols.overflow is not None
+        x0 = np.stack([random_inputs(rng, n, 0, 30)[0] for _ in range(rows)])
+        y = np.stack([random_inputs(rng, n, 0, 30)[1] for _ in range(rows)])
+        both += {int(eng.POS), int(eng.NEG)} <= set(y.ravel().tolist())
+        down = rng.random() < 0.5
+        bound = rng.choice((0, 2, 300))
+        outcomes.add(batch_run(sl, x0, y, down, bound))
+        cutoff, lift = row_bars(sl)
+        for r in range(rows):
+            row = eng.EdgeSlice(sl.dst, sl.wt[r], sl.starts, sl.is_max)
+            kw = {"cutoff": cutoff[r, 0]} if down else {"lift": lift[r, 0]}
+            for traced in (False, True):
+                want = kernel_run(ref.fixpoint, row, x0[r].tolist(), bound, traced, ytrans=y[r], **kw)
+                assert kernel_run(eng.fixpoint, row, x0[r].copy(), bound, traced, ytrans=y[r], **kw) == want
+    assert outcomes == {"stable", AssertionError} and both >= 30
 
 
 def nested_run(nested, sl, x, y, **kw):
