@@ -264,7 +264,7 @@ class EdgeSlice:
 
     def __post_init__(self) -> None:
         if self.sign is None:
-            self.sign = np.where(self.is_max, 1, -1).astype(np.int64, copy=False)
+            self.sign = (self.is_max.astype(np.int64) << 1) - 1
 
     @functools.cached_property
     def cols(self) -> ColumnForm:

@@ -50,9 +50,18 @@ DEFAULT_VERTEX_CAP = 10**6
 
 
 def vertex_cap() -> int:
-    """Maximum vertex count; override with QG_MAX_VERTICES."""
+    """Maximum vertex count; override with QG_MAX_VERTICES, a whole
+    number of at least 1, else ``ValueError``."""
     raw = os.environ.get("QG_MAX_VERTICES")
-    return int(raw) if raw else DEFAULT_VERTEX_CAP
+    if not raw:
+        return DEFAULT_VERTEX_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"QG_MAX_VERTICES={raw!r} is not a whole number of vertices of at least 1")
+    return cap
 
 
 class Player(Enum):

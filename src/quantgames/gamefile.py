@@ -16,9 +16,10 @@ index of Langdale and Lemire ("Parsing gigabytes of JSON per second",
 VLDB J. 2019): one vectorized pass over each block finds every separator
 (space or newline), and the work is done on token spans, not on one
 Python object per token.  Names become zero-padded ``'<u8'`` words and map
-to indices by a sort and ``searchsorted``, weights are read by Horner's
-rule over the token bytes, and one sort on ``src * n + dst`` orders the
-edges and finds parallel ones; the arena stores that ``[E, 3]`` array and
+to indices through a table of hashed keys in buckets, weights are read by
+Horner's rule over the token bytes, and one sort on ``src * n + dst``
+(skipped when the edge lines are already in that order) orders the edges
+and finds parallel ones; the arena stores that ``[E, 3]`` array and
 builds no edge tuples.  Clean means: only ``[A-Za-z0-9_-]``, spaces and
 newlines; the objective line first, then every vertex line, then every
 edge line; tokens one space apart, with no blank, indented or
@@ -159,8 +160,13 @@ _VERTEX_LINE, _EDGE_LINE = (np.frombuffer(s, np.uint8) for s in (b"  \n", b"   \
 # they are read from: a few long names among many short ones send the file
 # to the line parser rather than pad every row to the longest.
 _KEY_SPREAD = 4
-# The multiplier that folds several name words into one sort key.
+# The multiplier that folds several name words into one key.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+# The multiplier that hashes a key for the name table, whose top bits pick
+# the key's bucket: Knuth's MMIX multiplier.  It is odd, so two hashes are
+# equal only where the keys are, and a constant of its own, so the fold
+# and the buckets vary apart.
+_HASH = np.uint64(0x5851F42D4C957F2D)
 
 
 def _scan_bulk(text: Union[str, bytes], cap: Optional[int] = None):
@@ -188,18 +194,23 @@ def _scan_bulk(text: Union[str, bytes], cap: Optional[int] = None):
     lines, once ``" target\\n"`` is ``"+\\n"``) or 4L (edge lines),
     every third (fourth) a newline.  It holds exactly L newlines, so then
     each line holds exactly three (four) tokens, and each token is the
-    span between two separators; an empty one is refused.  One substring
-    count per block (per chunk of the edge block) proves that every line
-    starts with its directive.
+    span between two separators; an empty one is refused.  The lines start
+    at 0 and after each newline, so one word read at each line start
+    proves that it starts with its directive and a space
+    (``_directives``).
 
     Names.  A name becomes ceil(Lmax/8) ``'<u8'`` words, zero after its
     last byte, Lmax the longest declared name.  The padding is injective,
-    since a clean file holds no zero byte.  The sort key of a name is its
-    word, or a hash of its words.  An endpoint's key picks one declared
-    name by ``searchsorted``, and the endpoint is taken for that name only
-    if every word is equal, so a hash is never trusted alone.  A repeated
-    key (a name declared twice, or two colliding hashes), an endpoint
-    longer than Lmax or one whose words differ sends the file to the line
+    since a clean file holds no zero byte.  The key of a name is its word,
+    or a fold of its words (``_fold``), and its hash the key times the odd
+    ``_HASH``, a bijection on 64 bits.  The table holds the declared
+    names' hashes sorted, in about n buckets by their top bits (Knuth's
+    multiplicative hashing, TAOCP vol. 3, 6.4).  An endpoint's hash is
+    looked up in its bucket (``_lookup``), and the endpoint is taken for
+    the name found only if every word is equal, so a hash is never
+    trusted alone.  A repeated hash (a name declared twice, or two
+    colliding folds), an endpoint longer than Lmax, one whose hash is not
+    in its bucket or one whose words differ sends the file to the line
     parser.  So does a file whose name rows would outgrow their block
     ``_KEY_SPREAD`` times over, which keeps the memory linear in the file.
 
@@ -248,17 +259,25 @@ def _separators(raw: np.ndarray, pattern: np.ndarray):
     return sep if (raw[sep] == pattern).all() else None
 
 
-def _directives(block: bytes, directive: bytes, lines: int) -> bool:
-    """Whether each of the block's ``lines`` lines, all ending in a
-    newline, starts with ``directive``."""
-    return block.startswith(directive) and block.count(b"\n" + directive) == lines - 1
+def _at(block: bytes, pad: int) -> np.ndarray:
+    """The ``'<u8'`` words of ``block`` followed by ``pad`` >= 8 zero
+    bytes: element i is the 8 bytes from byte i."""
+    return np.ndarray((len(block) + pad - 7,), "<u8", block + bytes(pad), 0, (1,))
 
 
-def _words(block: bytes, starts: np.ndarray, lens: np.ndarray, count: int) -> np.ndarray:
-    """The tokens of ``block`` at ``starts`` of ``lens`` bytes, as
-    ``count`` little-endian ``'<u8'`` words each, zero after the token."""
-    # Element i of ``at`` is the 8 bytes from byte i of the block.
-    at = np.ndarray((len(block) + 8 * count - 7,), "<u8", block + bytes(8 * count), 0, (1,))
+def _directives(at: np.ndarray, sep: np.ndarray, directive: bytes) -> bool:
+    """Whether each line of the block that ``at`` reads, whose
+    separators ``_separators`` proved to be ``sep``, starts with
+    ``directive``: the first at byte 0, each other one after a newline."""
+    word, mask = np.uint64(int.from_bytes(directive, "little")), _MASKS[len(directive)]
+    heads = at[sep[:-1, -1] + 1]
+    return (at[0] & mask) == word and bool(((heads & mask) == word).all())
+
+
+def _words(at: np.ndarray, starts: np.ndarray, lens: np.ndarray, count: int) -> np.ndarray:
+    """The tokens at ``starts`` of ``lens`` bytes of the block that ``at``
+    reads, padded by at least ``count`` words, as ``count`` little-endian
+    ``'<u8'`` words each, zero after the token."""
     offsets = 8 * np.arange(count)
     words = at[starts[..., None] + offsets]
     words &= _MASKS.take(lens[..., None] - offsets, mode="clip")
@@ -266,7 +285,7 @@ def _words(block: bytes, starts: np.ndarray, lens: np.ndarray, count: int) -> np
 
 
 def _fold(words: np.ndarray) -> np.ndarray:
-    """One sort key per row of name words: the word itself, or a hash of
+    """One key per row of name words: the word itself, or a hash of
     several that a match must confirm word by word."""
     key = words[..., 0]
     for i in range(1, words.shape[-1]):
@@ -278,28 +297,37 @@ def _scan_vertices(vblock: bytes):
     """Names, owners, their Max flags, targets and the name table of the
     vertex block, with ``" target\\n"`` rewritten to ``"+\\n"``, or None."""
     sep = _separators(np.frombuffer(vblock, np.uint8), _VERTEX_LINE)
-    # Every line starts with "vertex ": a line "vertex target" became
-    # "vertex+" and fails here.
-    if sep is None or not _directives(vblock, b"vertex ", len(sep)):
+    if sep is None or not len(sep):
         return None
     lens = sep[:, 1] - sep[:, 0] - 1
     count = -(-int(lens.max()) // 8)
     if lens.min() < 1 or len(lens) * 8 * count > _KEY_SPREAD * len(vblock):
         return None
+    at = _at(vblock, 8 * count)
+    # Every line starts with "vertex ": a line "vertex target" became
+    # "vertex+" and fails here.
+    if not _directives(at, sep, b"vertex "):
+        return None
     # Each name, and the owner token with the byte after it.
-    both = _words(vblock, sep[:, :2] + 1, np.column_stack((lens, np.full_like(lens, 4))), count)
+    both = _words(at, sep[:, :2] + 1, np.column_stack((lens, np.full_like(lens, 4))), count)
     owner = both[:, 1, 0]
     low, last = owner & 0xFFFFFF, owner >> 24
     is_max, is_target = low == _MAX, last == ord("+")
     if not ((is_max | (low == _MIN)) & (is_target | (last == ord("\n")))).all():
         return None
     words = both[:, 0]
-    key = _fold(words)
-    order = np.argsort(key)
-    key = key[order]
-    if (key[1:] == key[:-1]).any():  # a name declared twice, or a hash collision
+    hashes = _fold(words) * _HASH
+    order = np.argsort(hashes)
+    hashes = hashes[order]
+    if (hashes[1:] == hashes[:-1]).any():  # a name declared twice, or a fold collision
         return None
-    table = key, order, words[order]
+    # About n buckets, 2^bits of them, each the run of sorted hashes that
+    # share their top bits: bucket b spans starts[b]:starts[b + 1].
+    bits = max(1, (len(hashes) - 1).bit_length())
+    shift = np.uint64(64 - bits)
+    starts = np.zeros((1 << bits) + 1, np.int32)
+    np.cumsum(np.bincount((hashes >> shift).view(np.int64), minlength=1 << bits), out=starts[1:])
+    table = hashes, order, words[order], starts, shift
     # The name bytes, each name ended by a newline, in one decode and split.
     joined = np.zeros((len(lens), 8 * count + 1), np.uint8)
     joined[:, :-1] = words.view(np.uint8)
@@ -327,7 +355,7 @@ def _scan_edges(text: bytes, start: int, table):
         if not chunk.endswith(b"\n"):
             chunk += b"\n"
         sep = _separators(np.frombuffer(chunk, np.uint8), _EDGE_LINE)
-        if sep is None or not _directives(chunk, b"edge ", len(sep)):
+        if sep is None:
             return None
         starts = sep[:, :3] + 1
         lens = sep[:, 1:] - starts
@@ -338,7 +366,11 @@ def _scan_edges(text: bytes, start: int, table):
         ):
             return None
         # Whole words, so each weight row ends in at least one zero byte.
-        words = _words(chunk, starts, lens, max(count, wt_len // 8 + 1))
+        width = max(count, wt_len // 8 + 1)
+        at = _at(chunk, 8 * width)
+        if not _directives(at, sep, b"edge "):
+            return None
+        words = _words(at, starts, lens, width)
         ids = _lookup(words[:, :2, :count], table)
         wt = _weights(words[:, 2].view(np.uint8)[:, :wt_len + 1])
         if ids is None or wt is None:
@@ -349,11 +381,13 @@ def _scan_edges(text: bytes, start: int, table):
         return None
     n = len(table[0])
     key = rows[:, 0] * n + rows[:, 1]
-    order = np.argsort(key)
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        return None
-    rows = rows[order]
+    # Keys that strictly increase are sorted and distinct already.
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key)
+        key = key[order]
+        if (key[1:] == key[:-1]).any():
+            return None
+        rows = rows[order]
     # The sorted sources lie in [0, n): all n occur when n - 1 steps do.
     src = rows[:, 0]
     if np.count_nonzero(src[1:] != src[:-1]) < n - 1:
@@ -364,19 +398,28 @@ def _scan_edges(text: bytes, start: int, table):
 def _lookup(found: np.ndarray, table):
     """The ``[E, 2]`` vertex ids of the endpoints' ``[E, 2, W]`` name
     words, or None unless each is a declared name.  ``table`` holds the
-    declared names' keys sorted, their ids in that order and their words
-    in that order.  The endpoints are looked up in key order too, so that
-    the table is read in order: about twice as fast as random lookups."""
-    keys, order, words = table
+    declared names' hashes sorted, their ids and their words in that
+    order, the bucket starts and the shift that leaves a hash's bucket.
+    Each endpoint probes its bucket from the start; the ones that miss
+    probe on, one slot a round, and one that passes its bucket's end is
+    undeclared.  The endpoints are never sorted."""
+    hashes, order, words, starts, shift = table
     found = found.reshape(-1, words.shape[1])
-    key = _fold(found)
-    by_key = np.argsort(key)
-    at = np.searchsorted(keys, key[by_key])
-    if not (words.take(at, axis=0, mode="clip") == found[by_key]).all():
+    query = _fold(found) * _HASH
+    bucket = (query >> shift).view(np.int64)
+    slot, end = starts.take(bucket).astype(np.int64), starts.take(bucket + 1)
+    # An empty bucket starts at a later bucket's hash, or past the table
+    # (clipped to its last): either way a miss, which then passes the end.
+    miss = np.flatnonzero(hashes.take(slot, mode="clip") != query)
+    while len(miss):
+        slot[miss] += 1
+        probe = slot[miss]
+        if (probe >= end[miss]).any():
+            return None
+        miss = miss[hashes.take(probe) != query.take(miss)]
+    if not (words.take(slot, axis=0) == found).all():
         return None
-    ids = np.empty(len(key), np.int64)
-    ids[by_key] = order.take(at, mode="clip")
-    return ids.reshape(-1, 2)
+    return order.take(slot).reshape(-1, 2)
 
 
 def _weights(rows: np.ndarray):

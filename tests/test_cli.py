@@ -277,6 +277,20 @@ def test_vertex_cap_env(tmp_path, monkeypatch):
     assert "exceed the cap 4" in out.stderr
 
 
+def test_vertex_cap_refuses_a_bad_setting_by_name(tmp_path, capsys, monkeypatch):
+    # Not a whole number, or below 1: qg solve exits 2, naming the
+    # variable and its value, before it parses the file.
+    path = _gen(tmp_path, "fig2a", W=3)
+    for raw in ("abc", "1e9", "0", "-5"):
+        monkeypatch.setenv("QG_MAX_VERTICES", raw)
+        assert run(["solve", path]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: QG_MAX_VERTICES={raw!r} is not a whole number of vertices of at least 1\n"
+        )
+    monkeypatch.setenv("QG_MAX_VERTICES", " 3 ")
+    assert run(["solve", path]) == 0
+
+
 def test_vertex_cap_counts_the_fresh_target(tmp_path, monkeypatch):
     # An MCR file whose target has a move of its own needs a fresh target,
     # so at the cap it is refused before the solve; a normalized one

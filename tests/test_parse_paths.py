@@ -471,3 +471,103 @@ def test_a_clean_file_with_a_check_fault_raises_as_the_line_parser(case, tmp_pat
     assert cli.run(["solve", str(path)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def _vertex_block(text):
+    """The vertex block of a clean file, as ``_scan_bulk`` hands it on."""
+    rest = text.partition("\n")[2]
+    return rest[: rest.index("\nedge ") + 1].replace(" target\n", "+\n").encode("ascii")
+
+
+def test_names_that_share_a_bucket_take_the_bulk_path(monkeypatch):
+    """With a multiplier of 1 a name of at most 7 bytes hashes to itself,
+    whose top byte is zero, so nearly all of them share bucket 0 and each
+    endpoint probes on through it; the bulk path must still find every
+    name, and refuse an undeclared one."""
+    monkeypatch.setattr(gamefile, "_HASH", np.uint64(1))
+    crowded = 0
+    for i, text in enumerate(generated_files()):
+        if i % 4 or gamefile._scan_bulk(text) is None:
+            continue
+        starts = gamefile._scan_vertices(_vertex_block(text))[4][3]
+        crowded = max(crowded, int(np.diff(starts).max()))
+        assert_same_arena(parse(text), line_parse(text))
+    assert crowded > 1000
+    names = [f"v{i}" for i in range(300)]
+    text = named_file(random.Random(3), names)
+    assert gamefile._scan_bulk(text) is not None
+    assert gamefile._scan_bulk(text.replace("edge v7 ", "edge v300 ", 1)) is None
+
+
+def _edges_in_order(text, rng=None):
+    """``text`` with its edge lines sorted by (src, dst) index, or, with
+    ``rng``, shuffled; the vertex lines stay in place."""
+    lines = text.rstrip("\n").split("\n")
+    k = next(i for i, line in enumerate(lines) if line.startswith("edge "))
+    index = {line.split()[1]: v for v, line in enumerate(lines[1:k])}
+    edges = sorted(lines[k:], key=lambda line: [index[name] for name in line.split()[1:3]])
+    if rng is not None:
+        rng.shuffle(edges)
+    return "\n".join(lines[:k] + edges) + "\n"
+
+
+def test_edges_in_order_and_shuffled_give_equal_arenas():
+    """An edge block already in (src, dst) order skips the sort; the same
+    block shuffled takes it, and both give the line parser's arena."""
+    rng = random.Random(29)
+    for i, text in enumerate(generated_files()):
+        if i % 8 == 7 or i % 3:  # every third clean file
+            continue
+        ordered = _edges_in_order(text)
+        want = line_parse(ordered)
+        for form in (ordered, _edges_in_order(text, rng)):
+            parts = gamefile._scan_bulk(form)
+            assert parts is not None
+            assert np.array_equal(parts[2], want.edge_array)
+            assert_same_arena(parse(form), want)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_parallel_edge_in_an_ordered_block_is_refused(where):
+    """Keys that do not strictly increase take the sort, which finds the
+    parallel edge; the line parser merges it and warns."""
+    text = _edges_in_order(named_file(random.Random(where), [f"v{i}" for i in range(40)]))
+    lines = text.rstrip("\n").split("\n")
+    edges = [i for i, line in enumerate(lines) if line.startswith("edge ")]
+    k = {"first": edges[0], "middle": edges[len(edges) // 2], "last": edges[-1]}[where]
+    for weight in ("7", lines[k].rsplit(" ", 1)[1]):
+        changed = lines[: k + 1] + [lines[k].rsplit(" ", 1)[0] + " " + weight] + lines[k + 1:]
+        changed = "\n".join(changed) + "\n"
+        assert gamefile._scan_bulk(changed) is None
+        assert_line_parsers_outcome(changed)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+@pytest.mark.parametrize("block", ["vertex", "edge"])
+@pytest.mark.parametrize("bad", ["edgy", "vertexx", "edge", "swapped"])
+def test_a_bad_directive_is_refused_as_the_line_parser_refuses_it(bad, block, chunk, monkeypatch):
+    """Each line's first token is checked at its start.  A bad one (a
+    near miss, the other block's directive in place of its own, or a
+    bare ``edge`` line) on the first, a middle or the last line of either
+    block sends the file to the line parser, which raises its error.  With
+    ``chunk`` the edge block is cut into chunks of one line, or of a few,
+    so the bad line also starts and ends a chunk."""
+    if chunk is not None:
+        monkeypatch.setattr(gamefile, "_EDGE_CHUNK", chunk)
+    names = [f"n{i}" for i in range(30)]
+    text = named_file(random.Random(bad + block), names)
+    assert gamefile._scan_bulk(text) is not None
+    lines = text.rstrip("\n").split("\n")
+    rows = [i for i, line in enumerate(lines) if line.startswith(block + " ")]
+    for k in (rows[0], rows[len(rows) // 2], rows[-1]):
+        changed = list(lines)
+        if bad == "edge":
+            changed[k] = "edge"
+        else:
+            token = {"vertex": "edge", "edge": "vertex"}[block] if bad == "swapped" else bad
+            changed[k] = token + changed[k][len(block):]
+        changed = "\n".join(changed) + "\n"
+        assert gamefile._scan_bulk(changed) is None
+        want, _ = outcome(lambda: line_parse(changed))
+        assert not isinstance(want, Arena)
+        assert_line_parsers_outcome(changed)
